@@ -19,7 +19,9 @@
 // REJECTO_SERVE_EPOCH_EVENTS, REJECTO_SERVE_RECLAIM=hazard|shared_ptr.
 //
 // Build & run:  cmake --build build && ./build/examples/admission_server
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -78,6 +80,7 @@ int main() {
   std::atomic<bool> stop{false};
   std::vector<std::thread> frontends;
   std::atomic<std::uint64_t> live_decisions{0};
+  std::vector<std::uint64_t> last_tick(num_readers, 0);
   for (int r = 0; r < num_readers; ++r) {
     auto reader = service.CreateReader();
     frontends.emplace_back([&, r, rd = std::move(reader)]() mutable {
@@ -89,6 +92,7 @@ int main() {
         if ((t & 63) == 0) std::this_thread::yield();
       }
       live_decisions.fetch_add(rd.Decisions(), std::memory_order_relaxed);
+      last_tick[r] = t == 0 ? 0 : t - 1;
     });
   }
 
@@ -98,11 +102,17 @@ int main() {
   stop.store(true, std::memory_order_release);
   for (auto& t : frontends) t.join();
 
-  // Post-attack sweep: one admission decision per account.
+  // Post-attack sweep: one admission decision per account, stamped late
+  // enough after every live reader's last tick that each bucket the
+  // readers drained has refilled to capacity (a time earlier than theirs
+  // would count as no time elapsed and refill nothing).
+  const std::uint64_t sweep_tick =
+      *std::max_element(last_tick.begin(), last_tick.end()) +
+      static_cast<std::uint64_t>(std::ceil(tb.capacity / tb.refill_per_tick));
   auto auditor = service.CreateReader();
   std::uint64_t fake_blocked = 0, legit_admitted = 0;
   for (graph::NodeId s = 0; s < scenario.NumNodes(); ++s) {
-    const serve::Decision d = auditor.Decide(s, 1);
+    const serve::Decision d = auditor.Decide(s, sweep_tick);
     const bool blocked = d.verdict != serve::Verdict::kAdmit;
     if (scenario.is_fake[s] != 0) {
       fake_blocked += blocked ? 1 : 0;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/compressed_view.h"
+#include "graph/graph_source.h"
 #include "graph/layout.h"
 #include "graph/subgraph.h"
 #include "util/thread_pool.h"
@@ -17,112 +19,79 @@ namespace {
 // Per-node suspicion on the residual graph: the fraction of a node's
 // incoming requests that were rejections. Used only to trim the final
 // round's overshoot to the detection target.
-double Suspicion(const graph::AugmentedGraph& g, graph::NodeId v) {
-  const double rej = g.Rejections().InDegree(v);
-  const double fr = g.Friendships().Degree(v);
+double Suspicion(const graph::GraphSource& g, graph::NodeId v) {
+  const double rej = g.RejInDegree(v);
+  const double fr = g.FriendDegree(v);
   return (rej + fr) == 0 ? 0.0 : rej / (rej + fr);
 }
 
-// Same ratio read through a decode cursor — identical degrees, identical
-// value (the compressed round-0 trim must break ties exactly like RAM).
-double Suspicion(graph::DecodeCursor& cursor, graph::NodeId v) {
-  const double rej = cursor.InDegree(v);
-  const double fr = cursor.FriendDegree(v);
-  return (rej + fr) == 0 ? 0.0 : rej / (rej + fr);
-}
+// The graph a round reads: exactly one pointer is set. Round 0 reads the
+// caller's input — a graph in RAM or a compressed view — and every later
+// round the compacted RAM residual.
+struct RoundInput {
+  const graph::AugmentedGraph* ram = nullptr;
+  const graph::CompressedGraphView* view = nullptr;
 
-}  // namespace
+  graph::NodeId NumNodes() const {
+    return ram != nullptr ? ram->NumNodes() : view->NumNodes();
+  }
+};
 
-DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
-                                     const Seeds& seeds,
-                                     const IterativeConfig& config) {
-  // One pool for the whole pipeline: rounds reuse it instead of paying
-  // thread construction per residual solve.
+// One pool for the whole pipeline: rounds reuse it instead of paying
+// thread construction per residual solve.
+std::unique_ptr<util::ThreadPool> MakePool(const IterativeConfig& config) {
   const int threads = EffectiveThreads(config.maar.num_threads);
-  std::shared_ptr<util::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_shared<util::ThreadPool>(
-        static_cast<std::size_t>(threads));
-  }
-  return DetectFriendSpammers(
-      g, seeds, config,
-      [pool](const graph::AugmentedGraph& residual, const Seeds& s,
-             const MaarConfig& maar) {
-        MaarSolver solver(residual, s, maar);
-        return solver.Solve(pool.get());
-      },
-      pool.get());
+  if (threads <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
 }
 
-DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
-                                     const Seeds& seeds,
-                                     const IterativeConfig& config,
-                                     const MaarRunner& solve,
-                                     util::ThreadPool* pool) {
-  seeds.Validate(g.NumNodes());
+// The serial per-round solve: MaarSolver's sweep on `pool`.
+MaarRunner SolveOn(util::ThreadPool* pool) {
+  return [pool](const graph::AugmentedGraph& residual, const Seeds& s,
+                const MaarConfig& maar) {
+    return MaarSolver(residual, s, maar).Solve(pool);
+  };
+}
 
-  // Non-identity layout: remap ONCE for the whole pipeline (each round's
-  // residual inherits the locality through compaction), run the core with
-  // the invariance rank engaged, and translate every reported id back.
-  // Result — detected set, order, ratios, per-round cuts — is bit-identical
-  // to the identity run (see graph/layout.h).
-  if (config.maar.layout != graph::LayoutPolicy::kIdentity) {
-    util::WallTimer total_timer;
-    const graph::Layout layout =
-        graph::ComputeLayout(g, config.maar.layout, pool);
-    const graph::AugmentedGraph laid = graph::ApplyLayout(g, layout, pool);
-    Seeds laid_seeds = seeds;
-    laid_seeds.legit = graph::IdsToLayout(layout, seeds.legit);
-    laid_seeds.spammer = graph::IdsToLayout(layout, seeds.spammer);
-    IterativeConfig inner = config;
-    inner.maar.layout = graph::LayoutPolicy::kIdentity;
-    inner.maar.rank = layout.old_of_new;
-    if (!inner.maar.extra_init.empty()) {
-      inner.maar.extra_init =
-          graph::MaskToLayout(layout, inner.maar.extra_init);
-    }
-    DetectionResult result =
-        DetectFriendSpammers(laid, laid_seeds, inner, solve, pool);
-    for (graph::NodeId& id : result.detected) id = layout.old_of_new[id];
-    for (RoundInfo& round : result.rounds) {
-      for (graph::NodeId& id : round.detected) id = layout.old_of_new[id];
-    }
-    result.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
+// The one §IV-E loop: solve MAAR on the residual, flag the U region, prune
+// it, repeat. No round prunes after the last permitted round or once the
+// target is reached — that residual would never be read.
+DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
+                          const IterativeConfig& config,
+                          const MaarRunner& solve, util::ThreadPool* pool) {
   util::WallTimer total_timer;
   DetectionResult result;
 
-  // Round 0 solves on g directly; only the compacted rounds materialize a
-  // residual graph of their own (skipping the up-front full graph copy).
-  const graph::AugmentedGraph* residual = &g;
+  // Round 0 reads the input directly; only the compacted rounds
+  // materialize a residual graph of their own.
   graph::AugmentedGraph residual_storage;
-  std::vector<graph::NodeId> to_original(g.NumNodes());
+  std::vector<graph::NodeId> to_original(residual.NumNodes());
   std::iota(to_original.begin(), to_original.end(), 0);
   Seeds cur_seeds = seeds;
   // Layout-invariance rank for the current residual (empty = identity
   // semantics): re-compressed to a dense permutation after each pruning
   // round so relative original-id order survives compaction.
   std::vector<graph::NodeId> cur_rank = config.maar.rank;
+  const auto target_reached = [&] {
+    return config.target_detections != 0 &&
+           result.detected.size() >= config.target_detections;
+  };
 
   for (int round = 0; round < config.max_rounds; ++round) {
-    if (config.target_detections != 0 &&
-        result.detected.size() >= config.target_detections) {
-      result.hit_target = true;
-      break;
-    }
+    const graph::NodeId n = residual.NumNodes();
     // Mirror MaarSolver's clamp of the minimum region size.
     const graph::NodeId min_region = std::max<graph::NodeId>(
-        1, std::min<graph::NodeId>(config.maar.min_region_size,
-                                   residual->NumNodes() / 2));
-    if (residual->NumNodes() < 2 * min_region) break;
+        1, std::min<graph::NodeId>(config.maar.min_region_size, n / 2));
+    if (n < 2 * min_region) break;
 
     MaarConfig maar = config.maar;
     maar.rank = cur_rank;
     maar.seed = config.maar.seed + static_cast<std::uint64_t>(round) * 0x9e37ULL;
     util::WallTimer round_timer;
-    const MaarCut cut = solve(*residual, cur_seeds, maar);
+    const MaarCut cut =
+        residual.ram != nullptr
+            ? solve(*residual.ram, cur_seeds, maar)
+            : MaarSolver(*residual.view, cur_seeds, maar).Solve(pool);
     const double round_seconds = round_timer.Seconds();
     result.total_kl_runs += static_cast<std::uint64_t>(cut.kl_runs);
     result.total_switches += cut.switches;
@@ -150,7 +119,7 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
     // original ids) — so the reported sequence and the trim sort's stable
     // tie-breaks match the identity run node for node.
     std::vector<graph::NodeId> flagged;
-    for (graph::NodeId v = 0; v < residual->NumNodes(); ++v) {
+    for (graph::NodeId v = 0; v < n; ++v) {
       if (cut.in_u[v]) flagged.push_back(v);
     }
     if (!cur_rank.empty()) {
@@ -172,9 +141,14 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
       const std::size_t room =
           static_cast<std::size_t>(config.target_detections) -
           result.detected.size();
+      std::optional<graph::DecodeCursor> cursor;
+      const graph::GraphSource source =
+          residual.ram != nullptr
+              ? graph::GraphSource(*residual.ram)
+              : graph::GraphSource(&cursor.emplace(*residual.view));
       std::vector<double> susp(flagged.size());
       for (std::size_t i = 0; i < flagged.size(); ++i) {
-        susp[i] = Suspicion(*residual, flagged[i]);
+        susp[i] = Suspicion(source, flagged[i]);
       }
       std::vector<std::size_t> order(flagged.size());
       std::iota(order.begin(), order.end(), 0);
@@ -194,17 +168,20 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
     }
     result.rounds.push_back(std::move(info));
 
+    if (round + 1 >= config.max_rounds || target_reached()) break;
+
     // Prune the *entire* U region (not the trimmed set) with its links and
     // rejections, then remap the surviving seeds.
-    std::vector<char> keep(residual->NumNodes(), 1);
-    for (graph::NodeId v = 0; v < residual->NumNodes(); ++v) {
+    std::vector<char> keep(n, 1);
+    for (graph::NodeId v = 0; v < n; ++v) {
       if (cut.in_u[v]) keep[v] = 0;
     }
     graph::CompactedGraph compacted =
-        graph::InducedSubgraph(*residual, keep, pool);
+        residual.ram != nullptr
+            ? graph::InducedSubgraph(*residual.ram, keep, pool)
+            : graph::InducedSubgraph(*residual.view, keep, pool);
 
-    std::vector<graph::NodeId> new_id(residual->NumNodes(),
-                                      graph::kInvalidNode);
+    std::vector<graph::NodeId> new_id(n, graph::kInvalidNode);
     for (graph::NodeId nid = 0;
          nid < static_cast<graph::NodeId>(compacted.parent_id.size()); ++nid) {
       new_id[compacted.parent_id[nid]] = nid;
@@ -244,196 +221,79 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
     }
 
     residual_storage = std::move(compacted.graph);
-    residual = &residual_storage;
+    residual = {&residual_storage, nullptr};
     to_original = std::move(next_to_original);
     cur_seeds = std::move(next_seeds);
   }
 
-  if (config.target_detections != 0 &&
-      result.detected.size() >= config.target_detections) {
-    result.hit_target = true;
-  }
+  result.hit_target = target_reached();
   result.total_seconds = total_timer.Seconds();
   return result;
+}
+
+}  // namespace
+
+DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
+                                     const Seeds& seeds,
+                                     const IterativeConfig& config) {
+  const auto pool = MakePool(config);
+  return DetectFriendSpammers(g, seeds, config, SolveOn(pool.get()),
+                              pool.get());
+}
+
+DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
+                                     const Seeds& seeds,
+                                     const IterativeConfig& config,
+                                     const MaarRunner& solve,
+                                     util::ThreadPool* pool) {
+  seeds.Validate(g.NumNodes());
+
+  // Non-identity layout: remap ONCE for the whole pipeline (each round's
+  // residual inherits the locality through compaction), run the core with
+  // the invariance rank engaged, and translate every reported id back.
+  // Result — detected set, order, ratios, per-round cuts — is bit-identical
+  // to the identity run (see graph/layout.h).
+  if (config.maar.layout != graph::LayoutPolicy::kIdentity) {
+    util::WallTimer total_timer;
+    const graph::Layout layout =
+        graph::ComputeLayout(g, config.maar.layout, pool);
+    const graph::AugmentedGraph laid = graph::ApplyLayout(g, layout, pool);
+    Seeds laid_seeds = seeds;
+    laid_seeds.legit = graph::IdsToLayout(layout, seeds.legit);
+    laid_seeds.spammer = graph::IdsToLayout(layout, seeds.spammer);
+    IterativeConfig inner = config;
+    inner.maar.layout = graph::LayoutPolicy::kIdentity;
+    inner.maar.rank = layout.old_of_new;
+    if (!inner.maar.extra_init.empty()) {
+      inner.maar.extra_init =
+          graph::MaskToLayout(layout, inner.maar.extra_init);
+    }
+    DetectionResult result = RunRounds({&laid, nullptr}, laid_seeds, inner,
+                                       solve, pool);
+    for (graph::NodeId& id : result.detected) id = layout.old_of_new[id];
+    for (RoundInfo& round : result.rounds) {
+      for (graph::NodeId& id : round.detected) id = layout.old_of_new[id];
+    }
+    result.total_seconds = total_timer.Seconds();
+    return result;
+  }
+
+  return RunRounds({&g, nullptr}, seeds, config, solve, pool);
 }
 
 DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config) {
-  const graph::NodeId n = view.NumNodes();
-  seeds.Validate(n);
+  seeds.Validate(view.NumNodes());
   if (config.maar.layout != graph::LayoutPolicy::kIdentity) {
     throw std::invalid_argument(
         "DetectFriendSpammersCompressed: layout policies require the in-RAM "
         "pipeline; bake the layout into the snapshot with "
         "SaveSnapshotWithPolicy instead");
   }
-
-  util::WallTimer total_timer;
-  DetectionResult result;
-
-  const int threads = EffectiveThreads(config.maar.num_threads);
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (threads > 1) {
-    owned_pool =
-        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
-  }
-  util::ThreadPool* pool = owned_pool.get();
-
-  // Round 0, mirroring the in-RAM loop statement for statement (same
-  // clamps, same seed schedule, same collection/trim order) with the graph
-  // reads going through the view. Everything downstream of the first prune
-  // fits in RAM by construction, so later rounds delegate to the in-RAM
-  // pipeline on the compacted residual.
-  const graph::NodeId min_region = std::max<graph::NodeId>(
-      1, std::min<graph::NodeId>(config.maar.min_region_size, n / 2));
-  if (config.max_rounds <= 0 || n < 2 * min_region) {
-    result.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  MaarConfig maar = config.maar;
-  util::WallTimer round_timer;
-  MaarSolver solver(view, seeds, maar);
-  const MaarCut cut = solver.Solve(pool);
-  const double round_seconds = round_timer.Seconds();
-  result.total_kl_runs += static_cast<std::uint64_t>(cut.kl_runs);
-  result.total_switches += cut.switches;
-  result.threads_used = std::max(result.threads_used, cut.threads_used);
-
-  const double acceptance = cut.valid ? cut.cut.AcceptanceRate() : 0.0;
-  if (!cut.valid ||
-      (config.acceptance_rate_threshold >= 0.0 &&
-       acceptance > config.acceptance_rate_threshold)) {
-    result.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  RoundInfo info;
-  info.cut = cut.cut;
-  info.ratio = cut.ratio;
-  info.acceptance_rate = acceptance;
-  info.k = cut.k;
-  info.solve_seconds = round_seconds;
-  info.kl_runs = cut.kl_runs;
-  info.switches = cut.switches;
-
-  const std::vector<graph::NodeId>& rank = config.maar.rank;
-  std::vector<graph::NodeId> flagged;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (cut.in_u[v]) flagged.push_back(v);
-  }
-  if (!rank.empty()) {
-    std::sort(flagged.begin(), flagged.end(),
-              [&](graph::NodeId a, graph::NodeId b) {
-                return rank[a] < rank[b];
-              });
-  }
-
-  const bool overshoots = config.target_detections != 0 &&
-                          config.trim_to_target &&
-                          flagged.size() > config.target_detections;
-  if (overshoots) {
-    const std::size_t room =
-        static_cast<std::size_t>(config.target_detections);
-    graph::DecodeCursor cursor(view);
-    std::vector<double> susp(flagged.size());
-    for (std::size_t i = 0; i < flagged.size(); ++i) {
-      susp[i] = Suspicion(cursor, flagged[i]);
-    }
-    std::vector<std::size_t> order(flagged.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return susp[a] > susp[b];
-                     });
-    std::vector<graph::NodeId> trimmed(room);
-    for (std::size_t i = 0; i < room; ++i) trimmed[i] = flagged[order[i]];
-    flagged = std::move(trimmed);
-  }
-
-  info.detected = flagged;
-  result.detected = flagged;
-  result.rounds.push_back(std::move(info));
-
-  const bool target_hit = config.target_detections != 0 &&
-                          result.detected.size() >= config.target_detections;
-  if (config.max_rounds > 1 && !target_hit) {
-    // Prune the entire U region (not the trimmed set), streaming the blocks.
-    std::vector<char> keep(n, 1);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (cut.in_u[v]) keep[v] = 0;
-    }
-    graph::CompactedGraph compacted = graph::InducedSubgraph(view, keep, pool);
-
-    std::vector<graph::NodeId> new_id(n, graph::kInvalidNode);
-    for (graph::NodeId nid = 0;
-         nid < static_cast<graph::NodeId>(compacted.parent_id.size()); ++nid) {
-      new_id[compacted.parent_id[nid]] = nid;
-    }
-    Seeds next_seeds;
-    for (graph::NodeId v : seeds.legit) {
-      if (new_id[v] != graph::kInvalidNode) {
-        next_seeds.legit.push_back(new_id[v]);
-      }
-    }
-    for (graph::NodeId v : seeds.spammer) {
-      if (new_id[v] != graph::kInvalidNode) {
-        next_seeds.spammer.push_back(new_id[v]);
-      }
-    }
-
-    IterativeConfig inner = config;
-    inner.max_rounds = config.max_rounds - 1;
-    // Shift the seed schedule so the delegate's round r draws the exact
-    // seed the monolithic loop uses for round r + 1.
-    inner.maar.seed = config.maar.seed + 0x9e37ULL;
-    if (config.target_detections != 0) {
-      inner.target_detections =
-          config.target_detections - result.detected.size();
-    }
-    // Re-rank the survivors exactly like the monolithic loop: compress
-    // their original-id order to a dense permutation of [0, m).
-    if (!rank.empty()) {
-      const std::size_t m = compacted.parent_id.size();
-      std::vector<graph::NodeId> by_rank(m);
-      std::iota(by_rank.begin(), by_rank.end(), 0);
-      std::sort(by_rank.begin(), by_rank.end(),
-                [&](graph::NodeId a, graph::NodeId b) {
-                  return rank[compacted.parent_id[a]] <
-                         rank[compacted.parent_id[b]];
-                });
-      std::vector<graph::NodeId> next_rank(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        next_rank[by_rank[i]] = static_cast<graph::NodeId>(i);
-      }
-      inner.maar.rank = std::move(next_rank);
-    }
-
-    DetectionResult rest = DetectFriendSpammers(
-        compacted.graph, next_seeds, inner,
-        [pool](const graph::AugmentedGraph& residual, const Seeds& s,
-               const MaarConfig& m) {
-          MaarSolver inner_solver(residual, s, m);
-          return inner_solver.Solve(pool);
-        },
-        pool);
-    for (graph::NodeId id : rest.detected) {
-      result.detected.push_back(compacted.parent_id[id]);
-    }
-    for (RoundInfo& round : rest.rounds) {
-      for (graph::NodeId& id : round.detected) id = compacted.parent_id[id];
-      result.rounds.push_back(std::move(round));
-    }
-    result.total_kl_runs += rest.total_kl_runs;
-    result.total_switches += rest.total_switches;
-    result.threads_used = std::max(result.threads_used, rest.threads_used);
-  }
-
-  result.hit_target = config.target_detections != 0 &&
-                      result.detected.size() >= config.target_detections;
-  result.total_seconds = total_timer.Seconds();
-  return result;
+  const auto pool = MakePool(config);
+  return RunRounds({nullptr, &view}, seeds, config, SolveOn(pool.get()),
+                   pool.get());
 }
 
 }  // namespace rejecto::detect

@@ -93,12 +93,15 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const MaarRunner& solve,
                                      util::ThreadPool* pool = nullptr);
 
-// Out-of-core pipeline over a compressed RJSNAP02 snapshot: round 0 — the
-// only round that sees the full graph — solves MAAR straight off the mmap
+// Out-of-core pipeline over a compressed RJSNAP02 snapshot: the same round
+// loop as DetectFriendSpammers, with round 0 — the only round that sees the
+// full graph — reading the view. It solves MAAR straight off the mmap
 // through per-thread decode cursors and compacts the residual by streaming
-// the blocks, so the full CSR is never expanded in RAM; the residual (a
-// small fraction of the graph once the first U region is pruned) then runs
-// the ordinary in-RAM rounds. Produces bit-identical results to
+// the blocks, so the full CSR is never expanded in RAM; every later round
+// reads the compacted RAM residual (a small fraction of the graph once the
+// first U region is pruned). No round compacts after the last permitted
+// round or once the target is reached, so with max_rounds = 1 no block is
+// decoded for compaction. Produces bit-identical results to
 // DetectFriendSpammers(LoadSnapshot(path).graph, ...) at any thread count.
 // Reported ids live in the snapshot's stored id space (apply
 // view.StoredLayout() to translate if the snapshot was saved with a layout

@@ -6,9 +6,11 @@
 // driver, and EpochDetector::FromSnapshot dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/iterative.h"
@@ -78,6 +80,12 @@ void ExpectSameResult(const detect::DetectionResult& ram,
                       const detect::DetectionResult& mm,
                       const std::string& label) {
   EXPECT_EQ(ram.detected, mm.detected) << label;
+  EXPECT_EQ(ram.hit_target, mm.hit_target) << label;
+  // The work counters too: a driver that drops or repeats a solve shows up
+  // here even when the detected sets happen to agree.
+  EXPECT_EQ(ram.total_kl_runs, mm.total_kl_runs) << label;
+  EXPECT_EQ(ram.total_switches, mm.total_switches) << label;
+  EXPECT_EQ(ram.threads_used, mm.threads_used) << label;
   ASSERT_EQ(ram.rounds.size(), mm.rounds.size()) << label;
   for (std::size_t r = 0; r < ram.rounds.size(); ++r) {
     const detect::RoundInfo& a = ram.rounds[r];
@@ -91,7 +99,71 @@ void ExpectSameResult(const detect::DetectionResult& ram,
         << label << " round " << r;
     EXPECT_EQ(a.ratio, b.ratio) << label << " round " << r;
     EXPECT_EQ(a.k, b.k) << label << " round " << r;
+    EXPECT_EQ(a.acceptance_rate, b.acceptance_rate)
+        << label << " round " << r;
+    EXPECT_EQ(a.kl_runs, b.kl_runs) << label << " round " << r;
+    EXPECT_EQ(a.switches, b.switches) << label << " round " << r;
   }
+}
+
+// An acceptance-rate threshold under which `base` stops before flagging
+// round `stop`: at least every earlier round's rate, below round `stop`'s.
+// Returns a negative value (threshold disabled) when `base` has no such
+// round.
+double ThresholdStoppingAt(const detect::DetectionResult& base,
+                           std::size_t stop) {
+  if (stop >= base.rounds.size()) return -1.0;
+  double below = 0.0;
+  for (std::size_t r = 0; r < stop; ++r) {
+    below = std::max(below, base.rounds[r].acceptance_rate);
+  }
+  const double above = base.rounds[stop].acceptance_rate;
+  return above > below ? (below + above) / 2 : -1.0;
+}
+
+// The config branches the round loop takes, each as a variant of `base`
+// (which should set a target the first round reaches): the defaults, a
+// single round (the out-of-core benchmark's config), no trim, several
+// untargeted rounds, a target reached (and trimmed to) in round 1, and
+// acceptance thresholds stopping at round 0 and at a later round. The last
+// three are derived from an untargeted run on `g`.
+std::vector<std::pair<std::string, detect::IterativeConfig>> ConfigVariants(
+    const AugmentedGraph& g, const detect::Seeds& seeds,
+    const detect::IterativeConfig& base) {
+  std::vector<std::pair<std::string, detect::IterativeConfig>> out;
+  out.emplace_back("defaults", base);
+  auto one_round = base;
+  one_round.max_rounds = 1;
+  out.emplace_back("max_rounds=1", one_round);
+  auto no_trim = base;
+  no_trim.trim_to_target = false;
+  out.emplace_back("no trim", no_trim);
+  auto untargeted = base;
+  untargeted.target_detections = 0;
+  untargeted.max_rounds = 6;
+  out.emplace_back("untargeted", untargeted);
+
+  const auto ran = detect::DetectFriendSpammers(g, seeds, untargeted);
+  if (ran.rounds.size() < 2) {
+    ADD_FAILURE() << "the untargeted run should flag at least two rounds";
+    return out;
+  }
+  auto later_target = base;
+  later_target.target_detections = ran.rounds[0].detected.size() + 10;
+  out.emplace_back("target in round 1", later_target);
+  auto stop0 = untargeted;
+  stop0.acceptance_rate_threshold = ThresholdStoppingAt(ran, 0);
+  EXPECT_GE(stop0.acceptance_rate_threshold, 0.0);
+  out.emplace_back("threshold stops at round 0", stop0);
+  auto stop_later = untargeted;
+  for (std::size_t r = ran.rounds.size(); r-- > 1;) {
+    const double t = ThresholdStoppingAt(ran, r);
+    if (t >= 0.0) stop_later.acceptance_rate_threshold = t;
+  }
+  EXPECT_GE(stop_later.acceptance_rate_threshold, 0.0)
+      << "no later round has a higher acceptance rate than all before it";
+  out.emplace_back("threshold stops at a later round", stop_later);
+  return out;
 }
 
 // ---------- induced subgraphs ----------
@@ -167,26 +239,49 @@ TEST_F(CompressedDetectTest, MaarSolverViewModeRejectsNonIdentityLayout) {
 // ---------- the full pipeline, property-style ----------
 
 TEST_F(CompressedDetectTest, FullPipelineBitIdenticalAtOneTwoEightThreads) {
+  // Each scenario is stored twice: in identity layout, and relabeled by the
+  // BFS policy with the stored old_of_new passed as the invariance rank. The
+  // view pipeline must match the in-RAM one on the loaded graph either way.
   for (const std::uint64_t seed : {11ULL, 13ULL}) {
     const auto scenario = MakeAttackScenario(seed, 800, 80);
-    const AugmentedGraph& g = scenario.graph;
-    const auto view =
-        SaveAndOpen(Path("g" + std::to_string(seed) + ".snap2"), g);
-
     util::Rng seed_rng(seed * 3 + 1);
-    const auto seeds = scenario.SampleSeeds(20, 8, seed_rng);
-    detect::IterativeConfig cfg;
-    cfg.target_detections = scenario.num_fakes;
-    cfg.maar.seed = seed * 7919 + 13;
-    cfg.maar.num_random_inits = 2;
+    const auto original_seeds = scenario.SampleSeeds(20, 8, seed_rng);
 
-    for (const int threads : {1, 2, 8}) {
-      cfg.maar.num_threads = threads;
-      const auto ram = detect::DetectFriendSpammers(g, seeds, cfg);
-      const auto mm = detect::DetectFriendSpammersCompressed(view, seeds, cfg);
-      ExpectSameResult(ram, mm,
-                       "seed " + std::to_string(seed) + " threads " +
-                           std::to_string(threads));
+    for (const auto policy :
+         {graph::LayoutPolicy::kIdentity, graph::LayoutPolicy::kBfs}) {
+      const std::string path = Path("g" + std::to_string(seed) + "_" +
+                                    graph::LayoutPolicyName(policy) +
+                                    ".snap2");
+      graph::SnapshotOptions opts;
+      opts.format = graph::SnapshotFormat::kRjsnap02;
+      const graph::Layout layout =
+          graph::SaveSnapshotWithPolicy(path, scenario.graph, policy, opts);
+      ASSERT_EQ(layout.IsIdentity(), policy == graph::LayoutPolicy::kIdentity);
+      const auto view = CompressedGraphView::Open(path);
+      const AugmentedGraph g = graph::LoadSnapshot(path).graph;
+      detect::Seeds seeds;
+      seeds.legit = graph::IdsToLayout(layout, original_seeds.legit);
+      seeds.spammer = graph::IdsToLayout(layout, original_seeds.spammer);
+
+      detect::IterativeConfig base;
+      base.target_detections = scenario.num_fakes;
+      base.maar.seed = seed * 7919 + 13;
+      base.maar.num_random_inits = 2;
+      base.maar.num_threads = 1;
+      base.maar.rank = layout.old_of_new;
+
+      for (auto [name, cfg] : ConfigVariants(g, seeds, base)) {
+        for (const int threads : {1, 2, 8}) {
+          cfg.maar.num_threads = threads;
+          const auto ram = detect::DetectFriendSpammers(g, seeds, cfg);
+          const auto mm =
+              detect::DetectFriendSpammersCompressed(view, seeds, cfg);
+          ExpectSameResult(ram, mm,
+                           "seed " + std::to_string(seed) + " " +
+                               graph::LayoutPolicyName(policy) + " " + name +
+                               " threads " + std::to_string(threads));
+        }
+      }
     }
   }
 }
