@@ -39,7 +39,6 @@ int main() {
   struct RunSummary {
     sim::AdversaryKind kind;
     study::EarlyDetectionResult res;
-    std::int64_t users = 0;
   };
   std::vector<RunSummary> runs;
   for (sim::AdversaryKind kind : kinds) {
@@ -60,7 +59,6 @@ int main() {
     RunSummary run;
     run.kind = kind;
     run.res = study::RunEarlyDetection(world, adversary, seeds, ecfg);
-    run.users = static_cast<std::int64_t>(world.NumLegit());
     runs.push_back(std::move(run));
   }
 
@@ -111,34 +109,6 @@ int main() {
                  "the static baseline — adversary model is toothless\n";
     std::abort();
   }
-
-  std::vector<bench::TemporalBenchRecord> records;
-  for (const auto& run : runs) {
-    const auto& r = run.res;
-    bench::TemporalBenchRecord ttd;
-    ttd.bench = "bench_fig20";
-    ttd.metric = "time_to_detection";
-    ttd.adversary = std::string(sim::AdversaryName(run.kind));
-    ttd.users = run.users;
-    ttd.spammers = static_cast<std::int64_t>(r.spammers_total);
-    ttd.requests = static_cast<std::int64_t>(r.total_spam_requests);
-    ttd.mean = r.mean_time_to_detection;
-    ttd.detected = static_cast<std::int64_t>(r.spammers_detected);
-    ttd.undetected =
-        static_cast<std::int64_t>(r.spammers_total - r.spammers_detected);
-    ttd.final_precision = r.curve.back().precision;
-    ttd.final_recall = r.curve.back().recall;
-    ttd.recall_at_5 = recall_at(r, 5);
-    ttd.recall_at_10 = recall_at(r, 10);
-    ttd.recall_at_20 = recall_at(r, 20);
-    ttd.recall_at_50 = recall_at(r, 50);
-    bench::TemporalBenchRecord harm = ttd;
-    harm.metric = "harm_before_detection";
-    harm.mean = r.mean_harm_before_detection;
-    records.push_back(std::move(ttd));
-    records.push_back(std::move(harm));
-  }
-  bench::AppendTemporalBenchJson(records);
 
   std::cout << "\nShape check: at least one adaptive strategy lands more harm"
                " or survives longer than the static campaign.\n";

@@ -19,7 +19,6 @@
 #include "gen/barabasi_albert.h"
 #include "harness.h"
 #include "sim/scenario.h"
-#include "util/flags.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -36,6 +35,12 @@ int main() {
                  "sim_net_sec", "fetch_requests", "mb_transferred",
                  "prefetch_hit_rate"});
   t.set_precision(3);
+  // Per-round transport counters of the simnet wire probe; busy_us is
+  // virtual time inside Transport::Call.
+  util::Table wire_rounds({"users", "round", "frames_sent", "frames_received",
+                           "bytes_sent", "bytes_received", "retries",
+                           "timeouts", "reconnects", "failovers", "busy_us"});
+  wire_rounds.set_precision(0);
 
   for (graph::NodeId n : sizes) {
     // ~16 edges/user as in Table II; a 5% fake region sends spam.
@@ -74,32 +79,10 @@ int main() {
                                                      cluster, {}, maar);
     const double secs = timer.Seconds();
 
-    // The same reduced sweep in-process, serial vs parallel, appended to
-    // BENCH_maar.json — the single-machine counterpart of this table's
-    // cluster scaling numbers.
-    detect::MaarConfig probe = maar;
-    probe.num_random_inits = 3;
-    const int parallel = detect::EffectiveThreads(util::ThreadCount());
-    std::vector<int> threads = {1};
-    if (parallel > 1) threads.push_back(parallel);
-    bench::RunMaarSpeedupProbe("bench_table2_scaling", scenario.graph, probe,
-                               threads);
-
-    // At the sweep's largest size — where the CSRs have long outgrown the
-    // caches — measure what the locality layout and the binary snapshots
-    // buy: shuffled-vs-BFS-relaid switch throughput (the acceptance bar is
-    // layout_bfs >= 1.2x on this graph) and text-vs-snapshot load time.
-    if (n == sizes.back()) {
-      bench::RunLayoutKernelProbe("bench_table2_scaling", scenario.graph,
-                                  ctx.fast);
-      bench::RunSnapshotLoadProbe("bench_table2_scaling", scenario.graph,
-                                  ctx.fast);
-    }
-
     // Wire probe at the smallest size: the same detection over the simnet
     // transport, with every fetch/update crossing the RJNET001 frame
-    // boundary. Per-round transport counters go to BENCH_maar.json so the
-    // traffic decay across pruning rounds is machine-readable.
+    // boundary. One row of per-round transport counters per detection
+    // round shows how traffic decays as rounds prune the residual graph.
     if (n == sizes.front()) {
       engine::ClusterConfig wcfg;
       wcfg.num_workers = 4;
@@ -115,33 +98,19 @@ int main() {
       dcfg.maar = maar;
       const auto wire = engine::DetectFriendSpammersDistributed(
           scenario.graph, seeds, dcfg, wired);
-      std::vector<bench::TransportBenchRecord> rounds;
       for (std::size_t r = 0; r < wire.per_round.size(); ++r) {
         const engine::IoStats& io = wire.per_round[r];
-        rounds.push_back({.bench = "bench_table2_scaling",
-                          .transport = net::TransportKindName(
-                              net::TransportKind::kSimNet),
-                          .users = static_cast<std::int64_t>(n),
-                          .round = static_cast<std::int64_t>(r),
-                          .frames_sent =
-                              static_cast<std::int64_t>(io.wire.frames_sent),
-                          .frames_received = static_cast<std::int64_t>(
-                              io.wire.frames_received),
-                          .bytes_sent =
-                              static_cast<std::int64_t>(io.wire.bytes_sent),
-                          .bytes_received = static_cast<std::int64_t>(
-                              io.wire.bytes_received),
-                          .retries =
-                              static_cast<std::int64_t>(io.fetch_retries),
-                          .timeouts =
-                              static_cast<std::int64_t>(io.wire.timeouts),
-                          .reconnects =
-                              static_cast<std::int64_t>(io.wire.reconnects),
-                          .failovers =
-                              static_cast<std::int64_t>(io.shard_failovers),
-                          .busy_us = io.wire.busy_us});
+        wire_rounds.AddRow(
+            {static_cast<std::int64_t>(n), static_cast<std::int64_t>(r),
+             static_cast<std::int64_t>(io.wire.frames_sent),
+             static_cast<std::int64_t>(io.wire.frames_received),
+             static_cast<std::int64_t>(io.wire.bytes_sent),
+             static_cast<std::int64_t>(io.wire.bytes_received),
+             static_cast<std::int64_t>(io.fetch_retries),
+             static_cast<std::int64_t>(io.wire.timeouts),
+             static_cast<std::int64_t>(io.wire.reconnects),
+             static_cast<std::int64_t>(io.shard_failovers), io.wire.busy_us});
       }
-      bench::AppendTransportBenchJson(rounds);
       std::cout << "wire probe (simnet, " << n << " users): "
                 << wire.per_round.size() << " rounds, "
                 << wire.io.wire.frames_sent << " frames, "
@@ -164,6 +133,9 @@ int main() {
            "Table II: distributed MAAR solve runtime vs graph size (4"
            " simulated workers)",
            t);
+  ctx.Emit("table2_wire",
+           "Table II wire probe: per-round simnet transport counters",
+           wire_rounds);
   std::cout << "\nShape check: time and traffic grow near-linearly with"
                " users (the paper's 0.5M->10M scaling claim at laptop"
                " scale).\n";

@@ -1,31 +1,14 @@
 #include "harness.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <map>
-#include <numeric>
-#include <span>
-#include <sstream>
-#include <unordered_map>
 
 #include "baseline/votetrust.h"
-#include "detect/bucket_list.h"
-#include "detect/partition.h"
-#include "gen/synthetic_stream.h"
-#include "graph/builder.h"
-#include "graph/compressed_view.h"
-#include "graph/io.h"
 #include "graph/layout.h"
-#include "graph/snapshot.h"
 #include "metrics/classification.h"
 #include "metrics/ranking.h"
-#include "util/buffer.h"
 #include "util/flags.h"
-#include "util/parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -130,770 +113,6 @@ std::vector<std::string> AppendixDatasets(const ExperimentContext& ctx) {
   if (ctx.fast) return {"ca-HepTh"};
   return {"ca-HepTh",      "ca-AstroPh",  "email-Enron",
           "soc-Epinions",  "soc-Slashdot", "synthetic"};
-}
-
-namespace {
-
-#ifndef REJECTO_GIT_SHA
-#define REJECTO_GIT_SHA "unknown"
-#endif
-
-// Scans a BENCH_maar.json body for the largest "run_id" value; 0 when the
-// file is missing, fresh, or predates the provenance stamps.
-std::uint64_t MaxRunId(const std::string& json) {
-  static const std::string key = "\"run_id\": ";
-  std::uint64_t max_id = 0;
-  for (std::size_t pos = json.find(key); pos != std::string::npos;
-       pos = json.find(key, pos + key.size())) {
-    std::uint64_t id = 0;
-    for (std::size_t i = pos + key.size();
-         i < json.size() && std::isdigit(static_cast<unsigned char>(json[i]));
-         ++i) {
-      id = id * 10 + static_cast<std::uint64_t>(json[i] - '0');
-    }
-    max_id = std::max(max_id, id);
-  }
-  return max_id;
-}
-
-// Reopens the flat JSON array in <REJECTO_JSON_DIR or cwd>/BENCH_maar.json
-// and appends the pre-rendered record objects (one per string, no leading
-// whitespace or trailing comma). Every record is stamped with the build's
-// git sha and a run_id one past the largest already in the file, so a
-// record's provenance (which commit, which append batch) survives the
-// file's whole accumulation history.
-void AppendBenchJsonRecords(const std::vector<std::string>& rendered) {
-  if (rendered.empty()) return;
-  const std::string dir =
-      util::GetEnvString("REJECTO_JSON_DIR").value_or(".");
-  const std::string path = dir + "/BENCH_maar.json";
-
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    existing = ss.str();
-  }
-  const std::uint64_t run_id = MaxRunId(existing) + 1;
-  const std::string stamp = std::string("{\"git_sha\": \"") + REJECTO_GIT_SHA +
-                            "\", \"run_id\": " + std::to_string(run_id) +
-                            ", ";
-  auto rtrim = [](std::string& s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-      s.pop_back();
-    }
-  };
-  rtrim(existing);
-
-  std::ostringstream body;
-  bool first = true;
-  if (!existing.empty() && existing.front() == '[' &&
-      existing.back() == ']') {
-    existing.pop_back();  // reopen the array to append
-    rtrim(existing);
-    body << existing;
-    first = existing == "[";
-  } else {
-    body << "[";  // missing or malformed: start fresh
-  }
-  for (const auto& r : rendered) {
-    if (!first) body << ",";
-    first = false;
-    body << "\n  " << stamp << r.substr(1);  // r starts with '{'
-  }
-  body << "\n]\n";
-  std::ofstream out(path, std::ios::trunc);
-  out << body.str();
-}
-
-}  // namespace
-
-namespace {
-
-// "VmHWM:    123456 kB" -> bytes; 0 when the key is absent (non-Linux) or
-// /proc is unavailable.
-std::uint64_t ProcStatusBytes(const char* key) {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind(key, 0) != 0) continue;
-    std::uint64_t kb = 0;
-    for (char c : line) {
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        kb = kb * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-    }
-    return kb * 1024;
-  }
-  return 0;
-}
-
-}  // namespace
-
-std::uint64_t PeakRssBytes() { return ProcStatusBytes("VmHWM:"); }
-std::uint64_t CurrentRssBytes() { return ProcStatusBytes("VmRSS:"); }
-
-void AppendMaarBenchJson(const std::vector<MaarBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"users\": " << r.users
-       << ", \"edges\": " << r.edges << ", \"threads\": " << r.threads
-       << ", \"seconds\": " << r.seconds << ", \"kl_runs\": " << r.kl_runs
-       << ", \"speedup\": " << r.speedup << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendKernelBenchJson(const std::vector<KernelBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"kernel\": \"" << r.kernel
-       << "\", \"users\": " << r.users << ", \"edges\": " << r.edges
-       << ", \"items\": " << r.items << ", \"seconds\": " << r.seconds
-       << ", \"seconds_median\": " << r.seconds_median
-       << ", \"throughput\": " << r.throughput
-       << ", \"speedup\": " << r.speedup
-       << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
-       << ", \"mapped_bytes\": " << r.mapped_bytes << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendTemporalBenchJson(const std::vector<TemporalBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"metric\": \"" << r.metric
-       << "\", \"adversary\": \"" << r.adversary
-       << "\", \"users\": " << r.users << ", \"spammers\": " << r.spammers
-       << ", \"requests\": " << r.requests << ", \"mean\": " << r.mean
-       << ", \"detected\": " << r.detected
-       << ", \"undetected\": " << r.undetected
-       << ", \"final_precision\": " << r.final_precision
-       << ", \"final_recall\": " << r.final_recall
-       << ", \"recall_at_5\": " << r.recall_at_5
-       << ", \"recall_at_10\": " << r.recall_at_10
-       << ", \"recall_at_20\": " << r.recall_at_20
-       << ", \"recall_at_50\": " << r.recall_at_50 << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendTransportBenchJson(const std::vector<TransportBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"transport\": \""
-       << r.transport << "\", \"users\": " << r.users
-       << ", \"round\": " << r.round
-       << ", \"frames_sent\": " << r.frames_sent
-       << ", \"frames_received\": " << r.frames_received
-       << ", \"bytes_sent\": " << r.bytes_sent
-       << ", \"bytes_received\": " << r.bytes_received
-       << ", \"retries\": " << r.retries << ", \"timeouts\": " << r.timeouts
-       << ", \"reconnects\": " << r.reconnects
-       << ", \"failovers\": " << r.failovers
-       << ", \"busy_us\": " << r.busy_us << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendAdmissionBenchJson(const std::vector<AdmissionBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"admission\": \""
-       << r.admission << "\", \"reclaim\": \"" << r.reclaim
-       << "\", \"readers\": " << r.readers << ", \"users\": " << r.users
-       << ", \"events\": " << r.events
-       << ", \"decisions\": " << r.decisions << ", \"epochs\": " << r.epochs
-       << ", \"decisions_per_sec\": " << r.decisions_per_sec
-       << ", \"ingest_events_per_sec\": " << r.ingest_events_per_sec
-       << ", \"epoch_publish_stall_seconds\": "
-       << r.epoch_publish_stall_seconds
-       << ", \"detect_seconds\": " << r.detect_seconds
-       << ", \"p50_ns\": " << r.p50_ns << ", \"p95_ns\": " << r.p95_ns
-       << ", \"p99_ns\": " << r.p99_ns << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void RunMaarSpeedupProbe(const std::string& bench_name,
-                         const graph::AugmentedGraph& g,
-                         detect::MaarConfig config,
-                         const std::vector<int>& threads_list) {
-  std::vector<MaarBenchRecord> records;
-  double serial_seconds = 0.0;
-  std::vector<char> reference_mask;
-  for (int t : threads_list) {
-    config.num_threads = t;
-    detect::MaarSolver solver(g, {}, config);
-    const detect::MaarCut cut = solver.Solve();
-    if (records.empty()) {
-      serial_seconds = cut.total_seconds;
-      reference_mask = cut.in_u;
-    } else if (cut.in_u != reference_mask) {
-      std::cerr << bench_name << ": PARALLEL SWEEP DETERMINISM VIOLATION at "
-                << t << " threads\n";
-      std::abort();
-    }
-    MaarBenchRecord r;
-    r.bench = bench_name;
-    r.users = static_cast<std::int64_t>(g.NumNodes());
-    r.edges = static_cast<std::int64_t>(g.Friendships().NumEdges());
-    r.threads = t;
-    r.seconds = cut.total_seconds;
-    r.kl_runs = cut.kl_runs;
-    r.speedup = serial_seconds / std::max(cut.total_seconds, 1e-9);
-    std::cout << bench_name << " MAAR sweep: users=" << r.users
-              << " threads=" << t << " seconds=" << r.seconds
-              << " kl_runs=" << r.kl_runs << " speedup=" << r.speedup
-              << "\n";
-    records.push_back(std::move(r));
-  }
-  AppendMaarBenchJson(records);
-}
-
-namespace {
-
-// Median of a rep-sample set; the min stays the headline number (classic
-// min-of-reps noise rejection), the median is reported alongside so a run
-// with one lucky rep on a noisy box is visible in the record itself.
-double MedianSeconds(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  if (samples.size() % 2 == 1) return samples[mid];
-  return 0.5 * (samples[mid - 1] + samples[mid]);
-}
-
-// One emitted kernel record + stdout line, shared by the probes below.
-void PushKernelRecord(std::vector<KernelBenchRecord>& records,
-                      const std::string& bench_name, const char* kernel,
-                      const graph::AugmentedGraph& g, std::int64_t items,
-                      double seconds, double seconds_median,
-                      double baseline_seconds) {
-  KernelBenchRecord r;
-  r.bench = bench_name;
-  r.kernel = kernel;
-  r.users = static_cast<std::int64_t>(g.NumNodes());
-  r.edges = static_cast<std::int64_t>(g.Friendships().NumEdges());
-  r.items = items;
-  r.seconds = seconds;
-  r.seconds_median = seconds_median;
-  r.throughput = static_cast<double>(items) / std::max(seconds, 1e-9);
-  r.speedup = baseline_seconds / std::max(seconds, 1e-9);
-  std::cout << bench_name << " kernel=" << kernel << " users=" << r.users
-            << " items=" << r.items << " seconds=" << r.seconds
-            << " median=" << r.seconds_median
-            << " throughput=" << r.throughput << " speedup=" << r.speedup
-            << "\n";
-  records.push_back(std::move(r));
-}
-
-// Times one switch-sequence run of the fused kernel on `g`; returns the
-// final objective so callers can cross-check runs on relaid-out copies.
-double RunSwitchSequence(const graph::AugmentedGraph& g,
-                         const std::vector<char>& init,
-                         const std::vector<graph::NodeId>& seq, double k,
-                         double* seconds_out) {
-  const graph::NodeId n = g.NumNodes();
-  const double gain_bound =
-      std::max(1.0, static_cast<double>(g.MaxFriendshipDegree()) +
-                        k * static_cast<double>(g.MaxRejectionDegree()));
-  detect::Partition p(g, init);
-  detect::BucketList bl(n, gain_bound, detect::KlConfig{}.gain_resolution);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    bl.Insert(v, -p.DeltaObjective(v, k));
-  }
-  util::AlignedVector<graph::NodeId> touched;
-  touched.reserve(static_cast<std::size_t>(g.MaxFriendshipDegree() +
-                                           g.MaxRejectionDegree()));
-  util::WallTimer t;
-  for (graph::NodeId v : seq) {
-    p.SwitchFused(v, k, bl, touched);
-  }
-  *seconds_out = t.Seconds();
-  return p.Objective(k);
-}
-
-// The istringstream-based edge-list loader the string_view scanner
-// replaced, kept verbatim as the text_load_old baseline (mirrors the
-// kl_switch_old convention: old code lives on in the bench that proves the
-// replacement's speedup).
-graph::AugmentedGraph OldTextLoad(const std::string& friendships_path,
-                                  const std::string& rejections_path) {
-  graph::GraphBuilder builder;
-  std::unordered_map<std::uint64_t, graph::NodeId> dense;
-  std::vector<std::uint64_t> original;
-  std::string context;
-  auto intern = [&](std::uint64_t raw) -> graph::NodeId {
-    auto [it, inserted] = dense.try_emplace(raw, builder.NumNodes());
-    if (inserted) {
-      builder.AddNode();
-      original.push_back(raw);
-    }
-    return it->second;
-  };
-  auto parse = [&](const std::string& path, bool friendships) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("OldTextLoad: cannot open " + path);
-    }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty() || line[0] == '#') continue;
-      context = "LoadAugmentedGraph: " + path + " line " +
-                std::to_string(lineno);
-      std::istringstream ls(line);
-      std::string a_tok, b_tok, extra_tok;
-      if (!(ls >> a_tok >> b_tok)) {
-        throw std::runtime_error(context + ": expected two node ids");
-      }
-      const std::uint64_t a = util::ParseU64Checked(a_tok, context);
-      const std::uint64_t b = util::ParseU64Checked(b_tok, context);
-      if (ls >> extra_tok) {
-        throw std::runtime_error(context + ": trailing token '" + extra_tok +
-                                 "' after edge");
-      }
-      if (a == b) continue;
-      const graph::NodeId ua = intern(a);
-      const graph::NodeId ub = intern(b);
-      if (friendships) {
-        builder.AddFriendship(ua, ub);
-      } else {
-        builder.AddRejection(ua, ub);
-      }
-    }
-  };
-  parse(friendships_path, /*friendships=*/true);
-  parse(rejections_path, /*friendships=*/false);
-  return builder.BuildAugmented();
-}
-
-}  // namespace
-
-void RunLayoutKernelProbe(const std::string& bench_name,
-                          const graph::AugmentedGraph& g, bool fast) {
-  const graph::NodeId n = g.NumNodes();
-  if (n < 2) return;
-
-  // Baseline: a deterministic Fisher–Yates shuffle of the ids — the "as
-  // interned from a text file" order the layout subsystem exists to fix.
-  // (Generator graphs are born in a friendly order, so comparing against g
-  // itself would understate what relayout buys on real ingested data.)
-  util::Rng rng(97);
-  std::vector<graph::NodeId> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  for (graph::NodeId i = n - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.NextUInt(i + 1)]);
-  }
-  const graph::Layout shuffle =
-      graph::LayoutFromPermutation(std::move(perm));
-  const graph::AugmentedGraph g_shuf = graph::ApplyLayout(g, shuffle);
-  const graph::Layout bfs =
-      graph::ComputeLayout(g_shuf, graph::LayoutPolicy::kBfs);
-  const graph::AugmentedGraph g_bfs = graph::ApplyLayout(g_shuf, bfs);
-
-  // One logical workload on both layouts: same init mask, same switch
-  // sequence, translated into each graph's id space. The sequence is a
-  // propagation-ordered sweep — the BFS visit order of the shuffled graph
-  // from its highest-combined-degree hubs, truncated — because that is the
-  // temporal shape of the detector's hot passes (a KL sweep chasing the
-  // gain frontier, vote propagation): each switch lands next to the
-  // previous one in graph distance. The layout under test decides whether
-  // that graph-adjacency becomes address-adjacency. A uniform-random
-  // sequence would instead measure a workload no vertex order can help.
-  std::vector<char> init(n, 0);
-  for (auto& c : init) c = rng.NextBool(0.35) ? 1 : 0;
-  const std::vector<char> init_bfs = graph::MaskToLayout(bfs, init);
-  std::vector<graph::NodeId> seq;
-  seq.reserve(n);
-  {
-    std::vector<std::uint32_t> degree(n);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      degree[v] = g_shuf.Friendships().Degree(v) +
-                  g_shuf.Rejections().InDegree(v) +
-                  g_shuf.Rejections().OutDegree(v);
-    }
-    std::vector<graph::NodeId> order(n);
-    std::iota(order.begin(), order.end(), graph::NodeId{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](graph::NodeId a, graph::NodeId b) {
-                       return degree[a] > degree[b];
-                     });
-    std::vector<char> vis(n, 0);
-    auto expand = [&](std::span<const graph::NodeId> row) {
-      for (graph::NodeId w : row) {
-        if (!vis[w]) {
-          vis[w] = 1;
-          seq.push_back(w);
-        }
-      }
-    };
-    for (graph::NodeId s : order) {
-      if (vis[s]) continue;
-      vis[s] = 1;
-      std::size_t head = seq.size();
-      seq.push_back(s);
-      for (; head < seq.size(); ++head) {
-        const graph::NodeId u = seq[head];
-        expand(g_shuf.Friendships().Neighbors(u));
-        expand(g_shuf.Rejections().Rejectees(u));
-        expand(g_shuf.Rejections().Rejectors(u));
-      }
-    }
-  }
-  seq.resize(std::min<std::size_t>(seq.size(), fast ? 40'000 : 200'000));
-  std::vector<graph::NodeId> seq_bfs(seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    seq_bfs[i] = bfs.new_of_old[seq[i]];
-  }
-
-  const double k = 1.0;
-  const int reps = fast ? 5 : 7;
-  std::vector<double> shuf_samples, bfs_samples;
-  for (int i = 0; i < reps; ++i) {
-    // Alternate layouts across reps so machine noise hits both equally;
-    // keep the best rep of each (the kernel is deterministic).
-    double s = 0.0;
-    const double shuf_obj = RunSwitchSequence(g_shuf, init, seq, k, &s);
-    shuf_samples.push_back(s);
-    const double bfs_obj = RunSwitchSequence(g_bfs, init_bfs, seq_bfs, k, &s);
-    bfs_samples.push_back(s);
-    if (shuf_obj != bfs_obj) {
-      std::cerr << bench_name << ": LAYOUT KERNEL DIVERGED (" << shuf_obj
-                << " vs " << bfs_obj << ")\n";
-      std::abort();
-    }
-  }
-  const double shuf_s =
-      *std::min_element(shuf_samples.begin(), shuf_samples.end());
-  const double bfs_s =
-      *std::min_element(bfs_samples.begin(), bfs_samples.end());
-
-  std::vector<KernelBenchRecord> records;
-  const auto switches = static_cast<std::int64_t>(seq.size());
-  PushKernelRecord(records, bench_name, "layout_identity", g, switches,
-                   shuf_s, MedianSeconds(shuf_samples), shuf_s);
-  PushKernelRecord(records, bench_name, "layout_bfs", g, switches, bfs_s,
-                   MedianSeconds(bfs_samples), shuf_s);
-  AppendKernelBenchJson(records);
-}
-
-void RunSnapshotLoadProbe(const std::string& bench_name,
-                          const graph::AugmentedGraph& g, bool fast) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / ("rejecto_probe_" + bench_name);
-  fs::create_directories(dir);
-  const std::string fr_path = (dir / "friendships.txt").string();
-  const std::string rej_path = (dir / "rejections.txt").string();
-  const std::string snap_path = (dir / "graph.snap").string();
-
-  graph::SaveEdgeList(g.Friendships(), fr_path);
-  {
-    std::ofstream out(rej_path);
-    out << "# Directed rejection arcs: " << g.NumNodes() << " nodes, "
-        << g.Rejections().NumArcs() << " arcs\n";
-    for (const graph::Arc& a : g.Rejections().Arcs()) {
-      out << a.from << ' ' << a.to << '\n';
-    }
-  }
-  graph::SaveSnapshot(snap_path, g);
-
-  const std::int64_t items = static_cast<std::int64_t>(
-      g.Friendships().NumEdges() + g.Rejections().NumArcs());
-  const int reps = fast ? 2 : 3;
-  std::vector<double> old_samples, new_samples, snap_samples;
-  for (int i = 0; i < reps; ++i) {
-    util::WallTimer t_old;
-    const graph::AugmentedGraph old_loaded = OldTextLoad(fr_path, rej_path);
-    old_samples.push_back(t_old.Seconds());
-
-    util::WallTimer t_new;
-    const graph::LoadedAugmentedGraph loaded =
-        graph::LoadAugmentedGraph(fr_path, rej_path);
-    new_samples.push_back(t_new.Seconds());
-
-    util::WallTimer t_snap;
-    const graph::Snapshot snap = graph::LoadSnapshot(snap_path);
-    snap_samples.push_back(t_snap.Seconds());
-
-    // Both text loaders intern in the same order, so their graphs must be
-    // CSR-identical; the snapshot must reproduce g exactly.
-    if (loaded.graph != old_loaded) {
-      std::cerr << bench_name << ": TEXT LOADER DIVERGED\n";
-      std::abort();
-    }
-    if (snap.graph != g || !snap.layout.IsIdentity()) {
-      std::cerr << bench_name << ": SNAPSHOT ROUND-TRIP DIVERGED\n";
-      std::abort();
-    }
-  }
-  std::error_code ec;
-  fs::remove_all(dir, ec);  // best-effort scratch cleanup
-
-  const double old_s = *std::min_element(old_samples.begin(), old_samples.end());
-  const double new_s = *std::min_element(new_samples.begin(), new_samples.end());
-  const double snap_s =
-      *std::min_element(snap_samples.begin(), snap_samples.end());
-  std::vector<KernelBenchRecord> records;
-  PushKernelRecord(records, bench_name, "text_load_old", g, items, old_s,
-                   MedianSeconds(old_samples), old_s);
-  PushKernelRecord(records, bench_name, "text_load", g, items, new_s,
-                   MedianSeconds(new_samples), old_s);
-  PushKernelRecord(records, bench_name, "snapshot_load", g, items, snap_s,
-                   MedianSeconds(snap_samples), new_s);
-  AppendKernelBenchJson(records);
-}
-
-void RunCompressedSnapshotProbe(const std::string& bench_name,
-                                const graph::AugmentedGraph& g, bool fast) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / ("rejecto_cprobe_" + bench_name);
-  fs::create_directories(dir);
-  const std::string v1_path = (dir / "graph.snap").string();
-  const std::string v2_path = (dir / "graph.snap2").string();
-
-  // BFS relayout is the compressed format's target regime (neighbor ids
-  // cluster, so the per-row deltas stay in the 1-byte varint range). Both
-  // files store the same relaid id space, so the loads compare directly.
-  graph::SnapshotOptions v1_opts;
-  graph::SnapshotOptions v2_opts;
-  v2_opts.format = graph::SnapshotFormat::kRjsnap02;
-  graph::SaveSnapshotWithPolicy(v1_path, g, graph::LayoutPolicy::kBfs,
-                                v1_opts);
-  graph::SaveSnapshotWithPolicy(v2_path, g, graph::LayoutPolicy::kBfs,
-                                v2_opts);
-
-  const std::int64_t items = static_cast<std::int64_t>(
-      g.Friendships().NumEdges() + g.Rejections().NumArcs());
-  const int reps = fast ? 2 : 3;
-  std::vector<double> v1_samples, v2_samples;
-  for (int i = 0; i < reps; ++i) {
-    util::WallTimer t1;
-    const graph::Snapshot s1 = graph::LoadSnapshot(v1_path);
-    v1_samples.push_back(t1.Seconds());
-
-    util::WallTimer t2;
-    const graph::Snapshot s2 = graph::LoadSnapshot(v2_path);
-    v2_samples.push_back(t2.Seconds());
-
-    if (s1.graph != s2.graph || !(s1.layout == s2.layout)) {
-      std::cerr << bench_name << ": RJSNAP02 LOAD DIVERGED FROM RJSNAP01\n";
-      std::abort();
-    }
-  }
-
-  const auto view = graph::CompressedGraphView::Open(v2_path);
-  // The v1 adjacency payload is raw u32: both friendship directions plus
-  // the out- and in-arc copies of every rejection.
-  const std::uint64_t v1_adj_bytes =
-      (2 * g.Friendships().NumEdges() + 2 * g.Rejections().NumArcs()) *
-      sizeof(graph::NodeId);
-  const double ratio = static_cast<double>(view.AdjacencyBlobBytes()) /
-                       static_cast<double>(std::max<std::uint64_t>(
-                           v1_adj_bytes, 1));
-  std::cout << bench_name << ": rjsnap02 adjacency "
-            << view.AdjacencyBlobBytes() << "B vs rjsnap01 " << v1_adj_bytes
-            << "B (ratio " << ratio << ")\n";
-  // Sanity floor only: the attack scenario carries adversarially scattered
-  // rejection edges, so the hard <= 0.5x criterion lives with the
-  // 100M-edge BFS-locality run (RunCompressedCeilingProbe); here the
-  // encoding must simply never lose to raw u32.
-  if (ratio >= 1.0) {
-    std::cerr << bench_name << ": COMPRESSION DID NOT SHRINK ADJACENCY\n";
-    std::abort();
-  }
-
-  // Full-pipeline bit-identity: the out-of-core detector against the
-  // in-RAM one on the expanded snapshot, same seeds and config. Seed
-  // quality is irrelevant here — only divergence is.
-  const graph::Snapshot snap = graph::LoadSnapshot(v2_path);
-  const graph::NodeId n = view.NumNodes();
-  detect::Seeds seeds;
-  if (n >= 16) {
-    for (graph::NodeId i = 0; i < 8; ++i) seeds.legit.push_back(i);
-    for (graph::NodeId i = n - 8; i < n; ++i) seeds.spammer.push_back(i);
-  }
-  detect::IterativeConfig cfg;
-  cfg.maar.seed = 42 * 7919 + 13;
-  cfg.maar.num_threads = util::ThreadCount();
-  cfg.max_rounds = 2;
-  cfg.target_detections = std::max<std::uint64_t>(1, n / 10);
-
-  util::WallTimer t_ram;
-  const detect::DetectionResult ram =
-      detect::DetectFriendSpammers(snap.graph, seeds, cfg);
-  const double ram_s = t_ram.Seconds();
-
-  util::WallTimer t_mm;
-  const detect::DetectionResult mm =
-      detect::DetectFriendSpammersCompressed(view, seeds, cfg);
-  const double mm_s = t_mm.Seconds();
-
-  bool same = ram.detected == mm.detected &&
-              ram.rounds.size() == mm.rounds.size();
-  for (std::size_t r = 0; same && r < ram.rounds.size(); ++r) {
-    const detect::RoundInfo& a = ram.rounds[r];
-    const detect::RoundInfo& b = mm.rounds[r];
-    same = a.detected == b.detected &&
-           a.cut.cross_friendships == b.cut.cross_friendships &&
-           a.cut.rejections_into_u == b.cut.rejections_into_u &&
-           a.cut.rejections_from_u == b.cut.rejections_from_u && a.k == b.k;
-  }
-  if (!same) {
-    std::cerr << bench_name << ": COMPRESSED DETECTION DIVERGED FROM RAM\n";
-    std::abort();
-  }
-
-  const double v1_s =
-      *std::min_element(v1_samples.begin(), v1_samples.end());
-  const double v2_s =
-      *std::min_element(v2_samples.begin(), v2_samples.end());
-  std::vector<KernelBenchRecord> records;
-  PushKernelRecord(records, bench_name, "snapshot_compressed_load", g, items,
-                   v2_s, MedianSeconds(v2_samples), v1_s);
-  records.back().mapped_bytes =
-      static_cast<std::int64_t>(view.MappedBytes());
-  PushKernelRecord(records, bench_name, "detect_ram", g, items, ram_s, ram_s,
-                   ram_s);
-  PushKernelRecord(records, bench_name, "detect_compressed", g, items, mm_s,
-                   mm_s, ram_s);
-  records.back().peak_rss_bytes = static_cast<std::int64_t>(PeakRssBytes());
-  records.back().mapped_bytes =
-      static_cast<std::int64_t>(view.MappedBytes());
-  AppendKernelBenchJson(records);
-
-  std::error_code ec;
-  fs::remove_all(dir, ec);  // best-effort scratch cleanup
-}
-
-void RunCompressedCeilingProbe(const std::string& bench_name) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / ("rejecto_ceiling_" + bench_name);
-  fs::create_directories(dir);
-  const std::string path = (dir / "synthetic_100m.snap2").string();
-
-  gen::StreamSnapshotConfig cfg;
-  cfg.num_nodes = 12'500'000;
-  cfg.friendship_stubs = 8;  // ~100M undirected edges
-  cfg.rejection_stubs = 2;
-  cfg.locality_window = 64;
-  cfg.seed = util::ExperimentSeed();
-
-  std::cout << bench_name
-            << ": streaming ~100M-edge synthetic RJSNAP02 to scratch...\n";
-  util::WallTimer t_gen;
-  const gen::StreamSnapshotStats stats =
-      gen::WriteSyntheticCompressedSnapshot(path, cfg);
-  const double gen_s = t_gen.Seconds();
-  std::cout << bench_name << ": wrote " << stats.num_edges << " edges, "
-            << stats.num_arcs << " arcs, " << stats.file_bytes << "B in "
-            << gen_s << "s\n";
-
-  const long long budget_mb = util::GetEnvInt("REJECTO_RSS_BUDGET_MB", 600);
-  const std::uint64_t baseline = PeakRssBytes();
-
-  // The <= 0.5x compression acceptance bar, measured where the format is
-  // designed to win: a BFS-locality graph (the generator's window keeps
-  // deltas in the single-byte varint range, like a relaid social graph).
-  const std::uint64_t v1_adj_bytes =
-      (2 * stats.num_edges + 2 * stats.num_arcs) * sizeof(graph::NodeId);
-
-  // Decode every block of every CSR, releasing the mmapped pages behind
-  // the scan so residency stays bounded no matter how big the file is.
-  util::WallTimer t_scan;
-  const auto view = graph::CompressedGraphView::Open(path);
-  const double ratio = static_cast<double>(view.AdjacencyBlobBytes()) /
-                       static_cast<double>(std::max<std::uint64_t>(
-                           v1_adj_bytes, 1));
-  std::cout << bench_name << ": rjsnap02 adjacency "
-            << view.AdjacencyBlobBytes() << "B vs rjsnap01 " << v1_adj_bytes
-            << "B (ratio " << ratio << ")\n";
-  if (ratio > 0.5) {
-    std::cerr << bench_name
-              << ": COMPRESSION RATIO EXCEEDS 0.5x ON BFS-LOCALITY GRAPH\n";
-    std::abort();
-  }
-  util::AlignedVector<std::uint32_t> row_offsets;
-  util::AlignedVector<graph::NodeId> adj;
-  std::uint64_t checksum = 0;
-  std::uint64_t release_floor = 0;
-  constexpr std::uint64_t kReleaseChunk = 128ull << 20;
-  for (int csr = 0; csr < 3; ++csr) {
-    for (graph::NodeId b = 0; b < view.NumBlocks(); ++b) {
-      view.DecodeBlockInto(csr, b, row_offsets, adj);
-      checksum += adj.size() + (adj.empty() ? 0 : adj.back());
-      std::uint64_t off = 0;
-      std::uint64_t len = 0;
-      view.BlockFileRange(csr, b, &off, &len);
-      if (off > release_floor + kReleaseChunk) {
-        view.Bytes().ReleaseRange(release_floor, off - release_floor);
-        release_floor = off;
-      }
-    }
-  }
-  const double scan_s = t_scan.Seconds();
-  const std::uint64_t peak = PeakRssBytes();
-  const std::uint64_t grew = peak > baseline ? peak - baseline : 0;
-  std::cout << bench_name << ": scanned all blocks in " << scan_s
-            << "s (checksum=" << checksum << "), RSS grew "
-            << (grew >> 20) << "MB over baseline (budget " << budget_mb
-            << "MB, peak " << (peak >> 20) << "MB)\n";
-  if (grew > static_cast<std::uint64_t>(budget_mb) << 20) {
-    std::cerr << bench_name << ": 100M-EDGE SCAN EXCEEDED "
-              << budget_mb << "MB RSS BUDGET\n";
-    std::abort();
-  }
-
-  KernelBenchRecord r;
-  r.bench = bench_name;
-  r.kernel = "compressed_scan_100m";
-  r.users = static_cast<std::int64_t>(cfg.num_nodes);
-  r.edges = static_cast<std::int64_t>(stats.num_edges);
-  r.items = static_cast<std::int64_t>(stats.num_edges + stats.num_arcs);
-  r.seconds = scan_s;
-  r.seconds_median = scan_s;
-  r.throughput = static_cast<double>(r.items) / std::max(scan_s, 1e-9);
-  r.speedup = 1.0;
-  r.peak_rss_bytes = static_cast<std::int64_t>(peak);
-  r.mapped_bytes = static_cast<std::int64_t>(view.MappedBytes());
-  std::cout << bench_name << " kernel=" << r.kernel << " users=" << r.users
-            << " items=" << r.items << " seconds=" << r.seconds
-            << " throughput=" << r.throughput << "\n";
-  AppendKernelBenchJson({r});
-
-  std::error_code ec;
-  fs::remove_all(dir, ec);  // best-effort scratch cleanup
 }
 
 }  // namespace rejecto::bench

@@ -8,7 +8,6 @@
 //   REJECTO_SEED=<u64>    experiment seed (default 42)
 //   REJECTO_CSV_DIR=<dir> additionally write each table as CSV
 //   REJECTO_THREADS=<n>   MAAR sweep threads (0 = hardware concurrency)
-//   REJECTO_JSON_DIR=<dir> where BENCH_maar.json is written (default cwd)
 //   REJECTO_LAYOUT=<p>    vertex-layout policy: identity (default) or bfs;
 //                         results are invariant, only locality changes
 #pragma once
@@ -71,190 +70,5 @@ std::vector<double> Sweep(std::vector<double> full,
 // Dataset list for the appendix figures: the six non-facebook graphs (full
 // mode) or just ca-HepTh (fast mode).
 std::vector<std::string> AppendixDatasets(const ExperimentContext& ctx);
-
-// One MAAR-sweep timing sample for the serial-vs-parallel speedup record.
-struct MaarBenchRecord {
-  std::string bench;     // emitting binary, e.g. "bench_micro"
-  std::int64_t users = 0;
-  std::int64_t edges = 0;
-  int threads = 1;
-  double seconds = 0.0;
-  int kl_runs = 0;
-  double speedup = 1.0;  // serial (threads=1) seconds / this run's seconds
-};
-
-// Appends the records to <REJECTO_JSON_DIR or cwd>/BENCH_maar.json, kept as
-// one flat JSON array so bench_micro and bench_table2_scaling can both
-// contribute to the same machine-readable file. Every appended record is
-// stamped with provenance keys: "git_sha" (the short commit sha the harness
-// was built from) and "run_id" (one past the largest run_id already in the
-// file, so ids increase monotonically across append batches and survive
-// mixed-binary accumulation).
-void AppendMaarBenchJson(const std::vector<MaarBenchRecord>& records);
-
-// One data-structure kernel timing sample: the fused-vs-unfused KL switch
-// kernel and the CSR-filter-vs-GraphBuilder compaction, appended to the
-// same BENCH_maar.json array as the MAAR sweep records (records are
-// distinguished by the presence of the "kernel" key).
-struct KernelBenchRecord {
-  std::string bench;          // emitting binary, e.g. "bench_micro"
-  std::string kernel;         // "kl_switch_old", "kl_switch_fused",
-                              // "compact_builder", "compact_csr",
-                              // "cut_count_scalar/avx2", "merge_scalar/avx2"
-  std::int64_t users = 0;
-  std::int64_t edges = 0;
-  std::int64_t items = 0;     // work units: switches applied / nodes kept
-  double seconds = 0.0;         // min of reps (the headline number)
-  double seconds_median = 0.0;  // median of reps (noise indicator run-to-run)
-  double throughput = 0.0;    // items / seconds
-  double speedup = 1.0;       // old-kernel seconds / this kernel's seconds
-
-  // Memory profile of the probed operation (0 = not measured). peak_rss is
-  // the process VmHWM after the run — the number the out-of-core path's
-  // "bounded RSS" claim is about; mapped is the bytes the probe mmapped
-  // (file size for snapshot views — residency is what stays small).
-  std::int64_t peak_rss_bytes = 0;
-  std::int64_t mapped_bytes = 0;
-};
-
-void AppendKernelBenchJson(const std::vector<KernelBenchRecord>& records);
-
-// One temporal early-detection sample (study/early_detection.h): a whole
-// adaptive-adversary run reduced to its headline time-axis metrics,
-// appended to the same BENCH_maar.json array (distinguished by the
-// "metric" key: "time_to_detection" or "harm_before_detection").
-struct TemporalBenchRecord {
-  std::string bench;       // emitting binary, e.g. "bench_fig19"
-  std::string metric;      // "time_to_detection" / "harm_before_detection"
-  std::string adversary;   // sim::AdversaryName of the campaign
-  std::int64_t users = 0;       // legit users
-  std::int64_t spammers = 0;    // spam-sending fakes
-  std::int64_t requests = 0;    // spam requests emitted over the run
-  double mean = 0.0;            // mean TTD (detected) / mean harm (all)
-  std::int64_t detected = 0;    // spammers flagged at least once
-  std::int64_t undetected = 0;  // spammers never flagged
-  double final_precision = 0.0;  // last epoch's detection quality
-  double final_recall = 0.0;
-  double recall_at_5 = 0.0;   // sub-epoch checkpoint recall (serving tier)
-  double recall_at_10 = 0.0;
-  double recall_at_20 = 0.0;
-  double recall_at_50 = 0.0;
-};
-
-void AppendTemporalBenchJson(const std::vector<TemporalBenchRecord>& records);
-
-// One detection round's wire-level transport counters (engine
-// DistDetectionResult::per_round over a simnet/socket cluster), appended to
-// the same BENCH_maar.json array (distinguished by the "transport" key).
-// Each detection round pushes a fresh store generation to every worker and
-// pulls the sweep's adjacency through it, so per-round records expose how
-// traffic decays as rounds prune the residual graph.
-struct TransportBenchRecord {
-  std::string bench;      // emitting binary, e.g. "bench_table2_scaling"
-  std::string transport;  // net::TransportKindName: "simnet" / "socket"
-  std::int64_t users = 0;
-  std::int64_t round = 0;  // detection round (= store generation), 0-based
-  std::int64_t frames_sent = 0;
-  std::int64_t frames_received = 0;
-  std::int64_t bytes_sent = 0;
-  std::int64_t bytes_received = 0;
-  std::int64_t retries = 0;    // engine-level RPC attempts repeated
-  std::int64_t timeouts = 0;
-  std::int64_t reconnects = 0;
-  std::int64_t failovers = 0;  // shards rebuilt from lineage
-  double busy_us = 0.0;        // time inside Transport::Call (virtual for
-                               // simnet, wall-clock for socket)
-};
-
-void AppendTransportBenchJson(const std::vector<TransportBenchRecord>& records);
-
-// One serving-tier mixed-load sample from bench_admission (serve/): a whole
-// AdmissionService run — ingest pressure + N reader threads deciding
-// continuously — reduced to its headline throughput and tail-latency
-// numbers, appended to the same BENCH_maar.json array (distinguished by the
-// "admission" key, which names the measured configuration, e.g.
-// "admission_hazard_r4"). The bench aborts before appending anything if its
-// divergence guard finds one concurrent decision the serial oracle does not
-// reproduce.
-struct AdmissionBenchRecord {
-  std::string bench;      // emitting binary, e.g. "bench_admission"
-  std::string admission;  // "admission_<reclaim>_r<readers>"
-  std::string reclaim;    // serve::ReclaimModeName: "hazard" / "shared_ptr"
-  int readers = 0;
-  std::int64_t users = 0;
-  std::int64_t events = 0;             // ingest events applied over the run
-  std::int64_t decisions = 0;          // admit/grey/reject verdicts issued
-  std::int64_t epochs = 0;             // detection epochs published
-  double decisions_per_sec = 0.0;      // all readers combined
-  double ingest_events_per_sec = 0.0;  // writer-thread drain rate
-  double epoch_publish_stall_seconds = 0.0;  // max snapshot cut (writer stall)
-  double detect_seconds = 0.0;               // mean off-path detection time
-  std::int64_t p50_ns = 0;  // merged reader decision latency quantiles
-  std::int64_t p95_ns = 0;
-  std::int64_t p99_ns = 0;
-};
-
-void AppendAdmissionBenchJson(const std::vector<AdmissionBenchRecord>& records);
-
-// Process peak resident set (VmHWM) and current resident set (VmRSS) from
-// /proc/self/status, in bytes; 0 where the kernel does not expose them.
-std::uint64_t PeakRssBytes();
-std::uint64_t CurrentRssBytes();
-
-// Runs MaarSolver::Solve over `threads_list` on the scenario graph with the
-// given config, asserts the cuts are bit-identical to the threads=1 run
-// (aborting the bench otherwise), appends one record per thread count under
-// `bench_name`, and prints a short speedup summary to stdout.
-void RunMaarSpeedupProbe(const std::string& bench_name,
-                         const graph::AugmentedGraph& g,
-                         detect::MaarConfig config,
-                         const std::vector<int>& threads_list);
-
-// Locality probe for graph/layout.h: drives one propagation-ordered switch
-// sweep (the BFS visit order of the graph — the temporal shape of a KL
-// pass or a vote-propagation round) through the fused KL kernel on a
-// deterministically SHUFFLED copy of g (simulating the arbitrary id order
-// a text intern produces — the layout subsystem's motivating baseline) and
-// on its BFS relayout, with a bit-equal final-objective divergence guard.
-// Appends "layout_identity" and "layout_bfs" kernel records; layout_bfs's
-// speedup is shuffled-seconds / bfs-seconds.
-void RunLayoutKernelProbe(const std::string& bench_name,
-                          const graph::AugmentedGraph& g, bool fast);
-
-// Cold-start probe for graph/snapshot.h: round-trips g through text edge
-// lists and a binary snapshot in a scratch directory, then times three
-// loaders — the retired istringstream text parser (kept here as the
-// baseline, like the other *_old kernels), graph::LoadAugmentedGraph with
-// the string_view scanner, and graph::LoadSnapshot. Appends
-// "text_load_old", "text_load" (speedup vs old), and "snapshot_load"
-// (speedup vs text_load) records; aborts on any loader disagreement.
-void RunSnapshotLoadProbe(const std::string& bench_name,
-                          const graph::AugmentedGraph& g, bool fast);
-
-// Out-of-core probes for graph/compressed_view.h. Saves g (BFS-relaid, the
-// format's target regime) as both RJSNAP01 and RJSNAP02 in a scratch dir,
-// then:
-//   "snapshot_compressed_load" — LoadSnapshot(v2) time vs the v1 load,
-//     with the v2/v1 adjacency-bytes ratio printed and a hard abort if the
-//     two loads disagree or compression fails to shrink adjacency at all
-//     (the hard <= 0.5x bar lives in RunCompressedCeilingProbe — the attack
-//     scenario's scattered rejection edges are the format's worst case);
-//   "detect_compressed" / "detect_ram" — the full iterative pipeline over
-//     the mmap view vs in RAM, aborting unless detected sets, rounds and
-//     cuts are bit-identical; the compressed record carries peak_rss and
-//     mapped bytes.
-void RunCompressedSnapshotProbe(const std::string& bench_name,
-                                const graph::AugmentedGraph& g, bool fast);
-
-// 100M-edge memory-ceiling assertion (skipped in fast mode by the callers):
-// streams a synthetic 100M-edge RJSNAP02 to scratch via gen/ without
-// materializing the graph, then decodes every block of every CSR through a
-// bounded cursor while releasing cold pages, and ABORTS if VmHWM grew by
-// more than REJECTO_RSS_BUDGET_MB (default 600) over the pre-open baseline,
-// or if the compressed adjacency exceeds 0.5x the equivalent RJSNAP01
-// adjacency bytes (the acceptance bar, measured on the BFS-locality graph
-// the format targets). Appends a "compressed_scan_100m" record with the
-// measured peak.
-void RunCompressedCeilingProbe(const std::string& bench_name);
 
 }  // namespace rejecto::bench

@@ -15,8 +15,8 @@
 // detection quality, or if the serving tier fails to reject a solid
 // majority of spamming fakes while admitting almost all legit users.
 //
-// Knobs (see docs/SERVING.md): REJECTO_SERVE_READERS,
-// REJECTO_SERVE_EPOCH_EVENTS, REJECTO_SERVE_RECLAIM=hazard|shared_ptr.
+// Knobs (see docs/SERVING.md): REJECTO_SERVE_READERS and
+// REJECTO_SERVE_EPOCH_EVENTS.
 //
 // Build & run:  cmake --build build && ./build/examples/admission_server
 #include <algorithm>
@@ -130,9 +130,8 @@ int main() {
               static_cast<unsigned long long>(stats.events_ingested),
               static_cast<unsigned long long>(stats.epochs_published),
               static_cast<unsigned long long>(final_epoch));
-  std::printf("  live decisions while ingesting: %llu (reclaim=%s)\n",
-              static_cast<unsigned long long>(live_decisions.load()),
-              serve::ReclaimModeName(scfg.reclaim));
+  std::printf("  live decisions while ingesting: %llu\n",
+              static_cast<unsigned long long>(live_decisions.load()));
   std::printf("  audit p50/p99 decision latency: %llu / %llu ns\n",
               static_cast<unsigned long long>(auditor.Latency().P50()),
               static_cast<unsigned long long>(auditor.Latency().P99()));

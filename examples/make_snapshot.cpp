@@ -13,8 +13,7 @@
 // off the mmap — pair it with --layout=bfs, which is what makes the deltas
 // small. --compress-block-rows sets the v2 block span (64-256 rows, default
 // 128; ignored for v1). Later runs load the snapshot in milliseconds
-// instead of re-parsing the text (see the snapshot_load vs text_load
-// records in BENCH_maar.json). The snapshot stores laid-out ids plus the
+// instead of re-parsing the text. The snapshot stores laid-out ids plus the
 // permutation, so detection results reported from it can always be
 // translated back to the dense text-intern ids.
 //

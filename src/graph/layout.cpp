@@ -144,8 +144,7 @@ Layout ComputeLayout(const AugmentedGraph& g, LayoutPolicy policy,
   // Plain FIFO expansion, children in row order. (A frontier re-sorted by
   // descending degree was tried first and benched SLOWER than this: the
   // sort interleaves children of different parents, which breaks exactly
-  // the parent-adjacency that makes traversal-ordered passes stream. See
-  // the layout_bfs record in BENCH_maar.json.)
+  // the parent-adjacency that makes traversal-ordered passes stream.)
   for (NodeId seed : seeds) {
     if (visited[seed]) continue;
     visited[seed] = 1;

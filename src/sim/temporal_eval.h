@@ -66,8 +66,8 @@ enum class AdversaryKind : std::uint8_t {
   kSlowDripCollusion,
 };
 
-// Stable lowercase identifier ("static_campaign", ...) used by benches,
-// golden files, and BENCH_maar.json records.
+// Stable lowercase identifier ("static_campaign", ...) used by bench tables
+// and golden files.
 std::string_view AdversaryName(AdversaryKind kind);
 
 struct PropensityConfig {

@@ -12,7 +12,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,7 +39,6 @@ using serve::AdmissionConfig;
 using serve::AdmissionService;
 using serve::Decision;
 using serve::PublishedEpoch;
-using serve::ReclaimMode;
 using serve::Verdict;
 using stream::MutationLog;
 
@@ -208,16 +210,11 @@ struct RecordedDecision {
   Decision decision;
 };
 
-struct DifferentialCase {
-  int readers = 1;
-  ReclaimMode reclaim = ReclaimMode::kHazard;
-};
-
-class AdmissionDifferentialTest
-    : public ::testing::TestWithParam<DifferentialCase> {};
+// Parameter: the number of concurrent reader threads.
+class AdmissionDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
-  const DifferentialCase c = GetParam();
+  const int num_readers = GetParam();
   const Workload w = MakeWorkload(1);
   const engine::EpochConfig ecfg = ServiceEpochConfig(w);
   const std::vector<PublishedEpoch> oracle = BuildOracle(w, ecfg);
@@ -225,15 +222,14 @@ TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
 
   AdmissionConfig cfg;
   cfg.epoch = ecfg;
-  cfg.reclaim = c.reclaim;
   cfg.grey_margin = kGreyMargin;
   AdmissionService svc(
       graph::GraphBuilder(w.log.NumNodes()).BuildAugmented(), w.seeds, cfg);
 
   std::atomic<bool> stop{false};
-  std::vector<std::vector<RecordedDecision>> recorded(c.readers);
+  std::vector<std::vector<RecordedDecision>> recorded(num_readers);
   std::vector<std::thread> readers;
-  for (int r = 0; r < c.readers; ++r) {
+  for (int r = 0; r < num_readers; ++r) {
     AdmissionService::Reader reader = svc.CreateReader();
     readers.emplace_back(
         [&stop, &recorded, r, n = w.log.NumNodes(),
@@ -292,11 +288,8 @@ TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
   EXPECT_GT(checked, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ReaderWidths, AdmissionDifferentialTest,
-    ::testing::Values(DifferentialCase{1, ReclaimMode::kHazard},
-                      DifferentialCase{2, ReclaimMode::kSharedPtr},
-                      DifferentialCase{8, ReclaimMode::kHazard}));
+INSTANTIATE_TEST_SUITE_P(ReaderWidths, AdmissionDifferentialTest,
+                         ::testing::Values(1, 2, 8));
 
 // With warm starts off and a single forced epoch, the published detection
 // must be EXACTLY the batch pipeline's on the final graph.
@@ -397,6 +390,32 @@ TEST(AdmissionService, RejectsSelfEdgeAtSubmission) {
                        detect::Seeds{}, cfg);
   EXPECT_THROW(svc.Submit({stream::EventType::kAddFriend, 2, 2}),
                std::invalid_argument);
+}
+
+// A negative REJECTO_SERVE_* count must fail loudly, naming the variable,
+// instead of wrapping to 2^64 - 1 (which would size the hazard-slot pool
+// past max_size() or silently turn auto-epochs off).
+TEST(AdmissionService, EnvOverridesRejectNegativeCounts) {
+  for (const char* name :
+       {"REJECTO_SERVE_READERS", "REJECTO_SERVE_EPOCH_EVENTS"}) {
+    ::setenv(name, "-1", 1);
+    try {
+      (void)serve::ApplyEnvOverrides(AdmissionConfig{});
+      ADD_FAILURE() << name << "=-1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(name);
+  }
+
+  ::setenv("REJECTO_SERVE_READERS", "3", 1);
+  ::setenv("REJECTO_SERVE_EPOCH_EVENTS", "0", 1);
+  const AdmissionConfig cfg = serve::ApplyEnvOverrides(AdmissionConfig{});
+  ::unsetenv("REJECTO_SERVE_READERS");
+  ::unsetenv("REJECTO_SERVE_EPOCH_EVENTS");
+  EXPECT_EQ(cfg.max_readers, 3u);
+  EXPECT_EQ(cfg.epoch.events_per_epoch, 0u);
 }
 
 }  // namespace

@@ -132,6 +132,21 @@ TEST_F(CompressedViewTest, V2LoadMatchesV1LoadExactly) {
   EXPECT_EQ(s1.layout, s2.layout);
 }
 
+// Even on the attack scenario, whose rejection arcs are scattered across
+// the id space (the format's worst case), the RJSNAP02 adjacency must be
+// smaller than the raw u32 adjacency RJSNAP01 stores: both friendship
+// directions plus the out- and in-arc copies of every rejection.
+TEST_F(CompressedViewTest, AdjacencyIsSmallerThanRawOnAttackScenario) {
+  const AugmentedGraph g = RandomScenarioGraph(37, 2000);
+  const std::string v2 = Path("g.snap2");
+  graph::SaveSnapshotWithPolicy(v2, g, LayoutPolicy::kBfs, V2Options());
+  const auto view = CompressedGraphView::Open(v2);
+  const std::uint64_t raw_bytes =
+      (2 * g.Friendships().NumEdges() + 2 * g.Rejections().NumArcs()) *
+      sizeof(NodeId);
+  EXPECT_LT(view.AdjacencyBlobBytes(), raw_bytes);
+}
+
 TEST_F(CompressedViewTest, ViewMetadataAndMaterializeMatchTheGraph) {
   const AugmentedGraph g = RandomScenarioGraph(37, 600);
   const std::string path = Path("g.snap2");

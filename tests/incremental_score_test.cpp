@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "engine/epoch_detector.h"
 #include "gen/erdos_renyi.h"
 #include "sim/scenario.h"
+#include "stream/delta_graph.h"
 #include "stream/mutation_log.h"
 #include "util/rng.h"
 
@@ -139,6 +141,63 @@ TEST(IncrementalScoreTest, DetectorScoreMatchesCsrScoreWithOverlayEvents) {
       detect::ScoreSenderIncremental(delta.Graph(), grown_mask, k, s);
   EXPECT_NEAR(overlay_score.gain, csr_score.gain, 1e-12);
   EXPECT_EQ(overlay_score.suspicious, csr_score.suspicious);
+}
+
+// The detector's fast path (a sender no event touched since the last
+// compaction walks its base CSR rows directly) must give bit-identical
+// gains to the unconditional overlay walk, for every sender: touched and
+// untouched, in and out of the baseline mask.
+TEST(IncrementalScoreTest, FastPathMatchesOverlayWalkForEverySender) {
+  const auto scenario = SmallScenario(5);
+  util::Rng seed_rng(13);
+  const auto seeds = scenario.SampleSeeds(15, 5, seed_rng);
+
+  engine::EpochConfig ecfg;
+  ecfg.detect.target_detections = scenario.num_fakes;
+  ecfg.detect.maar.seed = 23;
+  ecfg.events_per_epoch = 0;
+  engine::EpochDetector det(scenario.graph, seeds, ecfg);
+  det.RunEpoch();
+  ASSERT_TRUE(det.HasIncrementalBaseline());
+
+  // Post-epoch trickle: a few fresh friendships leave most senders on the
+  // fast path.
+  const graph::NodeId n = det.Graph().NumNodes();
+  util::Rng rng(57);
+  for (int i = 0; i < 12; ++i) {
+    const auto a = static_cast<graph::NodeId>(rng.NextUInt(n));
+    const auto b = static_cast<graph::NodeId>(rng.NextUInt(n));
+    if (a != b) det.Ingest({stream::EventType::kAddFriend, a, b});
+  }
+
+  const stream::DeltaGraph& delta = det.Graph();
+  const std::vector<char>& mask = det.IncrementalMask();
+  const double k = det.IncrementalK();
+  const auto side = [&](graph::NodeId v) {
+    return v < mask.size() && mask[v] != 0;
+  };
+  int touched = 0;
+  for (graph::NodeId s = 0; s < n; ++s) {
+    double expect = 0.0;
+    if (!side(s)) {
+      std::int64_t delta_friend = 0;
+      std::int64_t delta_rej = 0;
+      delta.ForEachFriend(
+          s, [&](graph::NodeId f) { delta_friend += side(f) ? -1 : +1; });
+      delta.ForEachRejector(s, [&](graph::NodeId r) {
+        if (!side(r)) ++delta_rej;
+      });
+      delta.ForEachRejectee(s, [&](graph::NodeId t) {
+        if (side(t)) --delta_rej;
+      });
+      expect = static_cast<double>(delta_friend) -
+               k * static_cast<double>(delta_rej);
+    }
+    if (delta.OverlayTouched(s)) ++touched;
+    ASSERT_EQ(det.ScoreSenderIncremental(s).gain, expect) << "sender " << s;
+  }
+  EXPECT_GT(touched, 0);
+  EXPECT_LT(touched, static_cast<int>(n));
 }
 
 TEST(IncrementalScoreTest, DetectorThrowsWithoutBaseline) {
