@@ -154,7 +154,7 @@ void BM_ShardFetchBatch(benchmark::State& state) {
   engine::ClusterConfig ccfg;
   ccfg.num_workers = 4;
   engine::Cluster cluster(ccfg);
-  const engine::ShardedGraphStore store(scenario.graph, 4, cluster.Pool());
+  const engine::ShardedGraphStore store(scenario.graph, cluster);
   util::Rng rng(9);
   std::vector<graph::NodeId> batch(static_cast<std::size_t>(state.range(0)));
   engine::IoStats stats;
@@ -173,7 +173,7 @@ void BM_PrefetchBufferGet(benchmark::State& state) {
   engine::ClusterConfig ccfg;
   ccfg.num_workers = 4;
   engine::Cluster cluster(ccfg);
-  const engine::ShardedGraphStore store(scenario.graph, 4, cluster.Pool());
+  const engine::ShardedGraphStore store(scenario.graph, cluster);
   engine::PrefetchBuffer buf(store, 4096, 64);
   util::Rng rng(9);
   for (auto _ : state) {

@@ -5,9 +5,10 @@
 // user graphs (~16 edges/user) and reports near-linear scaling. We
 // reproduce the identical data layout in-process (DESIGN.md substitution
 // #4) — sharded worker storage, master-resident bucket list, batched
-// prefetch with LRU — at laptop scale (50K .. 1.6M users, x2 steps). The
-// shape to check is near-linear growth of both runtime and simulated
-// network traffic with graph size.
+// prefetch with LRU — at laptop scale (50K .. 800K users, x2 steps), with
+// every shard RPC crossing a clean simnet link, whose delay and bandwidth
+// give sim_net_sec. The shape to check is near-linear growth of both
+// runtime and simulated network traffic with graph size.
 #include <algorithm>
 #include <iostream>
 
@@ -61,7 +62,7 @@ int main() {
     ccfg.prefetch_batch = 512;
     ccfg.buffer_capacity = std::max<std::size_t>(8192, n / 2);
     engine::Cluster cluster(ccfg);
-    const engine::ShardedGraphStore store(scenario.graph, 4, cluster.Pool());
+    const engine::ShardedGraphStore store(scenario.graph, cluster);
 
     // A full (reduced-sweep) MAAR solve on the cluster substrate: the k
     // sweep, multi-init KL runs, and Dinkelbach refinement all pull
@@ -79,18 +80,12 @@ int main() {
                                                      cluster, {}, maar);
     const double secs = timer.Seconds();
 
-    // Wire probe at the smallest size: the same detection over the simnet
-    // transport, with every fetch/update crossing the RJNET001 frame
-    // boundary. One row of per-round transport counters per detection
-    // round shows how traffic decays as rounds prune the residual graph.
+    // Wire probe at the smallest size: the full iterative detection on a
+    // fresh cluster of the same config. One row of per-round transport
+    // counters per detection round shows how traffic decays as rounds
+    // prune the residual graph.
     if (n == sizes.front()) {
-      engine::ClusterConfig wcfg;
-      wcfg.num_workers = 4;
-      wcfg.prefetch_batch = 512;
-      wcfg.buffer_capacity = std::max<std::size_t>(8192, n / 2);
-      wcfg.transport = net::TransportKind::kSimNet;
-      wcfg.sim.seed = ctx.seed + 101;
-      engine::Cluster wired(wcfg);
+      engine::Cluster wired(ccfg);
       util::Rng srng(ctx.seed + 9);
       const auto seeds = scenario.SampleSeeds(16, 6, srng);
       detect::IterativeConfig dcfg;

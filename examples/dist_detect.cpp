@@ -2,33 +2,35 @@
 //
 // The master shards the augmented graph across N workers and runs the full
 // iterative MAAR pipeline with every fetch/update crossing the Transport
-// boundary as RJNET001 frames. Three backends, same detection bits:
+// boundary as RJNET001 frames. Two backends, same detection bits:
 //
-//   --transport=loopback   in-process shards, no frames (the baseline)
-//   --transport=simnet     deterministic simulated network with fault
-//                          matrices (drop/duplicate/corrupt/reorder)
+//   --transport=simnet     (default) deterministic simulated network, clean
+//                          or with fault matrices (drop/duplicate/corrupt/
+//                          reorder)
 //   --transport=socket     real worker processes over UNIX-domain sockets
 //                          (forked with --spawn=N, or external via
 //                          --endpoints=...)
 //
-// Self-checking: always runs the loopback baseline first and exits nonzero
-// if the wire-backed detection diverges by a single bit — including under
-// --flaky (10% drops) and --kill-one (worker 1 hard-exits mid-run and the
-// master fails over from lineage).
+// Self-checking: always runs the serial pipeline (detect::
+// DetectFriendSpammers) first and exits nonzero if the distributed
+// detection diverges from it by a single bit — including under --flaky
+// (10% drops) and --kill-one (worker 1 hard-exits mid-run and the master
+// fails over from lineage).
 //
 // A worker process is this same binary:
 //   ./build/examples/dist_detect --worker --listen=unix:/tmp/w0.sock
 //
-// Env knobs: REJECTO_TRANSPORT overrides the default backend;
-// REJECTO_SEED reseeds the world.
+// Env knobs: REJECTO_SEED reseeds the world.
 //
 // Build & run:  cmake --build build && ./build/examples/dist_detect
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,8 +52,8 @@ using namespace rejecto;
 struct Options {
   bool worker = false;
   std::string listen;
-  net::TransportKind transport = net::TransportKindFromEnv();
-  int spawn = 3;
+  net::TransportKind transport = net::TransportKind::kSimNet;
+  std::uint32_t spawn = 3;
   std::vector<std::string> endpoints;
   bool flaky = false;
   bool kill_one = false;
@@ -72,6 +74,22 @@ std::vector<std::string> SplitCsv(const std::string& s) {
   return out;
 }
 
+[[noreturn]] void Usage() {
+  std::fprintf(stderr,
+               "usage: dist_detect [--transport=simnet|socket]"
+               " [--spawn=N | --endpoints=ep,ep,...] [--flaky]"
+               " [--kill-one]\n"
+               "       dist_detect --worker --listen=<endpoint>\n");
+  std::exit(2);
+}
+
+// A worker count: decimal digits only, at least 1.
+bool ParseWorkerCount(const char* text, std::uint32_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && out >= 1;
+}
+
 Options Parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -86,9 +104,18 @@ Options Parse(int argc, char** argv) {
     } else if (const char* v = value("--listen=")) {
       o.listen = v;
     } else if (const char* v = value("--transport=")) {
-      o.transport = net::ParseTransportKind(v);
+      try {
+        o.transport = net::ParseTransportKind(v);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "dist_detect: %s\n", e.what());
+        Usage();
+      }
     } else if (const char* v = value("--spawn=")) {
-      o.spawn = std::atoi(v);
+      if (!ParseWorkerCount(v, o.spawn)) {
+        std::fprintf(stderr,
+                     "dist_detect: --spawn needs a count >= 1, got '%s'\n", v);
+        Usage();
+      }
     } else if (const char* v = value("--endpoints=")) {
       o.endpoints = SplitCsv(v);
     } else if (arg == "--flaky") {
@@ -96,12 +123,7 @@ Options Parse(int argc, char** argv) {
     } else if (arg == "--kill-one") {
       o.kill_one = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: dist_detect [--transport=loopback|simnet|socket]"
-                   " [--spawn=N | --endpoints=ep,ep,...] [--flaky]"
-                   " [--kill-one]\n"
-                   "       dist_detect --worker --listen=<endpoint>\n");
-      std::exit(2);
+      Usage();
     }
   }
   return o;
@@ -128,13 +150,13 @@ void PrintIo(const char* tag, const engine::IoStats& io) {
       static_cast<unsigned long long>(io.wire.dropped_frames));
 }
 
-bool SameDetection(const engine::DistDetectionResult& a,
-                   const engine::DistDetectionResult& b) {
-  if (a.detection.detected != b.detection.detected) return false;
-  if (a.detection.rounds.size() != b.detection.rounds.size()) return false;
-  for (std::size_t r = 0; r < a.detection.rounds.size(); ++r) {
-    if (a.detection.rounds[r].detected != b.detection.rounds[r].detected ||
-        a.detection.rounds[r].ratio != b.detection.rounds[r].ratio) {
+bool SameDetection(const detect::DetectionResult& a,
+                   const detect::DetectionResult& b) {
+  if (a.detected != b.detected) return false;
+  if (a.rounds.size() != b.rounds.size()) return false;
+  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+    if (a.rounds[r].detected != b.rounds[r].detected ||
+        a.rounds[r].ratio != b.rounds[r].ratio) {
       return false;
     }
   }
@@ -187,26 +209,20 @@ int main(int argc, char** argv) {
   dcfg.maar.seed = 31;
 
   const std::uint32_t workers =
-      opts.endpoints.empty() ? static_cast<std::uint32_t>(opts.spawn)
-                             : static_cast<std::uint32_t>(opts.endpoints.size());
+      opts.endpoints.empty()
+          ? opts.spawn
+          : static_cast<std::uint32_t>(opts.endpoints.size());
 
-  // Baseline: loopback shards, zero frames. Everything else must match it.
-  engine::Cluster loop({.num_workers = workers,
-                        .prefetch_batch = 64,
-                        .buffer_capacity = 1024});
+  // Baseline: the serial pipeline. The distributed run must match it.
   const auto baseline =
-      engine::DetectFriendSpammersDistributed(scenario.graph, seeds, dcfg, loop);
-  std::printf("loopback baseline: %zu flagged in %d rounds\n",
-              baseline.detection.detected.size(),
-              static_cast<int>(baseline.detection.rounds.size()));
-  PrintIo("loopback", baseline.io);
-
-  if (opts.transport == net::TransportKind::kLoopback) {
-    const auto cm = metrics::EvaluateDetection(scenario.is_fake,
-                                               baseline.detection.detected);
-    std::printf("precision %.3f recall %.3f\n", cm.Precision(), cm.Recall());
-    return 0;
-  }
+      detect::DetectFriendSpammers(scenario.graph, seeds, dcfg);
+  const auto cm =
+      metrics::EvaluateDetection(scenario.is_fake, baseline.detected);
+  std::printf("serial baseline: %zu flagged in %d rounds, precision %.3f "
+              "recall %.3f\n",
+              baseline.detected.size(),
+              static_cast<int>(baseline.rounds.size()), cm.Precision(),
+              cm.Recall());
 
   engine::ClusterConfig cfg{.num_workers = workers,
                             .prefetch_batch = 64,
@@ -256,8 +272,8 @@ int main(int argc, char** argv) {
                 wired.NumDeadWorkers());
     PrintIo(net::TransportKindName(opts.transport), wire_result.io);
 
-    if (!SameDetection(wire_result, baseline)) {
-      std::printf("\nFAIL: wire-backed detection diverged from loopback\n");
+    if (!SameDetection(wire_result.detection, baseline)) {
+      std::printf("\nFAIL: distributed detection diverged from serial\n");
       rc = 1;
     } else if (wire_result.io.wire.frames_sent == 0) {
       std::printf("\nFAIL: no frames crossed the wire\n");
@@ -266,7 +282,7 @@ int main(int argc, char** argv) {
       std::printf("\nFAIL: --kill-one but no worker died\n");
       rc = 1;
     } else {
-      std::printf("\nOK: detection over %s is bit-identical to loopback\n",
+      std::printf("\nOK: detection over %s is bit-identical to serial\n",
                   net::TransportKindName(opts.transport));
     }
     wired.ShutdownTransport();

@@ -31,8 +31,6 @@ ClusterConfig Validated(ClusterConfig config) {
   }
   config.fetch.Validate("ClusterConfig::fetch");
   switch (config.transport) {
-    case net::TransportKind::kLoopback:
-      break;
     case net::TransportKind::kSimNet:
       if (config.sim.num_peers == 0) {
         config.sim.num_peers = config.num_workers;
@@ -82,8 +80,6 @@ Cluster::Cluster(const ClusterConfig& config)
       pool_(config_.num_workers),
       dead_(config_.num_workers, 0) {
   switch (config_.transport) {
-    case net::TransportKind::kLoopback:
-      break;
     case net::TransportKind::kSimNet: {
       auto sim = std::make_unique<net::SimNetwork>(config_.sim);
       sim_workers_.reserve(config_.num_workers);
@@ -104,13 +100,8 @@ Cluster::Cluster(const ClusterConfig& config)
 
 Cluster::~Cluster() { ShutdownTransport(); }
 
-const net::TransportStats* Cluster::WireStats() const noexcept {
-  return transport_ == nullptr ? nullptr : &transport_->Stats();
-}
-
 void Cluster::ShutdownTransport() {
-  if (config_.transport == net::TransportKind::kSocket &&
-      transport_ != nullptr) {
+  if (config_.transport == net::TransportKind::kSocket) {
     static_cast<net::SocketTransport*>(transport_.get())->ShutdownPeers();
   }
 }
@@ -122,8 +113,7 @@ void Cluster::KillWorker(std::uint32_t worker) {
   dead_[worker] = 1;
   // An in-process sim worker "dies" by losing its frame handler: every
   // frame to it from now on vanishes like frames to a crashed process.
-  if (transport_ != nullptr &&
-      config_.transport == net::TransportKind::kSimNet) {
+  if (config_.transport == net::TransportKind::kSimNet) {
     transport_->SetHandler(worker, nullptr);
   }
 }
@@ -133,8 +123,7 @@ void Cluster::ReviveWorker(std::uint32_t worker) {
     throw std::out_of_range("Cluster::ReviveWorker: worker index");
   }
   dead_[worker] = 0;
-  if (transport_ != nullptr &&
-      config_.transport == net::TransportKind::kSimNet) {
+  if (config_.transport == net::TransportKind::kSimNet) {
     // The revived worker restarts empty — its partitions were lost; the
     // next store push repopulates it.
     sim_workers_[worker] = std::make_unique<ShardWorker>();

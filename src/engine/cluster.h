@@ -4,11 +4,11 @@
 // worker count, prefetch batch size, master-side buffer capacity, and the
 // transport the master speaks to its workers:
 //
-//   loopback  no transport object at all — the "network" is the metered
-//             FetchBatch path of ShardedGraphStore (the original simulated
-//             cluster; default, and byte-identical to what it always did).
-//   simnet    a net::SimNetwork carrying RJNET001 frames between the master
-//             and in-process ShardWorkers over deterministic faulty links.
+//   simnet    (default) a net::SimNetwork carrying RJNET001 frames between
+//             the master and in-process ShardWorkers. Its default links are
+//             fault-free, so it is the simulated cluster and its per-link
+//             delay and bandwidth are the network-cost model; fault
+//             matrices make the same links deterministically faulty.
 //   socket    a net::SocketTransport speaking the same frames to real
 //             worker processes (one endpoint per worker).
 //
@@ -39,7 +39,7 @@ struct ClusterConfig {
   // copied into every ShardedGraphStore the cluster builds.
   FetchPolicy fetch;
   // Transport backend; fields below only matter for their backend.
-  net::TransportKind transport = net::TransportKind::kLoopback;
+  net::TransportKind transport = net::TransportKind::kSimNet;
   // simnet: num_peers may stay 0 (auto-filled with num_workers); if set it
   // must match num_workers.
   net::SimNetConfig sim;
@@ -59,8 +59,7 @@ class Cluster {
   const ClusterConfig& Config() const noexcept { return config_; }
   util::ThreadPool& Pool() noexcept { return pool_; }
 
-  // Null on the loopback backend.
-  net::Transport* Transport() noexcept { return transport_.get(); }
+  net::Transport& Transport() noexcept { return *transport_; }
   net::TransportKind TransportKind() const noexcept {
     return config_.transport;
   }
@@ -68,9 +67,6 @@ class Cluster {
   // Store generations on the wire. Monotonic per cluster so a worker can
   // tell a re-pushed partition from a new round's store.
   std::uint64_t NextStoreId() noexcept { return ++store_ids_; }
-
-  // Cumulative wire traffic since construction (null for loopback).
-  const net::TransportStats* WireStats() const noexcept;
 
   // Sends kShutdown to every live worker process (socket backend only;
   // no-op otherwise). The destructor calls this too, so an explicit call is

@@ -34,7 +34,7 @@ net::TransportStats Delta(const net::TransportStats& now,
   return d;
 }
 
-// Real backoff for the real backend; simulated backends only meter it.
+// Real backoff for the socket backend; simnet only meters it.
 // Capped so a test with an aggressive multiplier can't stall for seconds.
 void SleepBackoff(double backoff_us) {
   constexpr double kMaxSleepUs = 50'000.0;
@@ -69,38 +69,22 @@ void FetchPolicy::Validate(const std::string& who) const {
 }
 
 ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
-                                     std::uint32_t num_shards,
-                                     util::ThreadPool& pool,
-                                     const NetworkModel& network,
-                                     const FetchPolicy& policy)
+                                     Cluster& cluster)
     : num_nodes_(g.NumNodes()),
       source_(&g),
-      pool_(&pool),
-      network_(network),
-      policy_(policy) {
-  if (num_shards == 0) {
-    throw std::invalid_argument(
-        At(__LINE__) + "ShardedGraphStore: num_shards must be > 0");
-  }
-  policy_.Validate("ShardedGraphStore policy");
+      cluster_(&cluster),
+      store_id_(cluster.NextStoreId()),
+      policy_(cluster.Config().fetch) {
+  const auto num_shards = static_cast<std::uint32_t>(cluster.Pool().size());
   shards_.resize(num_shards);
   replica_.assign(num_shards, 0);
   // Shard loading is embarrassingly parallel across shards.
-  pool_->ParallelFor(num_shards,
-                     [&](std::size_t s) { BuildShard(static_cast<std::uint32_t>(s)); });
-}
-
-ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
-                                     Cluster& cluster,
-                                     const NetworkModel& network)
-    : ShardedGraphStore(g, static_cast<std::uint32_t>(cluster.Pool().size()),
-                        cluster.Pool(), network, cluster.Config().fetch) {
-  cluster_ = &cluster;
+  ForEachShard([&](std::uint32_t s) { BuildShard(s); });
   // Partitions of already-dead workers start life as failover replicas: the
-  // data was just rebuilt from lineage (the constructor above), which is
-  // exactly the degraded-mode path — but constructing a store for a dead
-  // worker without degraded mode is an operator error.
-  for (std::uint32_t s = 0; s < NumShards(); ++s) {
+  // data was just rebuilt from lineage, which is exactly the degraded-mode
+  // path — but constructing a store for a dead worker without degraded mode
+  // is an operator error.
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
     if (cluster.WorkerDead(s)) {
       if (!policy_.degraded_mode) {
         throw std::runtime_error(
@@ -111,16 +95,11 @@ ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
       ++failovers_;
     }
   }
-  if (cluster.Transport() != nullptr) {
-    transport_ = cluster.Transport();
-    transport_kind_ = cluster.TransportKind();
-    store_id_ = cluster.NextStoreId();
-    // Distribute the partitions: every live shard is pushed to its worker
-    // as a kBuildShard frame, in shard order on the master thread so the
-    // wire schedule is deterministic.
-    for (std::uint32_t s = 0; s < NumShards(); ++s) {
-      if (replica_[s] == 0) PublishShard(s);
-    }
+  // Distribute the partitions: every live shard is pushed to its worker as
+  // a kBuildShard frame, in shard order on the master thread so the wire
+  // schedule is deterministic.
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    if (replica_[s] == 0) PublishShard(s);
   }
 }
 
@@ -158,9 +137,59 @@ void ShardedGraphStore::FailoverShard(std::uint32_t s, IoStats& stats) const {
   ++stats.shard_failovers;
 }
 
-bool ShardedGraphStore::PublishShard(std::uint32_t s) {
+bool ShardedGraphStore::CallShard(
+    std::uint32_t s, net::Message& request, double timeout_us,
+    const char* fault_site, IoStats& stats,
+    const std::function<Reply(const net::Message&)>& take) const {
   util::Failpoints& fp = util::Failpoints::Instance();
-  const net::TransportStats before = transport_->Stats();
+  net::Transport& transport = cluster_->Transport();
+  const bool simulated =
+      cluster_->TransportKind() == net::TransportKind::kSimNet;
+  const net::TransportStats before = transport.Stats();
+  bool taken = false;
+  double backoff = policy_.backoff_us;
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    if (fp.ShouldFail("engine/worker_crash")) {
+      // The worker died; its in-memory partition is gone. Every store this
+      // cluster builds from now on sees the death.
+      cluster_->KillWorker(s);
+      break;
+    }
+    const bool injected = fault_site != nullptr && fp.ShouldFail(fault_site);
+    if (injected) {
+      // The master burns the attempt's timeout discovering the failure.
+      stats.simulated_network_us += timeout_us;
+    } else {
+      // Straggler-proof: a fresh id per attempt, so a response limping in
+      // after its attempt timed out is discarded by the transport, not us.
+      request.request_id = transport.NextRequestId();
+      net::Message resp;
+      double elapsed = 0.0;
+      const net::CallStatus st =
+          transport.Call(s, request, &resp, timeout_us, &elapsed);
+      if (simulated) stats.simulated_network_us += elapsed;
+      if (st == net::CallStatus::kPeerDead) {
+        cluster_->KillWorker(s);
+        break;
+      }
+      if (st == net::CallStatus::kOk) {
+        const Reply reply = take(resp);
+        taken = reply == Reply::kTaken;
+        if (reply != Reply::kRetry) break;
+      }
+    }
+    if (attempt >= policy_.max_attempts) break;
+    ++stats.fetch_retries;
+    stats.simulated_backoff_us += backoff;
+    if (!injected && !simulated) SleepBackoff(backoff);
+    backoff *= policy_.backoff_multiplier;
+  }
+  stats.wire.Accumulate(Delta(transport.Stats(), before));
+  if (!taken) FailoverShard(s, stats);
+  return taken;
+}
+
+void ShardedGraphStore::PublishShard(std::uint32_t s) {
   net::Message req;
   req.type = net::MsgType::kBuildShard;
   {
@@ -174,193 +203,72 @@ bool ShardedGraphStore::PublishShard(std::uint32_t s) {
     b.rows = shards_[s].nodes;
     wire::EncodeBuildShard(b, req.body);
   }
-
-  bool acked = false;
-  double backoff = policy_.backoff_us;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    if (fp.ShouldFail("engine/worker_crash")) {
-      if (cluster_ != nullptr) cluster_->KillWorker(s);
-      break;
-    }
-    // Straggler-proof: a fresh id per attempt, so an ack limping in after
-    // its attempt timed out is discarded by the transport, not us.
-    req.request_id = transport_->NextRequestId();
-    net::Message resp;
-    double elapsed = 0.0;
-    const net::CallStatus st = transport_->Call(
-        s, req, &resp, policy_.publish_timeout_us, &elapsed);
-    if (transport_kind_ == net::TransportKind::kSimNet) {
-      publish_io_.simulated_network_us += elapsed;
-    }
-    if (st == net::CallStatus::kOk &&
-        resp.type == net::MsgType::kBuildAck) {
-      try {
-        const wire::BuildAck ack = wire::DecodeBuildAck(resp.body);
-        if (ack.store_id == store_id_ && ack.shard == s &&
-            ack.row_count == shards_[s].nodes.size()) {
-          acked = true;
-          break;
-        }
-      } catch (const std::exception&) {
-        // Undecodable ack body: treat like any failed attempt.
-      }
-    }
-    if (st == net::CallStatus::kPeerDead) {
-      if (cluster_ != nullptr) cluster_->KillWorker(s);
-      break;
-    }
-    if (attempt >= policy_.max_attempts) break;
-    ++publish_io_.fetch_retries;
-    publish_io_.simulated_backoff_us += backoff;
-    if (transport_kind_ == net::TransportKind::kSocket) SleepBackoff(backoff);
-    backoff *= policy_.backoff_multiplier;
-  }
-  publish_io_.wire.Accumulate(Delta(transport_->Stats(), before));
-  if (acked) {
-    publish_io_.bytes_transferred += req.body.size();
-    return true;
-  }
-  // The push never landed: the shard serves master-locally from here on
-  // (or the whole construction aborts without degraded mode). Counted in
+  const std::size_t rows = shards_[s].nodes.size();
+  // A push that never lands fails over inside CallShard, counted in
   // publish_io_.shard_failovers, not Failovers(), so aggregating both never
   // double-counts.
-  FailoverShard(s, publish_io_);
-  return false;
+  const bool acked = CallShard(
+      s, req, policy_.publish_timeout_us, nullptr, publish_io_,
+      [&](const net::Message& resp) {
+        if (resp.type != net::MsgType::kBuildAck) return Reply::kRetry;
+        try {
+          const wire::BuildAck ack = wire::DecodeBuildAck(resp.body);
+          if (ack.store_id == store_id_ && ack.shard == s &&
+              ack.row_count == rows) {
+            return Reply::kTaken;
+          }
+        } catch (const std::exception&) {
+          // Undecodable ack body: treat like any failed attempt.
+        }
+        return Reply::kRetry;
+      });
+  if (acked) publish_io_.bytes_transferred += req.body.size();
 }
 
-void ShardedGraphStore::ResolveShardFetch(std::uint32_t s,
-                                          IoStats& stats) const {
-  util::Failpoints& fp = util::Failpoints::Instance();
-  double backoff = policy_.backoff_us;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    if (fp.ShouldFail("engine/worker_crash")) {
-      // The worker died; its in-memory partition is gone. Every store this
-      // cluster builds from now on sees the death.
-      if (cluster_ != nullptr) cluster_->KillWorker(s);
-      shards_[s].nodes.clear();
-      FailoverShard(s, stats);
-      return;
-    }
-    if (!fp.ShouldFail("engine/fetch_shard")) return;  // attempt succeeded
-    // The master burns the attempt's timeout discovering the failure.
-    stats.simulated_network_us += policy_.attempt_timeout_us;
-    if (attempt >= policy_.max_attempts) {
-      shards_[s].nodes.clear();
-      FailoverShard(s, stats);
-      return;
-    }
-    ++stats.fetch_retries;
-    stats.simulated_backoff_us += backoff;
-    backoff *= policy_.backoff_multiplier;
-  }
-}
-
-void ShardedGraphStore::ServeLocally(
-    std::uint32_t s, std::span<const graph::NodeId> nodes,
-    const std::vector<std::size_t>& positions,
-    std::vector<NodeAdjacency>& out) const {
-  for (std::size_t i : positions) {
-    out[i] = shards_[s].nodes[nodes[i] / NumShards()];
-  }
-}
-
-void ShardedGraphStore::ResolveWireFetch(
+bool ShardedGraphStore::FetchFromWorker(
     std::uint32_t s, std::span<const graph::NodeId> nodes,
     const std::vector<std::size_t>& positions, std::vector<NodeAdjacency>& out,
     IoStats& stats) const {
-  util::Failpoints& fp = util::Failpoints::Instance();
   std::vector<graph::NodeId> ids;
   ids.reserve(positions.size());
   for (std::size_t i : positions) ids.push_back(nodes[i]);
-
-  const net::TransportStats before = transport_->Stats();
-  bool served = false;
-  double backoff = policy_.backoff_us;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    // The legacy failpoint sites fire on wire backends too, so the same
-    // crash/flaky scenarios drive every backend.
-    if (fp.ShouldFail("engine/worker_crash")) {
-      if (cluster_ != nullptr) cluster_->KillWorker(s);
-      shards_[s].nodes.clear();
-      FailoverShard(s, stats);
-      break;
-    }
-    bool injected = false;
-    bool failed = false;
-    if (fp.ShouldFail("engine/fetch_shard")) {
-      injected = true;
-      failed = true;
-      stats.simulated_network_us += policy_.attempt_timeout_us;
-    } else {
-      net::Message req;
-      req.type = net::MsgType::kFetchRequest;
-      req.request_id = transport_->NextRequestId();
-      wire::EncodeFetchRequest(store_id_, ids, req.body);
-      net::Message resp;
-      double elapsed = 0.0;
-      const net::CallStatus st = transport_->Call(
-          s, req, &resp, policy_.attempt_timeout_us, &elapsed);
-      if (transport_kind_ == net::TransportKind::kSimNet) {
-        stats.simulated_network_us += elapsed;
-      }
-      if (st == net::CallStatus::kOk &&
-          resp.type == net::MsgType::kFetchResponse) {
-        try {
-          wire::FetchResponse fr = wire::DecodeFetchResponse(resp.body);
-          if (fr.store_id == store_id_ && fr.rows.size() == ids.size()) {
-            std::uint64_t bytes = 0;
+  net::Message req;
+  req.type = net::MsgType::kFetchRequest;
+  wire::EncodeFetchRequest(store_id_, ids, req.body);
+  return CallShard(
+      s, req, policy_.attempt_timeout_us, "engine/fetch_shard", stats,
+      [&](const net::Message& resp) {
+        if (resp.type == net::MsgType::kFetchResponse) {
+          try {
+            wire::FetchResponse fr = wire::DecodeFetchResponse(resp.body);
+            // A stale generation or truncated row set is retried.
+            if (fr.store_id != store_id_ || fr.rows.size() != ids.size()) {
+              return Reply::kRetry;
+            }
             for (std::size_t k = 0; k < positions.size(); ++k) {
-              bytes += fr.rows[k].WireBytes();
+              stats.bytes_transferred += fr.rows[k].WireBytes();
               out[positions[k]] = std::move(fr.rows[k]);
             }
             ++stats.fetch_requests;
-            stats.bytes_transferred += bytes;
-            served = true;
-            break;
+            return Reply::kTaken;
+          } catch (const std::exception&) {
+            return Reply::kRetry;  // passed CRC but didn't decode
           }
-          failed = true;  // stale generation or truncated row set
-        } catch (const std::exception&) {
-          failed = true;  // body passed CRC but didn't decode: retry
         }
-      } else if (st == net::CallStatus::kOk &&
-                 resp.type == net::MsgType::kError) {
-        bool lost_partition = false;
-        try {
-          lost_partition = wire::DecodeError(resp.body).first ==
-                           wire::ErrorCode::kUnknownStore;
-        } catch (const std::exception&) {
+        if (resp.type == net::MsgType::kError) {
+          try {
+            // The worker process restarted and lost this store's partition
+            // — for this store that's a crash, even though the peer is
+            // alive.
+            if (wire::DecodeError(resp.body).first ==
+                wire::ErrorCode::kUnknownStore) {
+              return Reply::kLost;
+            }
+          } catch (const std::exception&) {
+          }
         }
-        if (lost_partition) {
-          // The worker process restarted and lost this store's partition —
-          // for this store that's a crash, even though the peer is alive.
-          FailoverShard(s, stats);
-          break;
-        }
-        failed = true;
-      } else if (st == net::CallStatus::kPeerDead) {
-        if (cluster_ != nullptr) cluster_->KillWorker(s);
-        FailoverShard(s, stats);
-        break;
-      } else {
-        failed = true;  // kTimeout, kError, or an unexpected response type
-      }
-    }
-    if (!failed) break;
-    if (attempt >= policy_.max_attempts) {
-      FailoverShard(s, stats);
-      break;
-    }
-    ++stats.fetch_retries;
-    stats.simulated_backoff_us += backoff;
-    if (!injected && transport_kind_ == net::TransportKind::kSocket) {
-      SleepBackoff(backoff);
-    }
-    backoff *= policy_.backoff_multiplier;
-  }
-  stats.wire.Accumulate(Delta(transport_->Stats(), before));
-  // Anything not answered over the wire is served from the (possibly just
-  // rebuilt) local replica — bit-identical data, by lineage determinism.
-  if (!served) ServeLocally(s, nodes, positions, out);
+        return Reply::kRetry;
+      });
 }
 
 std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
@@ -374,66 +282,29 @@ std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
     by_shard[ShardOf(nodes[i])].push_back(i);
   }
 
-  if (transport_ != nullptr) {
-    // Wire path: one kFetchRequest frame per touched shard, issued on the
-    // master thread in increasing shard order — the same deterministic
-    // order the loopback path resolves faults in, which is why the pool
-    // size cannot perturb the wire schedule.
-    std::vector<NodeAdjacency> out(nodes.size());
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      if (by_shard[s].empty()) continue;
-      if (replica_[s] != 0) {
-        ServeLocally(s, nodes, by_shard[s], out);
-      } else {
-        ResolveWireFetch(s, nodes, by_shard[s], out, stats);
-      }
-    }
-    stats.nodes_fetched += nodes.size();
-    return out;
-  }
-
-  // Phase 1 (master thread, increasing shard order — deterministic fault
-  // injection): settle each touched shard's fate. A shard that returns from
-  // here is reachable, possibly via a freshly rebuilt replica.
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (!by_shard[s].empty()) ResolveShardFetch(s, stats);
-  }
-
-  // Phase 2: the surviving per-shard lookups fly in parallel on the pool.
+  // One kFetchRequest frame per touched shard, issued on the master thread
+  // in increasing shard order — deterministic fault injection, and the
+  // reason the pool size cannot perturb the wire schedule. Anything not
+  // answered over the wire is served from the (possibly just rebuilt)
+  // local replica — bit-identical data, by lineage determinism.
   std::vector<NodeAdjacency> out(nodes.size());
-  std::vector<std::future<std::uint64_t>> futs;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     if (by_shard[s].empty()) continue;
-    futs.push_back(pool_->Submit([this, s, &by_shard, &nodes, &out]() {
-      std::uint64_t bytes = 0;
-      for (std::size_t i : by_shard[s]) {
-        out[i] = shards_[s].nodes[nodes[i] / NumShards()];
-        bytes += out[i].WireBytes();
-      }
-      return bytes;
-    }));
+    if (replica_[s] == 0 &&
+        FetchFromWorker(s, nodes, by_shard[s], out, stats)) {
+      continue;
+    }
+    for (std::size_t i : by_shard[s]) {
+      out[i] = shards_[s].nodes[nodes[i] / num_shards];
+    }
   }
-  std::uint64_t batch_bytes = 0;
-  std::uint64_t batch_rpcs = 0;
-  for (auto& f : futs) {
-    batch_bytes += f.get();
-    ++batch_rpcs;
-  }
-  stats.bytes_transferred += batch_bytes;
-  stats.fetch_requests += batch_rpcs;
   stats.nodes_fetched += nodes.size();
-  // Shard RPCs of one batch fly in parallel: the batch pays one latency
-  // plus the full payload over the shared master link.
-  if (batch_rpcs > 0) {
-    stats.simulated_network_us +=
-        network_.MicrosFor(1, batch_bytes);
-  }
   return out;
 }
 
 void ShardedGraphStore::ForEachShard(
     const std::function<void(std::uint32_t)>& fn) const {
-  pool_->ParallelFor(NumShards(),
+  cluster_->Pool().ParallelFor(NumShards(),
                      [&](std::size_t s) { fn(static_cast<std::uint32_t>(s)); });
 }
 

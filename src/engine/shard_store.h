@@ -3,39 +3,32 @@
 // The Rejecto prototype keeps the (huge) social graph distributed across
 // Spark workers as RDD partitions while the master holds only per-node
 // algorithm state. This substrate reproduces that data layout: the
-// augmented graph's adjacency is hash-sharded across `num_shards` workers
-// and the master pulls per-node adjacency through FetchBatch. Where the
-// shard data lives and what carries the request depends on the cluster's
-// transport backend (net/transport.h):
+// augmented graph's adjacency is hash-sharded across the cluster's workers,
+// construction pushes each partition to its worker as RJNET001 kBuildShard
+// frames, and the master pulls per-node adjacency through FetchBatch as
+// kFetchRequest frames. What carries the frames is the cluster's transport
+// (net/transport.h): net::SimNetwork with in-process engine::ShardWorkers
+// (the default; zero-fault links are the simulated-cluster cost model), or
+// net::SocketTransport to real worker processes.
 //
-//   loopback  (default) in-process arrays; the per-shard lookups execute
-//             on the worker pool and are metered as simulated network I/O
-//             via NetworkModel — the original simulated-cluster path.
-//   simnet    the store pushes each partition to a per-worker
-//             engine::ShardWorker through RJNET001 kBuildShard frames over
-//             net::SimNetwork, and FetchBatch issues kFetchRequest frames
-//             over the same deterministic faulty links.
-//   socket    identical protocol, but the ShardWorkers are real processes
-//             behind net::SocketTransport.
-//
-// Failure tolerance (docs/ROBUSTNESS.md): FetchBatch consults two failpoint
-// sites before touching a shard — "engine/fetch_shard" (a transient fetch
-// failure/timeout; the master retries with exponential backoff up to
-// FetchPolicy::max_attempts) and "engine/worker_crash" (the worker dies and
-// its partition is lost). On the wire backends the same retry loop also
-// absorbs *transport* faults: timeouts from dropped/partitioned links,
-// CRC-rejected corrupt frames, and dead peers. When retries are exhausted
-// or a worker crashes, degraded mode fails the shard over: its partition is
-// rebuilt from the source graph — the lineage recompute of the prototype's
-// RDDs — and served master-locally, so detection continues bit-identical to
-// a failure-free run. With degraded mode off the same condition throws.
+// Failure tolerance (docs/ROBUSTNESS.md): every shard RPC — partition push
+// or fetch — runs one retry loop. Each attempt consults the
+// "engine/worker_crash" failpoint (the worker dies and its partition is
+// lost); fetches also consult "engine/fetch_shard" (a transient failure
+// that burns the attempt's timeout). The same loop absorbs transport
+// faults: timeouts from dropped/partitioned links, CRC-rejected corrupt
+// frames, and dead peers, retrying with exponential backoff up to
+// FetchPolicy::max_attempts. When retries are exhausted or a worker
+// crashes, degraded mode fails the shard over: its partition is rebuilt
+// from the source graph — the lineage recompute of the prototype's RDDs —
+// and served master-locally, so detection continues bit-identical to a
+// failure-free run. With degraded mode off the same condition throws.
 // Failure resolution runs on the master thread in increasing shard order,
 // so injected faults are deterministic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,7 +36,6 @@
 #include "graph/augmented_graph.h"
 #include "graph/types.h"
 #include "net/transport.h"
-#include "util/thread_pool.h"
 
 namespace rejecto::engine {
 
@@ -59,25 +51,10 @@ struct NodeAdjacency {
   }
 };
 
-// Master<->worker link model for simulated network time: every batched
-// RPC pays a fixed round-trip latency plus its payload over the link
-// bandwidth. Defaults approximate a 10 GbE datacenter link. (The simnet
-// backend meters with its own per-link delay matrix instead; the socket
-// backend pays real time.)
-struct NetworkModel {
-  double rpc_latency_us = 150.0;
-  double bandwidth_gbps = 10.0;
-
-  double MicrosFor(std::uint64_t rpcs, std::uint64_t bytes) const noexcept {
-    return static_cast<double>(rpcs) * rpc_latency_us +
-           static_cast<double>(bytes) * 8.0 / (bandwidth_gbps * 1e3);
-  }
-};
-
 // Master-side retry/failover policy for shard RPCs. Lives on ClusterConfig
 // (the deployment's knobs) and is copied into every store the cluster
-// builds. On wire backends attempt_timeout_us doubles as the per-request
-// transport deadline and publish_timeout_us bounds a shard partition push.
+// builds. attempt_timeout_us is the per-request transport deadline of a
+// fetch and publish_timeout_us bounds a shard partition push.
 struct FetchPolicy {
   std::uint32_t max_attempts = 3;        // tries per shard RPC before failover
   double backoff_us = 1000.0;            // wait before retry #1
@@ -103,11 +80,10 @@ struct IoStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t fetch_retries = 0;   // shard RPC attempts repeated
   std::uint64_t shard_failovers = 0; // partitions rebuilt from lineage
-  double simulated_network_us = 0.0;  // NetworkModel / simnet virtual time
+  double simulated_network_us = 0.0;  // simnet virtual time
   double simulated_backoff_us = 0.0;  // retry backoff waits (simulated)
-  // Wire-level counters (frames, bytes on the wire, timeouts, reconnects,
-  // corrupt/dropped frames) — all zero on the loopback backend, which
-  // never encodes a frame.
+  // Wire-level counters: frames, bytes on the wire, timeouts, reconnects,
+  // corrupt/dropped frames.
   net::TransportStats wire;
 
   double HitRate() const noexcept {
@@ -136,26 +112,17 @@ class Cluster;
 
 class ShardedGraphStore {
  public:
-  // Shards g's adjacency round-robin (node id mod num_shards). The pool
-  // models the cluster's workers; it must outlive the store. `g` must also
-  // outlive the store — it is the lineage source for shard failover. This
-  // form always uses the loopback path (no transport).
-  ShardedGraphStore(const graph::AugmentedGraph& g, std::uint32_t num_shards,
-                    util::ThreadPool& pool,
-                    const NetworkModel& network = {},
-                    const FetchPolicy& policy = {});
-
-  // Cluster-aware form: one shard per worker, FetchPolicy from the cluster
-  // config, and worker-death tracking shared with `cluster` — a shard whose
-  // worker is already dead is built as a failover replica up front (counted
-  // in Failovers()), and a crash injected mid-sweep marks the worker dead
-  // for every later store the cluster builds. When the cluster runs a wire
-  // transport (simnet/socket), construction also *publishes* every live
-  // shard's partition to its worker as kBuildShard frames; a push that
-  // cannot be delivered within the fetch policy fails the shard over at
-  // build time (degraded mode) or throws.
-  ShardedGraphStore(const graph::AugmentedGraph& g, Cluster& cluster,
-                    const NetworkModel& network = {});
+  // Shards g's adjacency round-robin (node id mod num_workers), one shard
+  // per worker of `cluster`, under the cluster's FetchPolicy. Worker-death
+  // tracking is shared with `cluster`: a shard whose worker is already dead
+  // is built as a failover replica up front (counted in Failovers()), and a
+  // crash injected mid-sweep marks the worker dead for every later store
+  // the cluster builds. Construction publishes every live shard's partition
+  // to its worker as kBuildShard frames; a push that cannot be delivered
+  // within the fetch policy fails the shard over at build time (degraded
+  // mode) or throws. `cluster` and `g` must outlive the store — `g` is the
+  // lineage source for shard failover.
+  ShardedGraphStore(const graph::AugmentedGraph& g, Cluster& cluster);
 
   ~ShardedGraphStore();
 
@@ -169,18 +136,17 @@ class ShardedGraphStore {
   }
 
   // Pulls the adjacency of each requested node, grouping the request by
-  // shard. Loopback: the per-shard lookups execute on the worker pool and
-  // `stats` is charged one fetch_request per shard touched plus the
-  // payload bytes. Wire backends: one kFetchRequest frame per shard
-  // touched, retried/failed-over per FetchPolicy, with wire counters
-  // accumulated into stats.wire. Master-thread only.
+  // shard: one kFetchRequest frame per live shard touched, retried/failed
+  // over per FetchPolicy. `stats` is charged one fetch_request and the
+  // payload bytes per answered frame, with wire counters in stats.wire.
+  // Master-thread only.
   std::vector<NodeAdjacency> FetchBatch(std::span<const graph::NodeId> nodes,
                                         IoStats& stats) const;
 
   // Runs fn(shard_index) for every shard on the worker pool and waits —
-  // the analogue of a Spark transformation over all partitions. (On wire
-  // backends this worker-local compute still executes in-process; only the
-  // fetch/update RPC boundary crosses the transport. See DESIGN.md.)
+  // the analogue of a Spark transformation over all partitions. (This
+  // worker-local compute executes in-process; only the fetch/update RPC
+  // boundary crosses the transport. See DESIGN.md.)
   void ForEachShard(const std::function<void(std::uint32_t)>& fn) const;
 
   // Worker-local access to a node's adjacency — no simulated network I/O.
@@ -199,11 +165,10 @@ class ShardedGraphStore {
   // True if shard s currently serves from a rebuilt replica.
   bool IsReplica(std::uint32_t s) const { return replica_[s] != 0; }
 
-  // Wire traffic of the construction-time shard publish (zero for
-  // loopback stores).
+  // Wire traffic of the construction-time shard publish.
   const IoStats& PublishIo() const noexcept { return publish_io_; }
 
-  // Store generation on the wire (0 for loopback stores).
+  // Store generation on the wire.
   std::uint64_t StoreId() const noexcept { return store_id_; }
 
  private:
@@ -212,29 +177,36 @@ class ShardedGraphStore {
     std::vector<NodeAdjacency> nodes;
   };
 
+  // How a shard RPC's caller reads one intact response.
+  enum class Reply : std::uint8_t {
+    kTaken,  // the answer: stop
+    kRetry,  // unusable (stale, truncated, undecodable): try again
+    kLost,   // the worker lost the partition: fail over now
+  };
+
   // Rebuilds shard s's partition from the source graph (deterministic, so
   // a replica is bit-identical to the partition it replaces).
   void BuildShard(std::uint32_t s) const;
   // Degraded-mode failover of an unreachable shard; throws when degraded
   // mode is off.
   void FailoverShard(std::uint32_t s, IoStats& stats) const;
-  // Loopback phase 1: decide a shard RPC's fate on the master thread —
-  // success, retries with backoff, or crash/exhaustion failover.
-  void ResolveShardFetch(std::uint32_t s, IoStats& stats) const;
-  // Wire-path per-shard fetch: the full retry/backoff/failover loop around
-  // transport Calls; fills `out` at `positions` either from the response
-  // or from the local replica after failover.
-  void ResolveWireFetch(std::uint32_t s,
-                        std::span<const graph::NodeId> nodes,
-                        const std::vector<std::size_t>& positions,
-                        std::vector<NodeAdjacency>& out,
-                        IoStats& stats) const;
-  void ServeLocally(std::uint32_t s, std::span<const graph::NodeId> nodes,
-                    const std::vector<std::size_t>& positions,
-                    std::vector<NodeAdjacency>& out) const;
-  // Pushes shard s to its worker (wire backends); returns false when the
-  // shard had to fail over (or throws without degraded mode).
-  bool PublishShard(std::uint32_t s);
+  // The one retry/backoff/failover loop around transport Calls, shared by
+  // partition pushes and fetches. Per attempt it evaluates
+  // "engine/worker_crash", then `fault_site` if non-null, then sends
+  // `request` under a fresh request id; `take` judges each response.
+  // Meters time, retries and wire counters into `stats`. Returns true when
+  // `take` accepted a response, false after failing the shard over.
+  bool CallShard(std::uint32_t s, net::Message& request, double timeout_us,
+                 const char* fault_site, IoStats& stats,
+                 const std::function<Reply(const net::Message&)>& take) const;
+  // Fetches `positions` of `nodes` from shard s's worker into `out`;
+  // returns false when the shard failed over instead.
+  bool FetchFromWorker(std::uint32_t s, std::span<const graph::NodeId> nodes,
+                       const std::vector<std::size_t>& positions,
+                       std::vector<NodeAdjacency>& out, IoStats& stats) const;
+  // Pushes shard s to its worker; on failure the shard fails over (or the
+  // constructor throws without degraded mode).
+  void PublishShard(std::uint32_t s);
 
   graph::NodeId num_nodes_ = 0;
   const graph::AugmentedGraph* source_;  // lineage for failover rebuilds
@@ -243,13 +215,9 @@ class ShardedGraphStore {
   mutable std::vector<Shard> shards_;
   mutable std::vector<char> replica_;
   mutable std::uint64_t failovers_ = 0;
-  util::ThreadPool* pool_;
-  Cluster* cluster_ = nullptr;  // worker-death tracking; may be null
-  net::Transport* transport_ = nullptr;  // null = loopback
-  net::TransportKind transport_kind_ = net::TransportKind::kLoopback;
+  Cluster* cluster_;  // worker pool, transport, worker-death tracking
   std::uint64_t store_id_ = 0;
   IoStats publish_io_;
-  NetworkModel network_;
   FetchPolicy policy_;
 };
 

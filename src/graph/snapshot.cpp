@@ -104,7 +104,8 @@ util::AlignedVector<std::size_t> ReadOffsets(const unsigned char* p,
   util::AlignedVector<std::size_t> off(count);
   if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t) &&
                 std::endian::native == std::endian::little) {
-    std::memcpy(off.data(), p, count * sizeof(std::uint64_t));
+    // An empty vector's data() may be null, which memcpy must never see.
+    if (count != 0) std::memcpy(off.data(), p, count * sizeof(std::uint64_t));
   } else {
     for (std::size_t i = 0; i < count; ++i) {
       off[i] = static_cast<std::size_t>(snapfmt::GetU64Le(p + i * 8));
@@ -117,7 +118,7 @@ util::AlignedVector<NodeId> ReadNodeIds(const unsigned char* p,
                                         std::size_t count) {
   util::AlignedVector<NodeId> ids(count);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(ids.data(), p, count * sizeof(NodeId));
+    if (count != 0) std::memcpy(ids.data(), p, count * sizeof(NodeId));
   } else {
     for (std::size_t i = 0; i < count; ++i) {
       ids[i] = snapfmt::GetU32Le(p + i * 4);

@@ -12,10 +12,11 @@
 //
 // Time is virtual. A Call advances the master's virtual clock to the
 // moment the first intact matching response lands (or to the deadline on
-// timeout); elapsed virtual time feeds engine::IoStats the same way the
-// loopback backend's NetworkModel metering does. All Calls run on the
-// master thread, so the simulation needs no locks and the fault schedule
-// cannot race.
+// timeout); elapsed virtual time feeds engine::IoStats::simulated_network_us.
+// On a clean link a Call costs 2 x delay_us plus both frames' bytes over
+// bandwidth_gbps — the distributed engine's only network-cost model. All
+// Calls run on the master thread, so the simulation needs no locks and the
+// fault schedule cannot race.
 //
 // Failpoint sites (util/failpoint.h), evaluated on top of the fault
 // matrix: "net/send_frame" (outbound frame lost), "net/recv_frame"

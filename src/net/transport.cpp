@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/flags.h"
-
 namespace rejecto::net {
 
 const char* CallStatusName(CallStatus status) noexcept {
@@ -21,7 +19,6 @@ void Transport::SetHandler(std::uint32_t /*peer*/, Handler /*handler*/) {}
 
 const char* TransportKindName(TransportKind kind) noexcept {
   switch (kind) {
-    case TransportKind::kLoopback: return "loopback";
     case TransportKind::kSimNet: return "simnet";
     case TransportKind::kSocket: return "socket";
   }
@@ -29,18 +26,11 @@ const char* TransportKindName(TransportKind kind) noexcept {
 }
 
 TransportKind ParseTransportKind(std::string_view text) {
-  if (text == "loopback") return TransportKind::kLoopback;
   if (text == "simnet") return TransportKind::kSimNet;
   if (text == "socket") return TransportKind::kSocket;
   throw std::invalid_argument(
       "unknown transport '" + std::string(text) +
-      "' (expected loopback, simnet, or socket)");
-}
-
-TransportKind TransportKindFromEnv() {
-  const auto value = util::GetEnvString("REJECTO_TRANSPORT");
-  if (!value || value->empty()) return TransportKind::kLoopback;
-  return ParseTransportKind(*value);
+      "' (expected one of: simnet, socket)");
 }
 
 }  // namespace rejecto::net

@@ -2,16 +2,14 @@
 //
 // The engine (ShardedGraphStore, Cluster, the dist detectors) speaks one
 // request/response interface; what actually carries the RJNET001 frames is
-// a backend chosen per deployment (ClusterConfig::transport, or the
-// REJECTO_TRANSPORT env knob):
+// a backend chosen per deployment (ClusterConfig::transport):
 //
-//   loopback  the legacy in-process path — no frames, adjacency is read
-//             directly from the shard arrays and metered by NetworkModel.
-//             Not a Transport instance; Cluster::transport() is null.
-//   simnet    net::SimNetwork — frames are byte-encoded and pushed through
-//             a deterministic simulated network with per-link seeded
-//             delay/drop/duplicate/corrupt/reorder/partition faults, so
-//             every fault schedule is replayable byte-for-byte.
+//   simnet    net::SimNetwork (the default) — frames are byte-encoded and
+//             pushed through a deterministic simulated network whose
+//             per-link delay and bandwidth are the cluster's network-cost
+//             model; seeded drop/duplicate/corrupt/reorder/partition
+//             faults are opt-in, and every fault schedule is replayable
+//             byte-for-byte.
 //   socket    net::SocketTransport — real localhost TCP or UNIX-domain
 //             connections to worker *processes* (net::FrameServer +
 //             engine::ShardWorker at the far end).
@@ -111,15 +109,12 @@ class Transport {
   std::uint64_t last_request_id_ = 0;
 };
 
-enum class TransportKind : std::uint8_t { kLoopback, kSimNet, kSocket };
+enum class TransportKind : std::uint8_t { kSimNet, kSocket };
 
 const char* TransportKindName(TransportKind kind) noexcept;
 
-// Parses "loopback" / "simnet" / "socket"; throws std::invalid_argument on
-// anything else, naming the offending value.
+// Parses "simnet" / "socket"; throws std::invalid_argument on anything
+// else, naming the offending value and the accepted ones.
 TransportKind ParseTransportKind(std::string_view text);
-
-// REJECTO_TRANSPORT, defaulting to loopback.
-TransportKind TransportKindFromEnv();
 
 }  // namespace rejecto::net

@@ -55,12 +55,12 @@ void ExpectAdjacencyMatchesGraph(const ShardedGraphStore& store,
 TEST(FetchFaultTest, TransientFailureRetriesWithBackoff) {
   util::Rng rng(21);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
   const FetchPolicy policy{.max_attempts = 3,
                            .backoff_us = 100.0,
                            .backoff_multiplier = 2.0,
                            .attempt_timeout_us = 500.0};
-  const ShardedGraphStore store(g, 2, pool, {}, policy);
+  Cluster cluster({.num_workers = 2, .fetch = policy});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[2] = {0, 2};  // both shard 0 -> one shard RPC
   // First evaluation fails, the retry succeeds.
@@ -78,12 +78,12 @@ TEST(FetchFaultTest, TransientFailureRetriesWithBackoff) {
 TEST(FetchFaultTest, BackoffGrowsExponentially) {
   util::Rng rng(22);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
   const FetchPolicy policy{.max_attempts = 4,
                            .backoff_us = 100.0,
                            .backoff_multiplier = 2.0,
                            .attempt_timeout_us = 0.0};
-  const ShardedGraphStore store(g, 2, pool, {}, policy);
+  Cluster cluster({.num_workers = 2, .fetch = policy});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[1] = {0};
   // every:1 fails all 4 attempts -> failover (degraded mode default on).
@@ -104,9 +104,9 @@ TEST(FetchFaultTest, BackoffGrowsExponentially) {
 TEST(FetchFaultTest, ExhaustionWithoutDegradedModeThrows) {
   util::Rng rng(23);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
   const FetchPolicy policy{.max_attempts = 2, .degraded_mode = false};
-  const ShardedGraphStore store(g, 2, pool, {}, policy);
+  Cluster cluster({.num_workers = 2, .fetch = policy});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[1] = {0};
   util::ScopedFailpoint down("engine/fetch_shard",

@@ -41,18 +41,11 @@ TEST(ClusterTest, InvalidPrefetchConfigThrows) {
 
 // ---------- ShardedGraphStore ----------
 
-TEST(ShardStoreTest, ZeroShardsThrow) {
-  util::Rng rng(1);
-  const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  EXPECT_THROW(ShardedGraphStore(g, 0, pool), std::invalid_argument);
-}
-
 TEST(ShardStoreTest, LocalMatchesGraph) {
   util::Rng rng(2);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 4, pool);
+  Cluster cluster({.num_workers = 4});
+  const ShardedGraphStore store(g, cluster);
   for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
     const NodeAdjacency& a = store.Local(v);
     const auto fr = g.Friendships().Neighbors(v);
@@ -66,8 +59,8 @@ TEST(ShardStoreTest, LocalMatchesGraph) {
 TEST(ShardStoreTest, FetchBatchReturnsRequestedOrder) {
   util::Rng rng(3);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 3, pool);
+  Cluster cluster({.num_workers = 3});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[4] = {7, 1, 12, 5};
   const auto batch = store.FetchBatch(ids, stats);
@@ -81,8 +74,8 @@ TEST(ShardStoreTest, FetchBatchReturnsRequestedOrder) {
 TEST(ShardStoreTest, FetchAccountingChargesPerShardTouched) {
   util::Rng rng(4);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 4, pool);
+  Cluster cluster({.num_workers = 4});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   // Nodes 0 and 4 share shard 0; node 1 is shard 1 -> 2 RPCs.
   const graph::NodeId ids[3] = {0, 4, 1};
@@ -92,34 +85,36 @@ TEST(ShardStoreTest, FetchAccountingChargesPerShardTouched) {
   EXPECT_GT(stats.bytes_transferred, 0u);
 }
 
-TEST(NetworkModelTest, MicrosFormula) {
-  const NetworkModel m{.rpc_latency_us = 100.0, .bandwidth_gbps = 1.0};
-  // 2 RPCs + 1e6 bytes: 200us latency + 8e6 bits / 1e3 bits-per-us = 8000us.
-  EXPECT_NEAR(m.MicrosFor(2, 1'000'000), 200.0 + 8000.0, 1e-9);
-}
-
 TEST(ShardStoreTest, SimulatedNetworkTimeAccrues) {
   util::Rng rng(14);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const NetworkModel slow{.rpc_latency_us = 1000.0, .bandwidth_gbps = 0.001};
-  const ShardedGraphStore store(g, 2, pool, slow);
+  constexpr double kDelayUs = 1000.0;
+  constexpr double kGbps = 0.01;
+  ClusterConfig cfg{.num_workers = 1};
+  cfg.sim.default_link.delay_us = kDelayUs;
+  cfg.sim.bandwidth_gbps = kGbps;
+  Cluster cluster(cfg);
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[2] = {0, 1};
   store.FetchBatch(ids, stats);
-  // One batch = one latency charge plus payload time.
+  // One clean round trip: a one-way delay each way plus both frames' bytes
+  // over the link.
   const double expected =
-      slow.MicrosFor(1, stats.bytes_transferred);
-  EXPECT_NEAR(stats.simulated_network_us, expected, 1e-9);
+      2 * kDelayUs +
+      static_cast<double>(stats.wire.bytes_sent + stats.wire.bytes_received) *
+          8.0 / (kGbps * 1e3);
+  EXPECT_EQ(stats.wire.frames_sent, 1u);
+  EXPECT_NEAR(stats.simulated_network_us, expected, 1e-6);
   store.FetchBatch(ids, stats);
-  EXPECT_NEAR(stats.simulated_network_us, 2 * expected, 1e-9);
+  EXPECT_NEAR(stats.simulated_network_us, 2 * expected, 1e-6);
 }
 
 TEST(ShardStoreTest, FetchOutOfRangeThrows) {
   util::Rng rng(5);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   IoStats stats;
   const graph::NodeId ids[1] = {static_cast<graph::NodeId>(g.NumNodes())};
   EXPECT_THROW(store.FetchBatch(ids, stats), std::out_of_range);
@@ -130,8 +125,8 @@ TEST(ShardStoreTest, FetchOutOfRangeThrows) {
 TEST(PrefetchTest, MissThenHit) {
   util::Rng rng(6);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   PrefetchBuffer buf(store, 16, 1);
   buf.Get(3);
   EXPECT_EQ(buf.Stats().cache_misses, 1u);
@@ -142,8 +137,8 @@ TEST(PrefetchTest, MissThenHit) {
 TEST(PrefetchTest, CandidatesArePrefetched) {
   util::Rng rng(7);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   PrefetchBuffer buf(store, 16, 4);
   buf.Get(0, [](std::size_t want, std::vector<graph::NodeId>& out) {
     for (graph::NodeId v = 1; out.size() < want + 1 && v < 10; ++v) {
@@ -161,8 +156,8 @@ TEST(PrefetchTest, CandidatesArePrefetched) {
 TEST(PrefetchTest, LruEvictsOldest) {
   util::Rng rng(8);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   PrefetchBuffer buf(store, 2, 1);  // capacity 2
   buf.Get(0);
   buf.Get(1);
@@ -177,8 +172,8 @@ TEST(PrefetchTest, LruEvictsOldest) {
 TEST(PrefetchTest, DuplicateCandidatesDeduped) {
   util::Rng rng(9);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   PrefetchBuffer buf(store, 16, 4);
   buf.Get(0, [](std::size_t, std::vector<graph::NodeId>& out) {
     out.push_back(0);  // the missed node itself
@@ -191,8 +186,8 @@ TEST(PrefetchTest, DuplicateCandidatesDeduped) {
 TEST(PrefetchTest, InvalidConfigThrows) {
   util::Rng rng(10);
   const auto g = SmallAugmented(rng);
-  util::ThreadPool pool(2);
-  const ShardedGraphStore store(g, 2, pool);
+  Cluster cluster({.num_workers = 2});
+  const ShardedGraphStore store(g, cluster);
   EXPECT_THROW(PrefetchBuffer(store, 0, 1), std::invalid_argument);
   EXPECT_THROW(PrefetchBuffer(store, 4, 8), std::invalid_argument);
 }
@@ -219,7 +214,7 @@ TEST_P(DistKlEquivalenceTest, BitIdenticalToSerialKl) {
 
   Cluster cluster(
       {.num_workers = shards, .prefetch_batch = 8, .buffer_capacity = 64});
-  const ShardedGraphStore store(g, shards, cluster.Pool());
+  const ShardedGraphStore store(g, cluster);
   const auto dist = DistributedKl(store, init, locked, cfg, cluster);
 
   EXPECT_EQ(dist.kl.in_u, serial.in_u);
@@ -249,12 +244,12 @@ TEST(DistKlTest, PrefetchingReducesFetchRequests) {
 
   Cluster no_prefetch(
       {.num_workers = 2, .prefetch_batch = 1, .buffer_capacity = 256});
-  const ShardedGraphStore store1(g, 2, no_prefetch.Pool());
+  const ShardedGraphStore store1(g, no_prefetch);
   const auto a = DistributedKl(store1, init, {}, cfg, no_prefetch);
 
   Cluster with_prefetch(
       {.num_workers = 2, .prefetch_batch = 32, .buffer_capacity = 256});
-  const ShardedGraphStore store2(g, 2, with_prefetch.Pool());
+  const ShardedGraphStore store2(g, with_prefetch);
   const auto b = DistributedKl(store2, init, {}, cfg, with_prefetch);
 
   EXPECT_EQ(a.kl.in_u, b.kl.in_u);  // prefetching never changes the result
@@ -275,7 +270,7 @@ TEST(DistMaarTest, MatchesSerialMaarSolver) {
 
   Cluster cluster(
       {.num_workers = 3, .prefetch_batch = 16, .buffer_capacity = 128});
-  const ShardedGraphStore store(g, 3, cluster.Pool());
+  const ShardedGraphStore store(g, cluster);
   const auto dist = SolveMaarDistributed(g, store, cluster, seeds, cfg);
 
   EXPECT_EQ(dist.cut.valid, expected.valid);
@@ -323,7 +318,7 @@ TEST(DistKlTest, InvalidInputsThrow) {
   util::Rng rng(78);
   const auto g = SmallAugmented(rng, 40);
   Cluster cluster({.num_workers = 2});
-  const ShardedGraphStore store(g, 2, cluster.Pool());
+  const ShardedGraphStore store(g, cluster);
   EXPECT_THROW(DistributedKl(store, std::vector<char>(10, 0), {},
                              detect::KlConfig{.k = 1.0}, cluster),
                std::invalid_argument);

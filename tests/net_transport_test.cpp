@@ -1,9 +1,9 @@
 // End-to-end differential for the wire transports: distributed detection
 // with every fetch/update crossing RJNET001 frames over the deterministic
-// simulated network must be bit-identical to the legacy loopback result —
-// under clean links, 10% flaky links, injected partitions, mid-sweep
-// worker crashes, and corrupted frames — with the faults visible in the
-// wire counters, and with identical results at 1/2/8 workers.
+// simulated network must be bit-identical to the serial pipeline
+// (detect::DetectFriendSpammers) — under clean links, 10% flaky links,
+// injected partitions, mid-sweep worker crashes, and corrupted frames —
+// with the faults visible in the wire counters, and at 1/2/8 workers.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -26,6 +26,7 @@ struct World {
   sim::Scenario scenario;
   detect::Seeds seeds;
   detect::IterativeConfig cfg;
+  detect::DetectionResult serial;  // the oracle every cluster run matches
 };
 
 World MakeWorld() {
@@ -35,40 +36,34 @@ World MakeWorld() {
   sim::ScenarioConfig scfg;
   scfg.seed = 5;
   scfg.num_fakes = 80;
-  World w{sim::BuildScenario(legit, scfg), {}, {}};
+  World w{sim::BuildScenario(legit, scfg), {}, {}, {}};
   util::Rng seed_rng(6);
   w.seeds = w.scenario.SampleSeeds(10, 4, seed_rng);
   w.cfg.target_detections = 80;
   w.cfg.maar.seed = 3;
+  w.serial = detect::DetectFriendSpammers(w.scenario.graph, w.seeds, w.cfg);
   return w;
 }
 
 void ExpectSameDetection(const DistDetectionResult& got,
-                         const DistDetectionResult& want,
+                         const detect::DetectionResult& want,
                          const std::string& label) {
-  EXPECT_EQ(got.detection.detected, want.detection.detected) << label;
-  EXPECT_EQ(got.detection.hit_target, want.detection.hit_target) << label;
-  ASSERT_EQ(got.detection.rounds.size(), want.detection.rounds.size())
-      << label;
-  for (std::size_t r = 0; r < want.detection.rounds.size(); ++r) {
-    EXPECT_EQ(got.detection.rounds[r].detected,
-              want.detection.rounds[r].detected)
+  EXPECT_EQ(got.detection.detected, want.detected) << label;
+  EXPECT_EQ(got.detection.hit_target, want.hit_target) << label;
+  ASSERT_EQ(got.detection.rounds.size(), want.rounds.size()) << label;
+  for (std::size_t r = 0; r < want.rounds.size(); ++r) {
+    EXPECT_EQ(got.detection.rounds[r].detected, want.rounds[r].detected)
         << label << " round " << r;
-    EXPECT_EQ(got.detection.rounds[r].ratio, want.detection.rounds[r].ratio)
+    EXPECT_EQ(got.detection.rounds[r].ratio, want.rounds[r].ratio)
         << label << " round " << r;
   }
-}
-
-ClusterConfig LoopbackConfig(std::uint32_t workers = 3) {
-  return {.num_workers = workers, .prefetch_batch = 32,
-          .buffer_capacity = 512};
 }
 
 ClusterConfig SimNetConfigFor(std::uint32_t workers,
                               const net::LinkFaults& link = {},
                               std::uint64_t seed = 42) {
-  ClusterConfig cfg = LoopbackConfig(workers);
-  cfg.transport = net::TransportKind::kSimNet;
+  ClusterConfig cfg{.num_workers = workers, .prefetch_batch = 32,
+                    .buffer_capacity = 512};
   cfg.sim.default_link = link;
   cfg.sim.seed = seed;
   return cfg;
@@ -76,19 +71,15 @@ ClusterConfig SimNetConfigFor(std::uint32_t workers,
 
 // ---------- Bit-identity over the wire ----------
 
-TEST(SimNetTransportTest, CleanLinksBitIdenticalToLoopbackAtOneTwoEightWorkers) {
+TEST(SimNetTransportTest, CleanLinksBitIdenticalToSerialAtOneTwoEightWorkers) {
   const World w = MakeWorld();
   for (const std::uint32_t workers : {1u, 2u, 8u}) {
-    Cluster loop(LoopbackConfig(workers));
-    const auto baseline = DetectFriendSpammersDistributed(
-        w.scenario.graph, w.seeds, w.cfg, loop);
-
     Cluster wired(SimNetConfigFor(workers));
     const auto over_wire = DetectFriendSpammersDistributed(
         w.scenario.graph, w.seeds, w.cfg, wired);
 
-    ExpectSameDetection(over_wire, baseline,
-                        "simnet vs loopback @" + std::to_string(workers));
+    ExpectSameDetection(over_wire, w.serial,
+                        "simnet vs serial @" + std::to_string(workers));
 
     // The detection really crossed the wire.
     EXPECT_GT(over_wire.io.wire.frames_sent, 0u);
@@ -97,8 +88,6 @@ TEST(SimNetTransportTest, CleanLinksBitIdenticalToLoopbackAtOneTwoEightWorkers) 
     EXPECT_GT(over_wire.io.wire.bytes_received, 0u);
     EXPECT_EQ(over_wire.io.wire.timeouts, 0u) << "clean links";
     EXPECT_EQ(over_wire.io.shard_failovers, 0u);
-    // And the loopback baseline never encoded a frame.
-    EXPECT_EQ(baseline.io.wire.frames_sent, 0u);
 
     // Per-round records cover every store built and sum to the total.
     ASSERT_EQ(over_wire.per_round.size(),
@@ -133,10 +122,6 @@ TEST(SimNetTransportTest, WorkersHoldOnlyTheNewestGeneration) {
 
 TEST(SimNetTransportTest, FlakyLinksAndMidSweepCrashStayBitIdentical) {
   const World w = MakeWorld();
-  Cluster loop(LoopbackConfig(3));
-  const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
-
   // ISSUE acceptance: 10% flaky links + a worker crash mid-sweep.
   net::LinkFaults flaky;
   flaky.drop_p = 0.10;
@@ -147,7 +132,7 @@ TEST(SimNetTransportTest, FlakyLinksAndMidSweepCrashStayBitIdentical) {
   const auto faulted = DetectFriendSpammersDistributed(w.scenario.graph,
                                                        w.seeds, w.cfg, wired);
 
-  ExpectSameDetection(faulted, baseline, "flaky simnet + crash");
+  ExpectSameDetection(faulted, w.serial, "flaky simnet + crash");
   EXPECT_EQ(wired.NumDeadWorkers(), 1u);
   EXPECT_GE(faulted.io.shard_failovers, 1u);
   EXPECT_GT(faulted.io.wire.timeouts, 0u) << "dropped frames cost deadlines";
@@ -158,10 +143,6 @@ TEST(SimNetTransportTest, FlakyLinksAndMidSweepCrashStayBitIdentical) {
 
 TEST(SimNetTransportTest, PartitionedLinkFailsOverAndStaysBitIdentical) {
   const World w = MakeWorld();
-  Cluster loop(LoopbackConfig(3));
-  const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
-
   // Worker 1's link is down from the start: every partition push to it
   // must fail over at store-build time, and detection must not notice.
   ClusterConfig cfg = SimNetConfigFor(3);
@@ -173,7 +154,7 @@ TEST(SimNetTransportTest, PartitionedLinkFailsOverAndStaysBitIdentical) {
   const auto faulted = DetectFriendSpammersDistributed(w.scenario.graph,
                                                        w.seeds, w.cfg, wired);
 
-  ExpectSameDetection(faulted, baseline, "partitioned simnet");
+  ExpectSameDetection(faulted, w.serial, "partitioned simnet");
   EXPECT_GE(faulted.io.shard_failovers,
             static_cast<std::uint64_t>(faulted.stores_built))
       << "every round's push to the partitioned worker failed over";
@@ -182,27 +163,19 @@ TEST(SimNetTransportTest, PartitionedLinkFailsOverAndStaysBitIdentical) {
 
 TEST(SimNetTransportTest, CorruptFramesAreRejectedAndStayBitIdentical) {
   const World w = MakeWorld();
-  Cluster loop(LoopbackConfig(3));
-  const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
-
   net::LinkFaults lossy;
   lossy.corrupt_p = 0.15;
   Cluster wired(SimNetConfigFor(3, lossy, 11));
   const auto faulted = DetectFriendSpammersDistributed(w.scenario.graph,
                                                        w.seeds, w.cfg, wired);
 
-  ExpectSameDetection(faulted, baseline, "corrupting simnet");
+  ExpectSameDetection(faulted, w.serial, "corrupting simnet");
   EXPECT_GT(faulted.io.wire.corrupt_frames, 0u)
       << "the CRC must actually have rejected frames";
 }
 
 TEST(SimNetTransportTest, WireFailpointsRetryAndStayBitIdentical) {
   const World w = MakeWorld();
-  Cluster loop(LoopbackConfig(3));
-  const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
-
   Cluster wired(SimNetConfigFor(3));
   util::ScopedFailpoint lost("net/send_frame",
                              util::FailpointPolicy::Probability(0.05, 13));
@@ -211,7 +184,7 @@ TEST(SimNetTransportTest, WireFailpointsRetryAndStayBitIdentical) {
   const auto faulted = DetectFriendSpammersDistributed(w.scenario.graph,
                                                        w.seeds, w.cfg, wired);
 
-  ExpectSameDetection(faulted, baseline, "failpoint-injected wire faults");
+  ExpectSameDetection(faulted, w.serial, "failpoint-injected wire faults");
   EXPECT_GT(faulted.io.wire.dropped_frames + faulted.io.wire.corrupt_frames,
             0u);
   EXPECT_GT(faulted.io.fetch_retries, 0u);
@@ -227,9 +200,9 @@ TEST(SimNetTransportTest, ReplayIsByteForByteDeterministic) {
     Cluster wired(SimNetConfigFor(3, flaky, seed));
     const auto result = DetectFriendSpammersDistributed(w.scenario.graph,
                                                         w.seeds, w.cfg, wired);
-    auto* sim = static_cast<net::SimNetwork*>(wired.Transport());
+    const auto& sim = static_cast<const net::SimNetwork&>(wired.Transport());
     return std::pair<std::uint64_t, std::uint64_t>(
-        sim->TraceHash(), result.io.wire.frames_sent);
+        sim.TraceHash(), result.io.wire.frames_sent);
   };
 
   const auto a = run(9);
@@ -272,7 +245,6 @@ TEST(TransportConfigTest, ValidationErrorsCarryFileAndLine) {
 
   // simnet peer count must match the worker count when set.
   bad = ClusterConfig{.num_workers = 2};
-  bad.transport = net::TransportKind::kSimNet;
   bad.sim.num_peers = 3;
   EXPECT_THROW(Cluster{bad}, std::invalid_argument);
   bad.sim.num_peers = 0;  // auto-filled: fine
@@ -288,8 +260,7 @@ TEST(TransportConfigTest, ValidationErrorsCarryFileAndLine) {
 }
 
 TEST(TransportConfigTest, KindParsingAndEnvKnob) {
-  EXPECT_EQ(net::ParseTransportKind("loopback"),
-            net::TransportKind::kLoopback);
+  EXPECT_THROW(net::ParseTransportKind("loopback"), std::invalid_argument);
   EXPECT_EQ(net::ParseTransportKind("simnet"), net::TransportKind::kSimNet);
   EXPECT_EQ(net::ParseTransportKind("socket"), net::TransportKind::kSocket);
   EXPECT_THROW(net::ParseTransportKind("carrier-pigeon"),

@@ -1,11 +1,12 @@
 // Multiprocess socket-backend tests: real forked worker processes serving
 // RJNET001 frames over UNIX-domain sockets, with the master running the
-// full distributed detection against them. Proves the ISSUE acceptance for
-// the real backend: detection over sockets is bit-identical to loopback,
-// a worker killed mid-run (hard _Exit, indistinguishable from SIGKILL)
-// triggers reconnect-then-failover, and a corrupted stream is torn down
-// and resent on a fresh connection. Fork-based — excluded from the TSan
-// lane (fork + threads don't mix under sanitizers).
+// full distributed detection against them. For the real backend they show
+// that detection over sockets is bit-identical to the serial pipeline
+// (detect::DetectFriendSpammers), that a worker killed mid-run (hard _Exit,
+// indistinguishable from SIGKILL) triggers reconnect-then-failover, and
+// that a corrupted stream is torn down and resent on a fresh connection.
+// Fork-based — excluded from the TSan lane (fork + threads don't mix under
+// sanitizers).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -91,15 +92,14 @@ ClusterConfig SocketConfigFor(const std::vector<std::string>& endpoints) {
 }
 
 void ExpectSameDetection(const DistDetectionResult& got,
-                         const DistDetectionResult& want) {
-  EXPECT_EQ(got.detection.detected, want.detection.detected);
-  EXPECT_EQ(got.detection.hit_target, want.detection.hit_target);
-  ASSERT_EQ(got.detection.rounds.size(), want.detection.rounds.size());
-  for (std::size_t r = 0; r < want.detection.rounds.size(); ++r) {
-    EXPECT_EQ(got.detection.rounds[r].detected,
-              want.detection.rounds[r].detected)
+                         const detect::DetectionResult& want) {
+  EXPECT_EQ(got.detection.detected, want.detected);
+  EXPECT_EQ(got.detection.hit_target, want.hit_target);
+  ASSERT_EQ(got.detection.rounds.size(), want.rounds.size());
+  for (std::size_t r = 0; r < want.rounds.size(); ++r) {
+    EXPECT_EQ(got.detection.rounds[r].detected, want.rounds[r].detected)
         << "round " << r;
-    EXPECT_EQ(got.detection.rounds[r].ratio, want.detection.rounds[r].ratio)
+    EXPECT_EQ(got.detection.rounds[r].ratio, want.rounds[r].ratio)
         << "round " << r;
   }
 }
@@ -134,10 +134,8 @@ TEST(SocketTransportTest, HelloRoundTripAndCleanShutdown) {
 
 TEST(SocketTransportTest, DetectionBitIdenticalOverRealSockets) {
   const World w = MakeWorld();
-  Cluster loop({.num_workers = 3, .prefetch_batch = 32,
-                .buffer_capacity = 512});
   const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
+      detect::DetectFriendSpammers(w.scenario.graph, w.seeds, w.cfg);
 
   std::vector<std::string> endpoints;
   std::vector<pid_t> workers;
@@ -165,10 +163,8 @@ TEST(SocketTransportTest, DetectionBitIdenticalOverRealSockets) {
 // reconnect-or-failover and produce the bit-identical detection.
 TEST(SocketTransportTest, WorkerKilledMidRunFailsOverBitIdentical) {
   const World w = MakeWorld();
-  Cluster loop({.num_workers = 3, .prefetch_batch = 32,
-                .buffer_capacity = 512});
   const auto baseline =
-      DetectFriendSpammersDistributed(w.scenario.graph, w.seeds, w.cfg, loop);
+      detect::DetectFriendSpammers(w.scenario.graph, w.seeds, w.cfg);
 
   std::vector<std::string> endpoints;
   std::vector<pid_t> workers;
