@@ -26,7 +26,7 @@ std::vector<double> Thin(std::vector<double> full, bool full_sweep) {
 
 int main() {
   const auto ctx = bench::ExperimentContext::FromEnv();
-  const bool full_sweep = util::GetEnvBool("REJECTO_FIG17_FULL", false);
+  const bool full_sweep = util::Fig17FullSweep();
 
   util::Table t({"graph", "scenario", "x", "rejecto", "votetrust"});
   t.set_precision(4);

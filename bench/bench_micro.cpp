@@ -209,11 +209,12 @@ std::uint64_t PeakRssBytes() {
 // 100M-edge memory-ceiling assertion: streams a synthetic 100M-edge
 // RJSNAP02 to scratch via gen/ without materializing the graph, then
 // decodes every block of every CSR through a bounded cursor while releasing
-// cold pages, and ABORTS if VmHWM grew by more than REJECTO_RSS_BUDGET_MB
-// (default 600) over the pre-open baseline, or if the compressed adjacency
-// exceeds 0.5x the equivalent RJSNAP01 adjacency bytes (the acceptance bar,
-// measured on the BFS-locality graph the format targets). Prints the
-// measured peak.
+// cold pages, and ABORTS if VmHWM grew by more than kRssBudgetMb over the
+// pre-open baseline, or if the compressed adjacency exceeds 0.5x the
+// equivalent RJSNAP01 adjacency bytes (the acceptance bar, measured on the
+// BFS-locality graph the format targets). Prints the measured peak.
+constexpr std::uint64_t kRssBudgetMb = 600;
+
 void RunCompressedCeilingProbe() {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "rejecto_ceiling_bench_micro";
@@ -237,7 +238,6 @@ void RunCompressedCeilingProbe() {
             << stats.num_arcs << " arcs, " << stats.file_bytes << "B in "
             << gen_s << "s\n";
 
-  const long long budget_mb = util::GetEnvInt("REJECTO_RSS_BUDGET_MB", 600);
   const std::uint64_t baseline = PeakRssBytes();
 
   // The <= 0.5x compression acceptance bar, measured where the format is
@@ -284,11 +284,11 @@ void RunCompressedCeilingProbe() {
   const std::uint64_t grew = peak > baseline ? peak - baseline : 0;
   std::cout << "bench_micro: scanned all blocks in " << scan_s
             << "s (checksum=" << checksum << "), RSS grew " << (grew >> 20)
-            << "MB over baseline (budget " << budget_mb << "MB, peak "
+            << "MB over baseline (budget " << kRssBudgetMb << "MB, peak "
             << (peak >> 20) << "MB, mapped " << (view.MappedBytes() >> 20)
             << "MB)\n";
-  if (grew > static_cast<std::uint64_t>(budget_mb) << 20) {
-    std::cerr << "bench_micro: 100M-EDGE SCAN EXCEEDED " << budget_mb
+  if (grew > kRssBudgetMb << 20) {
+    std::cerr << "bench_micro: 100M-EDGE SCAN EXCEEDED " << kRssBudgetMb
               << "MB RSS BUDGET\n";
     std::abort();
   }

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "baseline/votetrust.h"
-#include "graph/layout.h"
 #include "metrics/classification.h"
 #include "metrics/ranking.h"
 #include "util/flags.h"
@@ -18,7 +17,7 @@ ExperimentContext ExperimentContext::FromEnv() {
   ExperimentContext ctx;
   ctx.fast = util::FastBenchMode();
   ctx.seed = util::ExperimentSeed();
-  ctx.csv_dir = util::GetEnvString("REJECTO_CSV_DIR");
+  ctx.csv_dir = util::CsvDir();
   return ctx;
 }
 
@@ -53,9 +52,6 @@ detect::IterativeConfig PaperDetectorConfig(const ExperimentContext& ctx,
   // REJECTO_THREADS (0 = hardware); bit-identical results either way, so
   // every bench may run its sweeps parallel by default.
   cfg.maar.num_threads = util::ThreadCount();
-  // REJECTO_LAYOUT (identity|bfs): detection results are invariant under
-  // the layout (graph/layout.h), so the knob only changes cache behavior.
-  cfg.maar.layout = graph::LayoutPolicyFromEnv();
   return cfg;
 }
 

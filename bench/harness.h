@@ -3,13 +3,9 @@
 // Each binary reproduces exactly one table or figure of the paper
 // (DESIGN.md §3): it assembles the paper's workload via sim::BuildScenario,
 // runs Rejecto and the VoteTrust baseline, and prints the same rows/series
-// the paper reports. Environment knobs (util/flags.h):
-//   REJECTO_BENCH_FAST=1  reduced sweeps / smaller attack for CI
-//   REJECTO_SEED=<u64>    experiment seed (default 42)
-//   REJECTO_CSV_DIR=<dir> additionally write each table as CSV
-//   REJECTO_THREADS=<n>   MAAR sweep threads (0 = hardware concurrency)
-//   REJECTO_LAYOUT=<p>    vertex-layout policy: identity (default) or bfs;
-//                         results are invariant, only locality changes
+// the paper reports. ExperimentContext::FromEnv reads REJECTO_BENCH_FAST,
+// REJECTO_SEED and REJECTO_CSV_DIR, and PaperDetectorConfig reads
+// REJECTO_THREADS, through util/flags.h (README "Environment knobs").
 #pragma once
 
 #include <optional>

@@ -15,8 +15,7 @@
 // detection quality, or if the serving tier fails to reject a solid
 // majority of spamming fakes while admitting almost all legit users.
 //
-// Knobs (see docs/SERVING.md): REJECTO_SERVE_READERS and
-// REJECTO_SERVE_EPOCH_EVENTS.
+// Knobs: REJECTO_SEED and REJECTO_THREADS (README "Environment knobs").
 //
 // Build & run:  cmake --build build && ./build/examples/admission_server
 #include <algorithm>
@@ -60,7 +59,6 @@ int main() {
   scfg.epoch.detect.maar.num_threads = util::ThreadCount();
   scfg.epoch.events_per_epoch = log.NumEvents() / 3 + 1;  // ~3 epochs
   scfg.grey_margin = 2.0;  // weak positive evidence -> manual review
-  scfg = serve::ApplyEnvOverrides(scfg);
 
   serve::AdmissionService service(
       graph::GraphBuilder(log.NumNodes()).BuildAugmented(), seeds, scfg);

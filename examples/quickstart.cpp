@@ -7,16 +7,18 @@
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
+#include <exception>
 
 #include "detect/iterative.h"
 #include "gen/holme_kim.h"
-#include "graph/layout.h"
 #include "metrics/classification.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
-int main() {
+namespace {
+
+int Run() {
   using namespace rejecto;
 
   // 1. A 5K-user OSN with realistic clustering.
@@ -48,7 +50,6 @@ int main() {
   detect::IterativeConfig config;
   config.target_detections = attack.num_fakes;  // OSN estimate
   config.maar.num_threads = util::ThreadCount();  // REJECTO_THREADS, 0=auto
-  config.maar.layout = graph::LayoutPolicyFromEnv();  // REJECTO_LAYOUT
   const detect::DetectionResult result =
       detect::DetectFriendSpammers(scenario.graph, seeds, config);
 
@@ -69,4 +70,16 @@ int main() {
   }
   std::printf("precision %.4f, recall %.4f\n", cm.Precision(), cm.Recall());
   return cm.Precision() > 0.9 ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return Run();
+  } catch (const std::exception& e) {
+    // e.g. a malformed REJECTO_THREADS, named in the message.
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 }

@@ -82,9 +82,10 @@ struct MaarConfig {
   // returned mask back, with `rank` set internally so the cut is
   // bit-identical to the identity run — callers see original ids and
   // identical results, only the cache behavior changes. DetectFriendSpammers
-  // applies the same wrap once for its whole pipeline. The default KL runner
-  // honors it; the distributed engine's custom runners solve whatever graph
-  // they are handed and run identity layouts.
+  // applies the same wrap once for its whole pipeline. Only the default KL
+  // runner honors it: DetectFriendSpammersDistributed and
+  // DetectFriendSpammersCompressed throw std::invalid_argument on a
+  // non-identity layout (the distributed KL has no rank tie-break).
   graph::LayoutPolicy layout = graph::LayoutPolicy::kIdentity;
 
   // Layout-invariance rank (see graph/layout.h): empty, or an n-sized

@@ -6,7 +6,6 @@
 
 #include "graph/block_codec.h"
 #include "util/crc32c.h"
-#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace rejecto::graph {
@@ -295,14 +294,10 @@ Snapshot CompressedGraphView::Materialize(util::ThreadPool* pool) const {
 // ---------- DecodeCursor ----------
 
 DecodeCursor::DecodeCursor(const CompressedGraphView& view,
-                           std::int64_t cache_rows)
+                           std::size_t cache_rows)
     : view_(&view) {
-  if (cache_rows < 0) {
-    cache_rows = util::GetEnvInt("REJECTO_DECODE_CACHE_ROWS", 65536);
-    if (cache_rows < 0) cache_rows = 65536;
-  }
-  const std::size_t capacity = std::max<std::size_t>(
-      4, static_cast<std::size_t>(cache_rows) / view.BlockRows());
+  const std::size_t capacity =
+      std::max<std::size_t>(4, cache_rows / view.BlockRows());
   for (Cache& c : caches_) {
     c.slot_of_block.assign(view.NumBlocks(), -1);
     c.slots.resize(std::min<std::size_t>(

@@ -25,6 +25,7 @@
 // bit-identity property tests compare the out-of-core path against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -148,11 +149,13 @@ class CompressedGraphView {
 // slot). Row accessors mirror SocialGraph/RejectionGraph.
 class DecodeCursor {
  public:
+  static constexpr std::size_t kDefaultCacheRows = 65536;
+
   // cache_rows: decoded rows retained per CSR (three caches of this size).
-  // < 0 reads REJECTO_DECODE_CACHE_ROWS (default 65536). The cache always
-  // holds at least 4 blocks per CSR so short access patterns never thrash.
+  // The cache always holds at least 4 blocks per CSR so short access
+  // patterns never thrash.
   explicit DecodeCursor(const CompressedGraphView& view,
-                        std::int64_t cache_rows = -1);
+                        std::size_t cache_rows = kDefaultCacheRows);
 
   const CompressedGraphView& View() const noexcept { return *view_; }
   NodeId NumNodes() const noexcept { return view_->NumNodes(); }

@@ -7,7 +7,6 @@
 
 #include "graph/csr_build.h"
 #include "util/buffer.h"
-#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace rejecto::graph {
@@ -63,12 +62,6 @@ LayoutPolicy ParseLayoutPolicy(const std::string& name) {
   if (name == "bfs") return LayoutPolicy::kBfs;
   throw std::invalid_argument("ParseLayoutPolicy: unknown layout '" + name +
                               "' (expected 'identity' or 'bfs')");
-}
-
-LayoutPolicy LayoutPolicyFromEnv() {
-  const auto value = util::GetEnvString("REJECTO_LAYOUT");
-  if (!value || value->empty()) return LayoutPolicy::kIdentity;
-  return ParseLayoutPolicy(*value);
 }
 
 const char* LayoutPolicyName(LayoutPolicy policy) {

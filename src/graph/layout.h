@@ -54,9 +54,6 @@ enum class LayoutPolicy {
 // Parses "identity" / "bfs" (case-sensitive); throws on anything else.
 LayoutPolicy ParseLayoutPolicy(const std::string& name);
 
-// The REJECTO_LAYOUT environment knob; unset/empty means kIdentity.
-LayoutPolicy LayoutPolicyFromEnv();
-
 const char* LayoutPolicyName(LayoutPolicy policy);
 
 // A bijection between original ids and laid-out ids. Either both arrays are

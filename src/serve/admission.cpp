@@ -7,35 +7,10 @@
 
 #include "detect/iterative.h"
 #include "util/dcheck.h"
-#include "util/flags.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rejecto::serve {
-
-namespace {
-
-// A REJECTO_SERVE_* count: unset keeps `fallback`, negative throws.
-std::uint64_t GetEnvCount(const char* name, std::uint64_t fallback) {
-  const std::int64_t v =
-      util::GetEnvInt(name, static_cast<std::int64_t>(fallback));
-  if (v < 0) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be non-negative, got " +
-                                std::to_string(v));
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-}  // namespace
-
-AdmissionConfig ApplyEnvOverrides(AdmissionConfig config) {
-  config.max_readers = static_cast<std::size_t>(
-      GetEnvCount("REJECTO_SERVE_READERS", config.max_readers));
-  config.epoch.events_per_epoch = GetEnvCount(
-      "REJECTO_SERVE_EPOCH_EVENTS", config.epoch.events_per_epoch);
-  return config;
-}
 
 AdmissionService::AdmissionService(graph::AugmentedGraph base,
                                    detect::Seeds seeds,
@@ -266,7 +241,7 @@ AdmissionService::Reader AdmissionService::CreateReader() {
   if (r.slot_ == nullptr) {
     throw std::runtime_error(
         "AdmissionService::CreateReader: reader slots exhausted (raise "
-        "AdmissionConfig::max_readers / REJECTO_SERVE_READERS)");
+        "AdmissionConfig::max_readers)");
   }
   return r;
 }

@@ -41,11 +41,6 @@
 // Backpressure: at most max_pending_epochs snapshot jobs may be in flight;
 // past that the writer stalls (metered) rather than queueing unboundedly —
 // an overloaded detector slows ingest instead of exploding memory.
-//
-// Env knobs (applied by ApplyEnvOverrides, used by bench/examples):
-//   REJECTO_SERVE_READERS       -> AdmissionConfig::max_readers
-//   REJECTO_SERVE_EPOCH_EVENTS  -> AdmissionConfig::epoch.events_per_epoch
-// Both must be non-negative integers.
 #pragma once
 
 #include <atomic>
@@ -96,10 +91,6 @@ struct AdmissionConfig {
   std::string wal_path;
   stream::WalOptions wal;
 };
-
-// Overrides config fields from REJECTO_SERVE_* (see header comment).
-// Throws std::invalid_argument naming the variable on a negative value.
-AdmissionConfig ApplyEnvOverrides(AdmissionConfig config);
 
 // Racy point-in-time counters (every field monotone except gauges).
 struct AdmissionStats {

@@ -74,7 +74,7 @@ struct Failpoints::Impl {
 };
 
 Failpoints::Failpoints() : impl_(new Impl) {
-  if (const auto spec = GetEnvString("REJECTO_FAILPOINTS")) {
+  if (const auto spec = FailpointSpec()) {
     ArmFromSpec(*spec);
   }
 }

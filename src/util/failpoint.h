@@ -16,8 +16,8 @@
 //                tests are bit-reproducible
 //
 // Arming happens programmatically (tests: Arm / ScopedFailpoint) or from
-// the environment: REJECTO_FAILPOINTS="site=policy;site=policy" is parsed
-// once on first registry use, e.g.
+// the environment: REJECTO_FAILPOINTS="site=policy;site=policy" (read by
+// util::FailpointSpec) is parsed once on first registry use, e.g.
 //   REJECTO_FAILPOINTS="wal/sync=on:3;engine/fetch_shard=p:0.1:7"
 //
 // What "fires" means is up to the call site: WAL appends tear the record,

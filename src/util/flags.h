@@ -1,10 +1,8 @@
-// Minimal environment-variable configuration for bench/example binaries.
-//
-// Experiments honor:
-//   REJECTO_BENCH_FAST=1   -> reduced sweeps (CI-friendly)
-//   REJECTO_SEED=<u64>     -> global experiment seed override
-//   REJECTO_CSV_DIR=<dir>  -> also write each table as CSV into <dir>
-//   REJECTO_THREADS=<int>  -> MAAR sweep threads (0 = hardware concurrency)
+// The one place the process environment is read: one typed accessor per
+// REJECTO_* knob. README "Environment knobs" is the table of accepted
+// values, defaults and readers (the knob_table ctest keeps it in step with
+// flags.cpp). Unset or empty means the default; a malformed value throws
+// std::invalid_argument naming the variable and the value.
 #pragma once
 
 #include <cstdint>
@@ -13,20 +11,16 @@
 
 namespace rejecto::util {
 
-std::optional<std::string> GetEnvString(const std::string& name);
-std::int64_t GetEnvInt(const std::string& name, std::int64_t fallback);
-double GetEnvDouble(const std::string& name, double fallback);
-bool GetEnvBool(const std::string& name, bool fallback);
-
-// True when REJECTO_BENCH_FAST is set to a truthy value.
-bool FastBenchMode();
-
-// Global experiment seed (REJECTO_SEED or 42).
-std::uint64_t ExperimentSeed();
-
-// The --threads knob for every binary that runs MAAR sweeps: REJECTO_THREADS,
-// defaulting to 0 (resolve to hardware concurrency). Results are identical
-// for any value — the sweep's reduction is deterministic.
-int ThreadCount();
+bool FastBenchMode();                         // REJECTO_BENCH_FAST
+std::uint64_t ExperimentSeed();               // REJECTO_SEED
+int ThreadCount();                            // REJECTO_THREADS (0 = auto)
+std::optional<std::string> CsvDir();          // REJECTO_CSV_DIR
+bool Fig17FullSweep();                        // REJECTO_FIG17_FULL
+bool Fig18FullSweep();                        // REJECTO_FIG18_FULL
+bool RegenGolden();                           // REJECTO_REGEN_GOLDEN
+enum class SimdRequest : std::uint8_t { kAuto, kAvx2, kScalar };
+SimdRequest RequestedSimd();                  // REJECTO_SIMD
+bool HugepagesRequested();                    // REJECTO_HUGEPAGES
+std::optional<std::string> FailpointSpec();   // REJECTO_FAILPOINTS
 
 }  // namespace rejecto::util

@@ -37,7 +37,7 @@ std::size_t RoundUp(std::size_t bytes) {
 bool HugepagesEnabled() {
   int v = g_hugepages.load(std::memory_order_relaxed);
   if (v < 0) {
-    v = GetEnvBool("REJECTO_HUGEPAGES", false) ? 1 : 0;
+    v = HugepagesRequested() ? 1 : 0;
     g_hugepages.store(v, std::memory_order_relaxed);
   }
   return v == 1;

@@ -13,13 +13,14 @@
 //      therefore overread up to 3 bytes past the last valid element without
 //      faulting. See util/simd.h for the kernels that rely on this.
 //
-// Large blocks can additionally be backed by transparent hugepages: when the
-// REJECTO_HUGEPAGES env knob is truthy, allocations of at least
-// kHugepageThreshold bytes come from an anonymous mmap region advised with
-// MADV_HUGEPAGE. The advice is best-effort — kernels without THP simply
-// ignore it — and when the mapping itself cannot be created the allocator
-// falls back to the plain 64-byte-aligned heap path, so the flag can never
-// make an allocation fail that would otherwise succeed. The failpoint site
+// Large blocks can additionally be backed by transparent hugepages: when
+// REJECTO_HUGEPAGES is on (util::HugepagesRequested; README "Environment
+// knobs"), allocations of at least kHugepageThreshold bytes come from an
+// anonymous mmap region advised with MADV_HUGEPAGE. The advice is
+// best-effort — kernels without THP simply ignore it — and when the mapping
+// itself cannot be created the allocator falls back to the plain
+// 64-byte-aligned heap path, so the flag can never make an allocation fail
+// that would otherwise succeed. The failpoint site
 // "memory/hugepage_map" forces that fallback deterministically in tests.
 #pragma once
 

@@ -14,16 +14,12 @@ namespace {
 // 0 unresolved, otherwise 1 + static_cast<int>(SimdMode).
 std::atomic<int> g_mode{0};
 
+// "avx2" differs from "auto" only in intent: both fall back to scalar on a
+// CPU without AVX2.
 SimdMode ResolveMode() {
-  const auto spec = GetEnvString("REJECTO_SIMD");
-  if (spec.has_value()) {
-    if (*spec == "scalar") return SimdMode::kScalar;
-    if (*spec == "avx2") {
-      return Avx2Supported() ? SimdMode::kAvx2 : SimdMode::kScalar;
-    }
-    // Anything else (including "auto") falls through to auto-detection.
-  }
-  return Avx2Supported() ? SimdMode::kAvx2 : SimdMode::kScalar;
+  return RequestedSimd() != SimdRequest::kScalar && Avx2Supported()
+             ? SimdMode::kAvx2
+             : SimdMode::kScalar;
 }
 
 std::size_t CountZeroAtScalar(const unsigned char* mask,
@@ -222,7 +218,8 @@ void CopyU32(const std::uint32_t* src, std::size_t count, std::uint32_t* dst) {
     return;
   }
 #endif
-  std::memcpy(dst, src, count * sizeof(*src));
+  // An empty row may come with null pointers, which memcpy must not get.
+  if (count != 0) std::memcpy(dst, src, count * sizeof(*src));
 }
 
 }  // namespace rejecto::util::simd

@@ -4,11 +4,9 @@
 // implementation compiled with a per-function target attribute, so the
 // default build stays portable — no -mavx2 is needed, and non-AVX2 hosts
 // simply never execute the vector bodies. Which body runs is a process-wide
-// mode resolved once from the environment:
-//
-//   REJECTO_SIMD=auto     use AVX2 when the CPU supports it (default)
-//   REJECTO_SIMD=avx2     force AVX2 (falls back to scalar if unsupported)
-//   REJECTO_SIMD=scalar   force the scalar oracle
+// mode resolved once from REJECTO_SIMD (util::RequestedSimd; README
+// "Environment knobs"): AVX2 when the CPU supports it unless the knob asks
+// for the scalar oracle.
 //
 // All primitives are bit-identical across modes: they compute exact integer
 // counts and copies, never reassociated floating point. Tests pin this

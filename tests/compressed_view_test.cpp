@@ -318,7 +318,7 @@ AugmentedGraph GoldenGraph() {
 TEST_F(CompressedViewTest, GoldenV2PinReloadsEqualAndByteIdentical) {
   const std::string golden =
       std::string(REJECTO_GOLDEN_DIR) + "/graph.snap2";
-  if (util::GetEnvBool("REJECTO_REGEN_GOLDEN", false)) {
+  if (util::RegenGolden()) {
     graph::SaveSnapshot(golden, GoldenGraph(), graph::Layout{}, V2Options());
     GTEST_SKIP() << "golden v2 snapshot regenerated at " << golden;
   }

@@ -112,7 +112,7 @@ GoldenResult ReadGolden() {
 
 TEST(GoldenStreamTest, DetectedSetAndMaarValuePinned) {
   const GoldenResult actual = RunPinnedWorkload();
-  if (util::GetEnvBool("REJECTO_REGEN_GOLDEN", false)) {
+  if (util::RegenGolden()) {
     WriteGolden(actual);
     GTEST_SKIP() << "golden regenerated at " << GoldenPath();
   }

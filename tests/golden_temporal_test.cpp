@@ -133,7 +133,7 @@ class GoldenTemporalTest
 TEST_P(GoldenTemporalTest, DetectedSetAndTtdHistogramPinned) {
   const sim::AdversaryKind kind = GetParam();
   const GoldenResult actual = RunPinnedWorkload(kind);
-  if (util::GetEnvBool("REJECTO_REGEN_GOLDEN", false)) {
+  if (util::RegenGolden()) {
     WriteGolden(kind, actual);
     GTEST_SKIP() << "golden regenerated at " << GoldenPath(kind);
   }

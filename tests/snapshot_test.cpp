@@ -189,7 +189,7 @@ TEST_F(SnapshotTest, WritesAreByteDeterministic) {
 
 TEST_F(SnapshotTest, GoldenPinReloadsEqualAndByteIdentical) {
   const std::string golden = std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
-  if (util::GetEnvBool("REJECTO_REGEN_GOLDEN", false)) {
+  if (util::RegenGolden()) {
     SaveSnapshot(golden, GoldenGraph());
     GTEST_SKIP() << "golden snapshot regenerated at " << golden;
   }

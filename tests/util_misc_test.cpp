@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/flags.h"
 #include "util/table.h"
@@ -174,30 +178,102 @@ TEST(TableTest, CountsRowsAndCols) {
 
 // ---------- Flags ----------
 
-TEST(FlagsTest, MissingEnvReturnsFallback) {
-  ::unsetenv("REJECTO_TEST_FLAG");
-  EXPECT_EQ(GetEnvInt("REJECTO_TEST_FLAG", 7), 7);
-  EXPECT_EQ(GetEnvDouble("REJECTO_TEST_FLAG", 2.5), 2.5);
-  EXPECT_TRUE(GetEnvBool("REJECTO_TEST_FLAG", true));
-  EXPECT_FALSE(GetEnvString("REJECTO_TEST_FLAG").has_value());
+// Sets one knob for the scope of a test and clears it afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+TEST(FlagsTest, UnsetOrEmptyKnobsUseDefaults) {
+  const char* const names[] = {"REJECTO_SEED", "REJECTO_THREADS",
+                               "REJECTO_BENCH_FAST", "REJECTO_CSV_DIR",
+                               "REJECTO_SIMD", "REJECTO_FAILPOINTS"};
+  for (const bool empty : {false, true}) {
+    for (const char* name : names) {
+      empty ? ::setenv(name, "", 1) : ::unsetenv(name);
+    }
+    EXPECT_EQ(ExperimentSeed(), 42u);
+    EXPECT_EQ(ThreadCount(), 0);
+    EXPECT_FALSE(FastBenchMode());
+    EXPECT_FALSE(CsvDir().has_value());
+    EXPECT_EQ(RequestedSimd(), SimdRequest::kAuto);
+    EXPECT_FALSE(FailpointSpec().has_value());
+  }
+  for (const char* name : names) ::unsetenv(name);
 }
 
-TEST(FlagsTest, ParsesValues) {
-  ::setenv("REJECTO_TEST_FLAG", "123", 1);
-  EXPECT_EQ(GetEnvInt("REJECTO_TEST_FLAG", 0), 123);
-  ::setenv("REJECTO_TEST_FLAG", "1.5", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("REJECTO_TEST_FLAG", 0), 1.5);
-  ::setenv("REJECTO_TEST_FLAG", "true", 1);
-  EXPECT_TRUE(GetEnvBool("REJECTO_TEST_FLAG", false));
-  ::setenv("REJECTO_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(GetEnvBool("REJECTO_TEST_FLAG", true));
-  ::unsetenv("REJECTO_TEST_FLAG");
+TEST(FlagsTest, ParsesWellFormedValues) {
+  {
+    ScopedEnv seed("REJECTO_SEED", "18446744073709551615");
+    EXPECT_EQ(ExperimentSeed(), UINT64_MAX);
+  }
+  {
+    ScopedEnv threads("REJECTO_THREADS", "4");
+    EXPECT_EQ(ThreadCount(), 4);
+  }
+  {
+    ScopedEnv dir("REJECTO_CSV_DIR", "/tmp/csvs");
+    EXPECT_EQ(CsvDir(), std::optional<std::string>("/tmp/csvs"));
+  }
+  for (const char* yes : {"1", "true", "TRUE", "yes", "on"}) {
+    ScopedEnv fast("REJECTO_BENCH_FAST", yes);
+    EXPECT_TRUE(FastBenchMode()) << yes;
+  }
+  for (const char* no : {"0", "false", "FALSE", "no", "off"}) {
+    ScopedEnv fast("REJECTO_BENCH_FAST", no);
+    EXPECT_FALSE(FastBenchMode()) << no;
+  }
+  const std::pair<const char*, SimdRequest> simd[] = {
+      {"auto", SimdRequest::kAuto},
+      {"avx2", SimdRequest::kAvx2},
+      {"scalar", SimdRequest::kScalar}};
+  for (const auto& [text, mode] : simd) {
+    ScopedEnv env("REJECTO_SIMD", text);
+    EXPECT_EQ(RequestedSimd(), mode) << text;
+  }
 }
 
-TEST(FlagsTest, MalformedIntFallsBack) {
-  ::setenv("REJECTO_TEST_FLAG", "not-a-number", 1);
-  EXPECT_EQ(GetEnvInt("REJECTO_TEST_FLAG", -9), -9);
-  ::unsetenv("REJECTO_TEST_FLAG");
+// A set but malformed knob throws, naming the variable and the value,
+// instead of running a prefix ("12abc" -> 12), a wrapped value ("-1" ->
+// 2^64 - 1) or the default ("four" -> every hardware thread, "2" -> the
+// full sweep).
+TEST(FlagsTest, MalformedValuesThrowNamingTheVariable) {
+  struct Case {
+    const char* name;
+    const char* value;
+    void (*read)();
+  };
+  const Case cases[] = {
+      {"REJECTO_SEED", "12abc", [] { (void)ExperimentSeed(); }},
+      {"REJECTO_SEED", "-1", [] { (void)ExperimentSeed(); }},
+      {"REJECTO_SEED", "18446744073709551616", [] { (void)ExperimentSeed(); }},
+      {"REJECTO_THREADS", "four", [] { (void)ThreadCount(); }},
+      {"REJECTO_THREADS", "-1", [] { (void)ThreadCount(); }},
+      {"REJECTO_THREADS", "4294967296", [] { (void)ThreadCount(); }},
+      {"REJECTO_BENCH_FAST", "2", [] { (void)FastBenchMode(); }},
+      {"REJECTO_HUGEPAGES", "enabled", [] { (void)HugepagesRequested(); }},
+      {"REJECTO_REGEN_GOLDEN", "Yes", [] { (void)RegenGolden(); }},
+      {"REJECTO_SIMD", "avx512", [] { (void)RequestedSimd(); }},
+  };
+  for (const Case& c : cases) {
+    ScopedEnv env(c.name, c.value);
+    try {
+      c.read();
+      ADD_FAILURE() << c.name << "=" << c.value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.name), std::string::npos) << what;
+      EXPECT_NE(what.find(c.value), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(FlagsTest, ExperimentSeedDefaultsTo42) {
