@@ -2,24 +2,19 @@
 //
 // Usage:
 //   make_snapshot <friendships.txt> <rejections.txt> <out.snap>
-//                 [--layout=identity|bfs] [--format=rjsnap01|rjsnap02]
-//                 [--compress-block-rows=N]
+//                 [--format=rjsnap01|rjsnap02] [--compress-block-rows=N]
 //
-// Parses the text edge lists once (the slow path), optionally reorders the
-// vertices with the locality-preserving BFS layout, and writes the
-// checksummed snapshot. The default format stays RJSNAP01 (plain CSR, so
-// existing goldens and scripts are untouched); --format=rjsnap02 writes the
-// delta+varint compressed format that CompressedGraphView consumes straight
-// off the mmap — pair it with --layout=bfs, which is what makes the deltas
-// small. --compress-block-rows sets the v2 block span (64-256 rows, default
-// 128; ignored for v1). Later runs load the snapshot in milliseconds
-// instead of re-parsing the text. The snapshot stores laid-out ids plus the
-// permutation, so detection results reported from it can always be
-// translated back to the dense text-intern ids.
+// Parses the text edge lists once (the slow path) and writes the
+// checksummed snapshot under the dense text-intern ids. The default format
+// stays RJSNAP01 (plain CSR, so existing goldens and scripts are
+// untouched); --format=rjsnap02 writes the delta+varint compressed format
+// that CompressedGraphView consumes straight off the mmap.
+// --compress-block-rows sets the v2 block span (64-256 rows, default 128;
+// ignored for v1). Later runs load the snapshot in milliseconds instead of
+// re-parsing the text.
 //
 // With no arguments, runs a self-checking demo: generates a small scenario,
-// saves it with the BFS layout to a temp file, reloads, and verifies the
-// round-trip is exact.
+// saves it to a temp file, reloads, and verifies the round-trip is exact.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,7 +22,6 @@
 
 #include "gen/holme_kim.h"
 #include "graph/io.h"
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -52,14 +46,11 @@ int RunDemo() {
   const auto path =
       (std::filesystem::temp_directory_path() / "make_snapshot_demo.snap")
           .string();
-  const graph::Layout layout = graph::SaveSnapshotWithPolicy(
-      path, scenario.graph, graph::LayoutPolicy::kBfs);
+  graph::SaveSnapshot(path, scenario.graph);
   const graph::Snapshot snap = graph::LoadSnapshot(path);
   std::filesystem::remove(path);
 
-  const bool ok =
-      snap.graph == graph::ApplyLayout(scenario.graph, layout) &&
-      snap.layout == layout;
+  const bool ok = snap.graph == scenario.graph && snap.layout.IsIdentity();
   std::fprintf(stderr, "demo: %u users round-tripped through %s: %s\n",
                scenario.graph.NumNodes(), path.c_str(),
                ok ? "exact" : "MISMATCH");
@@ -74,27 +65,17 @@ int main(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: %s <friendships.txt> <rejections.txt> <out.snap> "
-                 "[--layout=identity|bfs] [--format=rjsnap01|rjsnap02] "
-                 "[--compress-block-rows=N]\n",
+                 "[--format=rjsnap01|rjsnap02] [--compress-block-rows=N]\n",
                  argv[0]);
     return 2;
   }
 
-  graph::LayoutPolicy policy = graph::LayoutPolicy::kIdentity;
   graph::SnapshotOptions options;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
-    const std::string layout_prefix = "--layout=";
     const std::string format_prefix = "--format=";
     const std::string rows_prefix = "--compress-block-rows=";
-    if (arg.rfind(layout_prefix, 0) == 0) {
-      try {
-        policy = graph::ParseLayoutPolicy(arg.substr(layout_prefix.size()));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg.rfind(format_prefix, 0) == 0) {
+    if (arg.rfind(format_prefix, 0) == 0) {
       const std::string value = arg.substr(format_prefix.size());
       if (value == "rjsnap01") {
         options.format = graph::SnapshotFormat::kRjsnap01;
@@ -132,7 +113,7 @@ int main(int argc, char** argv) {
                  load_s);
 
     util::WallTimer save_timer;
-    graph::SaveSnapshotWithPolicy(argv[3], loaded.graph, policy, options);
+    graph::SaveSnapshot(argv[3], loaded.graph, graph::Layout{}, options);
     const double save_s = save_timer.Seconds();
 
     // Reload and verify before declaring success: a snapshot that cannot
@@ -140,19 +121,15 @@ int main(int argc, char** argv) {
     util::WallTimer reload_timer;
     const graph::Snapshot snap = graph::LoadSnapshot(argv[3]);
     const double reload_s = reload_timer.Seconds();
-    const graph::AugmentedGraph expect =
-        snap.layout.IsIdentity()
-            ? loaded.graph
-            : graph::ApplyLayout(loaded.graph, snap.layout);
-    if (snap.graph != expect) {
+    if (snap.graph != loaded.graph) {
       std::fprintf(stderr, "error: snapshot round-trip mismatch on %s\n",
                    argv[3]);
       return 1;
     }
     std::fprintf(stderr,
-                 "wrote %s (layout=%s, format=%s) in %.3fs; verified reload "
-                 "in %.3fs (%.1fx faster than the text parse)\n",
-                 argv[3], graph::LayoutPolicyName(policy),
+                 "wrote %s (format=%s) in %.3fs; verified reload in %.3fs "
+                 "(%.1fx faster than the text parse)\n",
+                 argv[3],
                  options.format == graph::SnapshotFormat::kRjsnap02
                      ? "rjsnap02"
                      : "rjsnap01",

@@ -39,29 +39,11 @@ KlResult ExtendedKl(const graph::GraphSource& src,
   auto is_locked = [&](graph::NodeId v) {
     return !locked.empty() && locked[v] != 0;
   };
-  const graph::NodeId* rank =
-      config.rank != nullptr && !config.rank->empty() ? config.rank->data()
-                                                      : nullptr;
-  if (rank != nullptr && config.rank->size() != n) {
-    throw std::invalid_argument("ExtendedKl: rank size mismatch");
-  }
 
   KlScratch local;
   KlScratch& ws = scratch != nullptr ? *scratch : local;
   ws.partition.Reset(src, init_in_u);
   Partition& p = ws.partition;
-
-  // Rank mode: insert nodes in ascending ORIGINAL id so every intra-bucket
-  // LIFO tie-break matches the identity-layout run (where layout id =
-  // original id and the plain 0..n-1 loop is already rank order).
-  if (rank != nullptr) {
-    ws.order.assign(n, 0);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const graph::NodeId r = (*config.rank)[v];
-      if (r >= n) throw std::invalid_argument("ExtendedKl: rank not a permutation");
-      ws.order[r] = v;
-    }
-  }
 
   const double k = config.k;
   const double gain_bound = GainBound(src, k);
@@ -77,14 +59,8 @@ KlResult ExtendedKl(const graph::GraphSource& src,
     ++stats.passes;
     ws.bucket.Reset(n, gain_bound, config.gain_resolution);
     BucketList& bl = ws.bucket;
-    if (rank != nullptr) {
-      for (graph::NodeId v : ws.order) {
-        if (!is_locked(v)) bl.Insert(v, -p.DeltaObjective(v, k));
-      }
-    } else {
-      for (graph::NodeId v = 0; v < n; ++v) {
-        if (!is_locked(v)) bl.Insert(v, -p.DeltaObjective(v, k));
-      }
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (!is_locked(v)) bl.Insert(v, -p.DeltaObjective(v, k));
     }
 
     ws.seq.clear();
@@ -95,7 +71,7 @@ KlResult ExtendedKl(const graph::GraphSource& src,
     while (!bl.Empty()) {
       const graph::NodeId v = bl.PopMax();
       const double gain = -p.DeltaObjective(v, k);
-      p.SwitchFused(v, k, bl, ws.touched, rank);
+      p.SwitchFused(v, k, bl, ws.touched);
       ws.seq.push_back(v);
       cum += gain;
       if (cum > best_cum + kGainEps) {

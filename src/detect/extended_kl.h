@@ -34,16 +34,6 @@ struct KlConfig {
   double k = 1.0;                 // rejection weight (> 0)
   int max_passes = 16;            // safety bound; convergence is typical in <6
   double gain_resolution = 64.0;  // bucket quantization (buckets per unit)
-
-  // Layout-invariance hook (see graph/layout.h): when non-null, an n-sized
-  // array mapping each node of the (laid-out) graph to its ORIGINAL id.
-  // Every order-sensitive step — the pass's bucket insertion order and the
-  // deferred relink order inside SwitchFused — is then keyed on original
-  // ids, so the result is bit-identical to running on the identity layout.
-  // Null (the default) keeps the unchanged fast path; an explicit identity
-  // rank produces the same result as null. The pointee must outlive the
-  // call (MaarSolver points it at its config's rank array).
-  const std::vector<graph::NodeId>* rank = nullptr;
 };
 
 struct KlStats {
@@ -61,13 +51,15 @@ struct KlResult {
 // Reusable workspace for ExtendedKl. Default-constructed empty; every
 // ExtendedKl call Reset()s it for the given graph, growing capacity only
 // when the graph is larger than any seen before. Not thread-safe — use one
-// scratch per thread (MaarSolver keeps one per pool block).
-struct KlScratch {
+// scratch per thread (MaarSolver keeps one per pool block, side by side in
+// one vector). Cache-line aligned so no two threads' scratches share a
+// line: every switch writes `touched`, `seq` and the partition totals,
+// which would otherwise falsely share with the next scratch's header.
+struct alignas(64) KlScratch {
   Partition partition;
   BucketList bucket;
   util::AlignedVector<graph::NodeId> seq;   // this pass's switch sequence
   util::AlignedVector<graph::NodeId> touched;  // neighbors hit per switch
-  util::AlignedVector<graph::NodeId> order;  // rank mode: by ascending rank
 };
 
 // `locked` may be empty (nothing pinned); otherwise size must equal

@@ -4,11 +4,9 @@
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
 
 #include "graph/compressed_view.h"
 #include "graph/graph_source.h"
-#include "graph/layout.h"
 #include "graph/subgraph.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -68,10 +66,6 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
   std::vector<graph::NodeId> to_original(residual.NumNodes());
   std::iota(to_original.begin(), to_original.end(), 0);
   Seeds cur_seeds = seeds;
-  // Layout-invariance rank for the current residual (empty = identity
-  // semantics): re-compressed to a dense permutation after each pruning
-  // round so relative original-id order survives compaction.
-  std::vector<graph::NodeId> cur_rank = config.maar.rank;
   const auto target_reached = [&] {
     return config.target_detections != 0 &&
            result.detected.size() >= config.target_detections;
@@ -85,7 +79,6 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
     if (n < 2 * min_region) break;
 
     MaarConfig maar = config.maar;
-    maar.rank = cur_rank;
     maar.seed = config.maar.seed + static_cast<std::uint64_t>(round) * 0x9e37ULL;
     util::WallTimer round_timer;
     const MaarCut cut =
@@ -113,20 +106,10 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
     info.kl_runs = cut.kl_runs;
     info.switches = cut.switches;
 
-    // Collect this round's suspicious nodes (residual ids). With a rank
-    // engaged, reorder by ascending original id — the identity run's
-    // natural collection order (its residual ids are monotone in the
-    // original ids) — so the reported sequence and the trim sort's stable
-    // tie-breaks match the identity run node for node.
+    // Collect this round's suspicious nodes (residual ids, ascending).
     std::vector<graph::NodeId> flagged;
     for (graph::NodeId v = 0; v < n; ++v) {
       if (cut.in_u[v]) flagged.push_back(v);
-    }
-    if (!cur_rank.empty()) {
-      std::sort(flagged.begin(), flagged.end(),
-                [&](graph::NodeId a, graph::NodeId b) {
-                  return cur_rank[a] < cur_rank[b];
-                });
     }
 
     // Trim a final-round overshoot to the exact target, most suspicious
@@ -200,26 +183,6 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
          nid < static_cast<graph::NodeId>(compacted.parent_id.size()); ++nid) {
       next_to_original[nid] = to_original[compacted.parent_id[nid]];
     }
-    // Re-rank the survivors: compress their original-id order to a dense
-    // permutation of [0, m). Relative order is all the tie-breaks consume,
-    // and it is exactly the order the identity run's monotone residual ids
-    // encode, so invariance carries into every later round.
-    if (!cur_rank.empty()) {
-      const std::size_t m = compacted.parent_id.size();
-      std::vector<graph::NodeId> by_rank(m);
-      std::iota(by_rank.begin(), by_rank.end(), 0);
-      std::sort(by_rank.begin(), by_rank.end(),
-                [&](graph::NodeId a, graph::NodeId b) {
-                  return cur_rank[compacted.parent_id[a]] <
-                         cur_rank[compacted.parent_id[b]];
-                });
-      std::vector<graph::NodeId> next_rank(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        next_rank[by_rank[i]] = static_cast<graph::NodeId>(i);
-      }
-      cur_rank = std::move(next_rank);
-    }
-
     residual_storage = std::move(compacted.graph);
     residual = {&residual_storage, nullptr};
     to_original = std::move(next_to_original);
@@ -247,37 +210,6 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const MaarRunner& solve,
                                      util::ThreadPool* pool) {
   seeds.Validate(g.NumNodes());
-
-  // Non-identity layout: remap ONCE for the whole pipeline (each round's
-  // residual inherits the locality through compaction), run the core with
-  // the invariance rank engaged, and translate every reported id back.
-  // Result — detected set, order, ratios, per-round cuts — is bit-identical
-  // to the identity run (see graph/layout.h).
-  if (config.maar.layout != graph::LayoutPolicy::kIdentity) {
-    util::WallTimer total_timer;
-    const graph::Layout layout =
-        graph::ComputeLayout(g, config.maar.layout, pool);
-    const graph::AugmentedGraph laid = graph::ApplyLayout(g, layout, pool);
-    Seeds laid_seeds = seeds;
-    laid_seeds.legit = graph::IdsToLayout(layout, seeds.legit);
-    laid_seeds.spammer = graph::IdsToLayout(layout, seeds.spammer);
-    IterativeConfig inner = config;
-    inner.maar.layout = graph::LayoutPolicy::kIdentity;
-    inner.maar.rank = layout.old_of_new;
-    if (!inner.maar.extra_init.empty()) {
-      inner.maar.extra_init =
-          graph::MaskToLayout(layout, inner.maar.extra_init);
-    }
-    DetectionResult result = RunRounds({&laid, nullptr}, laid_seeds, inner,
-                                       solve, pool);
-    for (graph::NodeId& id : result.detected) id = layout.old_of_new[id];
-    for (RoundInfo& round : result.rounds) {
-      for (graph::NodeId& id : round.detected) id = layout.old_of_new[id];
-    }
-    result.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
   return RunRounds({&g, nullptr}, seeds, config, solve, pool);
 }
 
@@ -285,12 +217,6 @@ DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config) {
   seeds.Validate(view.NumNodes());
-  if (config.maar.layout != graph::LayoutPolicy::kIdentity) {
-    throw std::invalid_argument(
-        "DetectFriendSpammersCompressed: layout policies require the in-RAM "
-        "pipeline; bake the layout into the snapshot with "
-        "SaveSnapshotWithPolicy instead");
-  }
   const auto pool = MakePool(config);
   return RunRounds({nullptr, &view}, seeds, config, SolveOn(pool.get()),
                    pool.get());

@@ -103,9 +103,7 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
 // round or once the target is reached, so with max_rounds = 1 no block is
 // decoded for compaction. Produces bit-identical results to
 // DetectFriendSpammers(LoadSnapshot(path).graph, ...) at any thread count.
-// Reported ids live in the snapshot's stored id space (apply
-// view.StoredLayout() to translate if the snapshot was saved with a layout
-// policy). config.maar.layout must be kIdentity.
+// Reported ids are the ids the snapshot's CSRs are stored under.
 DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config);

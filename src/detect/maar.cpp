@@ -42,11 +42,6 @@ MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
 MaarSolver::MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
                        MaarConfig config)
     : view_(&view), seeds_(std::move(seeds)), config_(std::move(config)) {
-  if (config_.layout != graph::LayoutPolicy::kIdentity) {
-    throw std::invalid_argument(
-        "MaarSolver: layout policies require the in-RAM graph; save the "
-        "snapshot with SaveSnapshotWithPolicy instead");
-  }
   ValidateConfig();
 }
 
@@ -60,22 +55,6 @@ void MaarSolver::ValidateConfig() {
   if (!config_.extra_init.empty() && config_.extra_init.size() != n) {
     throw std::invalid_argument("MaarSolver: extra_init size mismatch");
   }
-  if (!config_.rank.empty()) {
-    if (config_.rank.size() != n) {
-      throw std::invalid_argument("MaarSolver: rank size mismatch");
-    }
-    rank_order_.assign(n, graph::kInvalidNode);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const graph::NodeId r = config_.rank[v];
-      if (r >= n || rank_order_[r] != graph::kInvalidNode) {
-        throw std::invalid_argument("MaarSolver: rank is not a permutation");
-      }
-      rank_order_[r] = v;
-    }
-  }
-  // Point the per-cell KL configs at OUR copy of the rank array; a stale
-  // pointer copied in from the caller's config must never survive.
-  config_.kl.rank = config_.rank.empty() ? nullptr : &config_.rank;
   locked_ = BuildLockedMask(n, seeds_);
 }
 
@@ -104,18 +83,8 @@ std::vector<std::vector<char>> MaarSolver::InitialPartitions(
 
   for (int i = 0; i < config_.num_random_inits; ++i) {
     std::vector<char> mask(n, 0);
-    if (rank_order_.empty()) {
-      for (graph::NodeId v = 0; v < n; ++v) {
-        mask[v] = rng.NextBool(config_.random_init_fraction) ? 1 : 0;
-      }
-    } else {
-      // Draw indexed by ORIGINAL id so the same rng stream marks the same
-      // logical nodes under any layout (identity rank degenerates to the
-      // loop above).
-      for (graph::NodeId orig = 0; orig < n; ++orig) {
-        mask[rank_order_[orig]] =
-            rng.NextBool(config_.random_init_fraction) ? 1 : 0;
-      }
+    for (graph::NodeId v = 0; v < n; ++v) {
+      mask[v] = rng.NextBool(config_.random_init_fraction) ? 1 : 0;
     }
     ApplySeedPlacement(mask, seeds_);
     inits.push_back(std::move(mask));
@@ -161,31 +130,6 @@ std::vector<double> MaarSolver::SweepKs() const {
 MaarCut MaarSolver::Solve() { return Solve(nullptr); }
 
 MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
-  // Non-identity layout: remap once, solve with the rank hook engaged, and
-  // translate the mask back — callers always see original ids, and the cut
-  // is bit-identical to the identity-layout solve (see graph/layout.h).
-  if (config_.layout != graph::LayoutPolicy::kIdentity) {
-    util::WallTimer total_timer;
-    const graph::Layout layout =
-        graph::ComputeLayout(*g_, config_.layout, pool);
-    const graph::AugmentedGraph laid = graph::ApplyLayout(*g_, layout, pool);
-    MaarConfig inner = config_;
-    inner.layout = graph::LayoutPolicy::kIdentity;
-    inner.rank = layout.old_of_new;
-    if (!inner.extra_init.empty()) {
-      inner.extra_init = graph::MaskToLayout(layout, inner.extra_init);
-    }
-    Seeds laid_seeds = seeds_;
-    laid_seeds.legit = graph::IdsToLayout(layout, seeds_.legit);
-    laid_seeds.spammer = graph::IdsToLayout(layout, seeds_.spammer);
-    MaarSolver solver(laid, std::move(laid_seeds), std::move(inner),
-                      kl_runner_);
-    MaarCut cut = solver.Solve(pool);
-    if (!cut.in_u.empty()) cut.in_u = graph::MaskFromLayout(layout, cut.in_u);
-    cut.total_seconds = total_timer.Seconds();
-    return cut;
-  }
-
   util::WallTimer total_timer;
   util::Rng rng(config_.seed);
   const auto inits = InitialPartitions(rng);

@@ -33,7 +33,6 @@
 #include "detect/seeds.h"
 #include "graph/augmented_graph.h"
 #include "graph/compressed_view.h"
-#include "graph/layout.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -76,25 +75,6 @@ struct MaarConfig {
   std::vector<char> extra_init;
 
   std::uint64_t seed = 1;
-
-  // Memory-layout policy (graph/layout.h). Non-identity makes Solve() remap
-  // the graph through ComputeLayout/ApplyLayout before solving and map the
-  // returned mask back, with `rank` set internally so the cut is
-  // bit-identical to the identity run — callers see original ids and
-  // identical results, only the cache behavior changes. DetectFriendSpammers
-  // applies the same wrap once for its whole pipeline. Only the default KL
-  // runner honors it: DetectFriendSpammersDistributed and
-  // DetectFriendSpammersCompressed throw std::invalid_argument on a
-  // non-identity layout (the distributed KL has no rank tie-break).
-  graph::LayoutPolicy layout = graph::LayoutPolicy::kIdentity;
-
-  // Layout-invariance rank (see graph/layout.h): empty, or an n-sized
-  // permutation mapping each node of the (laid-out) graph to its ORIGINAL
-  // id. When set, random inits are drawn indexed by original id and every
-  // KL tie-break is keyed on it, so results equal the identity-layout run.
-  // Callers running an already-laid-out graph set this to
-  // Layout::old_of_new; Solve()'s own layout wrap sets it automatically.
-  std::vector<graph::NodeId> rank;
 
   // Worker threads for the (k × init) grid: 0 = util::HardwareThreads(),
   // values < 0 clamp to 1. Any setting yields bit-identical cuts (see the
@@ -146,10 +126,8 @@ class MaarSolver {
   // peak RSS is per-cursor cache × threads rather than the full CSR
   // expansion. Bit-identical to solving over view.Materialize().graph:
   // both paths serve the same adjacency bytes and the reduction is the
-  // same pure function of the cell results. config.layout must be
-  // kIdentity (remapping requires the in-RAM graph; save the snapshot
-  // with a layout policy instead) and custom KL runners are not supported
-  // here. The view must outlive the solver.
+  // same pure function of the cell results. Custom KL runners are not
+  // supported here. The view must outlive the solver.
   MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
              MaarConfig config);
 
@@ -178,10 +156,6 @@ class MaarSolver {
   MaarConfig config_;
   KlRunner kl_runner_;
   std::vector<char> locked_;
-  // Inverse of config_.rank (original id -> node id), empty when rank is:
-  // random init draws walk it so the i-th rng draw always lands on the node
-  // whose ORIGINAL id is i, whatever the layout.
-  std::vector<graph::NodeId> rank_order_;
 };
 
 }  // namespace rejecto::detect

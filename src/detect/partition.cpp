@@ -4,7 +4,6 @@
 #include <immintrin.h>
 #endif
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -198,8 +197,7 @@ void Partition::Switch(graph::NodeId v) {
 }
 
 void Partition::SwitchFused(graph::NodeId v, double k, BucketList& bl,
-                            util::AlignedVector<graph::NodeId>& touched,
-                            const graph::NodeId* rank) {
+                            util::AlignedVector<graph::NodeId>& touched) {
   REJECTO_DCHECK(v < NumNodes(), "Partition::SwitchFused: node id");
   touched.clear();
 
@@ -235,35 +233,14 @@ void Partition::SwitchFused(graph::NodeId v, double k, BucketList& bl,
   static_assert(sizeof(NodeAggregates) == 4 * sizeof(std::uint32_t));
   CrossFriendDeltas(reinterpret_cast<std::uint32_t*>(agg_.data()),
                     friends.data(), friends.size(), v_side, use_avx2);
-  const std::size_t friends_end = friends.size();
   const std::int32_t into_u = was_in_u ? -1 : 1;
   for (graph::NodeId x : rejectors) {
     agg_[x].out_to_u = static_cast<std::uint32_t>(
         static_cast<std::int32_t>(agg_[x].out_to_u) + into_u);
   }
-  const std::size_t rejectors_end = friends_end + rejectors.size();
   for (graph::NodeId y : rejectees) {
     agg_[y].in_from_w = static_cast<std::uint32_t>(
         static_cast<std::int32_t>(agg_[y].in_from_w) - into_u);
-  }
-
-  // Layout invariance (rank != null): each adjacency segment holds a
-  // duplicate-free node set ordered by CURRENT (layout) id; re-sorting it
-  // by original id reproduces the identity layout's segment order, and
-  // keeping the segment boundaries preserves which occurrence of a
-  // cross-segment duplicate relinks first. The identity run's relink
-  // sequence is thus replayed node-for-node under any layout.
-  if (rank != nullptr) {
-    auto by_rank = [rank](graph::NodeId a, graph::NodeId b) {
-      return rank[a] < rank[b];
-    };
-    auto begin = touched.begin();
-    std::sort(begin, begin + static_cast<std::ptrdiff_t>(friends_end),
-              by_rank);
-    std::sort(begin + static_cast<std::ptrdiff_t>(friends_end),
-              begin + static_cast<std::ptrdiff_t>(rejectors_end), by_rank);
-    std::sort(begin + static_cast<std::ptrdiff_t>(rejectors_end),
-              touched.end(), by_rank);
   }
 
   // Deferred bucket maintenance with the final aggregates: the first

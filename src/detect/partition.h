@@ -63,18 +63,8 @@ class Partition {
   // Switch-then-refresh loop produces. Gains are recomputed from the
   // integer aggregates with the same expression as DeltaObjective, never
   // accumulated in floating point, keeping cuts bit-identical.
-  //
-  // `rank` (null for the unchanged fast path) is the layout-invariance
-  // hook: an n-sized array mapping each node to its ORIGINAL id (see
-  // graph/layout.h). When set, each of the three adjacency segments of
-  // `touched` is re-sorted by rank before the deferred relink sweep, so the
-  // relink sequence — and therefore every intra-bucket LIFO tie-break — is
-  // the one the identity-layout run produces. Segment boundaries are kept
-  // (a duplicate neighbor still relinks at its friends-segment occurrence),
-  // matching the identity path's first-occurrence semantics exactly.
   void SwitchFused(graph::NodeId v, double k, BucketList& bl,
-                   util::AlignedVector<graph::NodeId>& touched,
-                   const graph::NodeId* rank = nullptr);
+                   util::AlignedVector<graph::NodeId>& touched);
 
   // Change of W(U) if v switched now: ΔW(v) = ΔF(v) − k·ΔR(v) with
   //   ΔF(v) = deg(v) − 2·cross_friends(v)

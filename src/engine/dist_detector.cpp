@@ -1,7 +1,5 @@
 #include "engine/dist_detector.h"
 
-#include <stdexcept>
-
 #include "engine/dist_maar.h"
 
 namespace rejecto::engine {
@@ -9,12 +7,6 @@ namespace rejecto::engine {
 DistDetectionResult DetectFriendSpammersDistributed(
     const graph::AugmentedGraph& g, const detect::Seeds& seeds,
     const detect::IterativeConfig& config, Cluster& cluster) {
-  // DistributedKl has no rank tie-break: a laid-out run could diverge.
-  if (config.maar.layout != graph::LayoutPolicy::kIdentity ||
-      !config.maar.rank.empty()) {
-    throw std::invalid_argument(
-        "DetectFriendSpammersDistributed: layout and rank are unsupported");
-  }
   DistDetectionResult result;
   auto runner = [&](const graph::AugmentedGraph& residual,
                     const detect::Seeds& round_seeds,

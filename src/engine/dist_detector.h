@@ -5,8 +5,7 @@
 // workers (the prototype rebuilds its RDDs after pruning, caching them in
 // memory) and solved via engine::SolveMaarDistributed. Results are
 // identical to the serial pipeline; I/O statistics accumulate across all
-// rounds and sweeps. config.maar.layout must be kIdentity and
-// config.maar.rank empty (std::invalid_argument otherwise).
+// rounds and sweeps.
 #pragma once
 
 #include <vector>

@@ -85,9 +85,6 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
   if (!locked.empty() && locked.size() != n) {
     throw std::invalid_argument("DistributedKl: locked mask size mismatch");
   }
-  if (kl_config.rank != nullptr && !kl_config.rank->empty()) {
-    throw std::invalid_argument("DistributedKl: rank tie-breaks unsupported");
-  }
   const double k = kl_config.k;
   auto is_locked = [&](graph::NodeId v) {
     return !locked.empty() && locked[v] != 0;

@@ -7,8 +7,7 @@
 // whose prefetch candidates are the bucket list's current top-gain nodes.
 // Aggregate initialization runs shard-parallel, like the prototype's RDD
 // transformations. The result is bit-identical to detect::ExtendedKl (an
-// equivalence the tests assert); what differs is the metered I/O. There is
-// no layout-invariance rank: a non-empty KlConfig::rank throws.
+// equivalence the tests assert); what differs is the metered I/O.
 #pragma once
 
 #include "detect/extended_kl.h"

@@ -8,7 +8,6 @@
 
 #include "detect/maar.h"
 #include "graph/builder.h"
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "stream/wal.h"
 #include "util/thread_pool.h"
@@ -302,15 +301,14 @@ std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
 std::unique_ptr<EpochDetector> EpochDetector::FromSnapshot(
     const std::string& path, detect::Seeds seeds, EpochConfig config) {
   graph::Snapshot snap = graph::LoadSnapshot(path);
-  // Stream ids never remap, so a snapshot saved in a non-identity layout
-  // must be mapped back to the original id space before seeds and events
-  // reference it.
-  graph::AugmentedGraph g =
-      snap.layout.IsIdentity()
-          ? std::move(snap.graph)
-          : graph::ApplyLayout(snap.graph, graph::InvertLayout(snap.layout));
-  return std::make_unique<EpochDetector>(std::move(g), std::move(seeds),
-                                         std::move(config));
+  // Stream ids never remap: seeds and events index the stored CSRs.
+  if (!snap.layout.IsIdentity()) {
+    throw std::invalid_argument(
+        "EpochDetector::FromSnapshot: " + path +
+        " carries a vertex permutation; stream ids must be original ids");
+  }
+  return std::make_unique<EpochDetector>(std::move(snap.graph),
+                                         std::move(seeds), std::move(config));
 }
 
 }  // namespace rejecto::engine

@@ -150,11 +150,12 @@ class EpochDetector {
   // Cold-boots a detector from a graph/snapshot.h binary snapshot (either
   // RJSNAP01 or compressed RJSNAP02 — LoadSnapshot dispatches on the magic
   // and expands v2 block-by-block) — the fast-start counterpart of parsing
-  // text edge lists into the base-graph constructor. A snapshot saved in a non-identity layout is mapped back
-  // to ORIGINAL ids here, because stream ids never remap: seeds and every
-  // future Ingest() event keep the id space the snapshot's source graph
-  // had. (Unlike RestoreCheckpoint, this carries no warm-start state or
-  // event cursor — it is a fresh detector on a prebuilt graph.)
+  // text edge lists into the base-graph constructor. Stream ids are the
+  // snapshot's source-graph ids, so seeds and every future Ingest() event
+  // must index the CSRs directly: a snapshot that carries a permutation
+  // section throws std::invalid_argument naming the file. (Unlike
+  // RestoreCheckpoint, this carries no warm-start state or event cursor —
+  // it is a fresh detector on a prebuilt graph.)
   static std::unique_ptr<EpochDetector> FromSnapshot(const std::string& path,
                                                      detect::Seeds seeds,
                                                      EpochConfig config);

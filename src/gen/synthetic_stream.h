@@ -6,10 +6,10 @@
 // are forward "stubs" u → u + δ with δ ∈ [1, locality_window] drawn from a
 // splitmix-style hash of (seed, u, stub) — fully deterministic, and the
 // bounded forward distance both caps the generator's memory (a δ-sized
-// ring of pending back-edges) and mimics the near-sequential neighbor ids
-// a BFS relayout produces, which is exactly the regime the delta+varint
-// blocks compress best in. Peak generator memory is O(locality_window ×
-// stubs), independent of node count.
+// ring of pending back-edges) and keeps neighbor ids near-sequential,
+// which is the regime the delta+varint blocks compress best in. Peak
+// generator memory is O(locality_window × stubs), independent of node
+// count.
 #pragma once
 
 #include <cstdint>

@@ -17,10 +17,9 @@
 // decode(encode(rows)) == rows for every sorted duplicate-free input.
 //
 // Decode dispatches through util::simd::ActiveMode() (REJECTO_SIMD): the
-// AVX2 path batch-widens 32-byte chunks of single-byte varints — the common
-// case on BFS-relayouted graphs, where most gaps are < 128 — and falls back
-// to the scalar stepper at any continuation byte. Both paths produce
-// bit-identical rows (exact integers, no reassociation).
+// AVX2 path batch-widens 32-byte chunks of single-byte varints (gaps
+// < 128) and falls back to the scalar stepper at any continuation byte.
+// Both paths produce bit-identical rows (exact integers, no reassociation).
 #pragma once
 
 #include <cstddef>

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "graph/snapshot_format.h"
 #include "graph/types.h"
@@ -72,9 +71,9 @@ class CompressedGraphView {
     return max_rejection_degree_;
   }
 
-  // The stored layout (empty when the snapshot was saved in identity
-  // layout); ids handed to/returned from this view live in the stored
-  // (laid-out) id space, exactly like Snapshot::graph.
+  // The snapshot's permutation section (empty when it has none); ids
+  // handed to/returned from this view live in the stored id space, exactly
+  // like Snapshot::graph.
   const Layout& StoredLayout() const noexcept { return layout_; }
 
   const std::string& Path() const noexcept { return path_; }

@@ -246,15 +246,19 @@ void SaveSnapshot(const std::string& path, const AugmentedGraph& g,
   }
 }
 
-Layout SaveSnapshotWithPolicy(const std::string& path, const AugmentedGraph& g,
-                              LayoutPolicy policy,
-                              const SnapshotOptions& options) {
-  Layout layout = ComputeLayout(g, policy);
-  if (layout.IsIdentity()) {
-    SaveSnapshot(path, g, layout, options);
-  } else {
-    SaveSnapshot(path, ApplyLayout(g, layout), layout, options);
+Layout LayoutFromPermutation(std::vector<NodeId> new_of_old) {
+  const std::size_t n = new_of_old.size();
+  Layout layout;
+  layout.old_of_new.assign(n, kInvalidNode);
+  for (std::size_t old = 0; old < n; ++old) {
+    const NodeId t = new_of_old[old];
+    if (t >= n || layout.old_of_new[t] != kInvalidNode) {
+      throw std::invalid_argument(
+          "LayoutFromPermutation: not a bijection on [0, n)");
+    }
+    layout.old_of_new[t] = static_cast<NodeId>(old);
   }
+  layout.new_of_old = std::move(new_of_old);
   return layout;
 }
 

@@ -12,12 +12,12 @@
 //
 //   RJSNAP02 — the same graph with delta+varint compressed adjacency in
 //   fixed-span blocks (64–256 rows) behind a per-CSR block index, each
-//   block carrying its own CRC32C. Typically well under half the RJSNAP01
-//   adjacency bytes on BFS-relayout graphs, and — the real point — readable
-//   *in place*: graph/compressed_view.h decodes blocks straight off the
-//   mmap, so detection over a 100M+-edge snapshot never expands the file
-//   into RAM. LoadSnapshot still works on v2 files (decode-everything), it
-//   just stops being the only option.
+//   block carrying its own CRC32C. About 45–60% of the RJSNAP01 adjacency
+//   bytes on the attack scenarios (generator ids or shuffled ids), and —
+//   the real point — readable *in place*: graph/compressed_view.h decodes
+//   blocks straight off the mmap, so detection over a 100M+-edge snapshot
+//   never expands the file into RAM. LoadSnapshot still works on v2 files
+//   (decode-everything), it just stops being the only option.
 //
 // Shared container layout (graph/snapshot_format.h): magic, section count,
 // table CRC32C, a 24-byte-per-entry section table, then 64-byte-aligned
@@ -34,23 +34,41 @@
 // fails) and "snapshot/map" (mmap fails, exercising the std::ifstream
 // fallback) on load.
 //
-// Snapshots compose with graph/layout.h: the CSRs are stored in laid-out
-// order together with the permutation, so a process restart skips both the
-// text parse AND the relayout, and can still translate ids back to the
-// original space (Snapshot::layout).
+// Optional permutation section: a caller that stored the CSRs under
+// relabelled ids may pass the permutation to SaveSnapshot, and the loaders
+// hand it back (Snapshot::layout, CompressedGraphView::StoredLayout) after
+// checking it is a bijection. Nothing in the tree relabels ids; the section
+// stays readable so files written with one still open.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/augmented_graph.h"
-#include "graph/layout.h"
+#include "graph/types.h"
 
 namespace rejecto::graph {
 
-// A loaded snapshot: the graph in its stored (laid-out) id space plus the
-// layout mapping those ids back to original ids. An identity layout loads
-// as the empty Layout.
+// The permutation section's record: a bijection between original ids and
+// stored ids. Either both arrays are empty (identity) or both have size n
+// and are mutual inverses.
+struct Layout {
+  std::vector<NodeId> new_of_old;  // original id -> stored id
+  std::vector<NodeId> old_of_new;  // stored id -> original id
+
+  bool IsIdentity() const noexcept { return new_of_old.empty(); }
+
+  friend bool operator==(const Layout&, const Layout&) = default;
+};
+
+// Builds a Layout from an explicit old->new permutation; validates that it
+// is a bijection on [0, n) and derives the inverse.
+Layout LayoutFromPermutation(std::vector<NodeId> new_of_old);
+
+// A loaded snapshot: the graph in its stored id space plus the layout
+// mapping those ids back to original ids. A snapshot without a permutation
+// section loads with the empty (identity) Layout.
 struct Snapshot {
   AugmentedGraph graph;
   Layout layout;
@@ -69,21 +87,14 @@ struct SnapshotOptions {
   std::uint32_t block_rows = 128;
 };
 
-// Writes g (already in `layout`'s id space — pass the default-constructed
-// identity Layout when ids were never remapped) to `path` atomically via
-// tmp + rename, in the format `options` selects. Throws std::runtime_error
-// on any IO failure, leaving no partial file behind. Precondition: layout
-// is empty or sized to g.NumNodes().
+// Writes g (already in `layout`'s stored id space — pass the
+// default-constructed identity Layout to write no permutation) to `path`
+// atomically via tmp + rename, in the format `options` selects. Throws
+// std::runtime_error on any IO failure, leaving no partial file behind.
+// Precondition: layout is empty or sized to g.NumNodes().
 void SaveSnapshot(const std::string& path, const AugmentedGraph& g,
                   const Layout& layout = Layout{},
                   const SnapshotOptions& options = SnapshotOptions{});
-
-// Convenience: ComputeLayout(policy) + ApplyLayout + SaveSnapshot; returns
-// the layout that was stored.
-Layout SaveSnapshotWithPolicy(const std::string& path,
-                              const AugmentedGraph& g, LayoutPolicy policy,
-                              const SnapshotOptions& options =
-                                  SnapshotOptions{});
 
 // Reads a snapshot of either version back into RAM, dispatching on the
 // magic (RJSNAP02 files decode every block via graph/compressed_view.h;

@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/layout.h"
+#include "graph/snapshot.h"
 #include "graph/types.h"
 
 namespace rejecto::graph {
@@ -42,7 +42,7 @@ class CompressedSnapshotWriter {
   };
 
   // `layout` follows SaveSnapshot's contract: empty (identity) or sized to
-  // n, with rows arriving already in the laid-out id space.
+  // n, with rows arriving already in the stored id space.
   CompressedSnapshotWriter(std::string path, NodeId num_nodes, Options options,
                            Layout layout = Layout{});
   ~CompressedSnapshotWriter();

@@ -4,22 +4,38 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "graph/compressed_view.h"
-#include "graph/csr_build.h"
 #include "util/buffer.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace rejecto::graph {
 
-using internal::ForEachNode;
-using internal::PrefixSum;
-
 namespace {
+
+// Runs fn(i) for i in [0, n), on the pool when one is given.
+void ForEachNode(util::ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->size() > 1) {
+    pool->ParallelFor(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+// offsets[i+1] holds the count for new node i on entry; exclusive prefix
+// sum in place turns it into a CSR offset array.
+template <typename Offsets>
+void PrefixSum(Offsets& offsets) {
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
+  }
+}
 
 // The filter both overloads share: the keep -> new-id mapping, the
 // per-row count/fill kernels and the CSR assembly. An overload supplies

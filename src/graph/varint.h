@@ -1,10 +1,10 @@
 // LEB128 varint + zigzag primitives for the RJSNAP02 block codec.
 //
-// Adjacency rows are stored as deltas: within a BFS-relayouted graph,
-// consecutive neighbor ids differ by small positive gaps, and a row's first
-// neighbor sits near the row's own id — but not necessarily above it, so the
-// first delta is SIGNED and zigzag-mapped (0→0, −1→1, 1→2, −2→3, …) before
-// the varint. All subsequent gaps are strictly positive (rows are sorted,
+// Adjacency rows are stored as deltas: rows are sorted, so consecutive
+// neighbor ids differ by positive gaps, and a row's first neighbor is
+// coded relative to the row's own id — it may sit below it, so the first
+// delta is SIGNED and zigzag-mapped (0→0, −1→1, 1→2, −2→3, …) before the
+// varint. All subsequent gaps are strictly positive (rows are sorted,
 // duplicate-free) and stored as unsigned (gap − 1).
 //
 // Encoding is standard LEB128: 7 payload bits per byte, continuation bit

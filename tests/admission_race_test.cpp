@@ -105,13 +105,17 @@ TEST(RcuPtr, PinSurvivesTwoPublishesThenReclaims) {
     EXPECT_EQ(rcu.RetiredCount(), 1u);
     // A fresh Acquire through the same slot sees the new value.
   }
-  const auto now = rcu.Acquire(slot);
-  EXPECT_EQ(now->a, 12u);
-  // Pin released: the next publish sweeps value 10.
-  rcu.Publish(std::make_shared<const Canary>(13));
-  EXPECT_EQ(rcu.RetiredCount(), 1u);  // only 12, still pinned by `now`
-  rcu.ReleaseSlot(nullptr);           // no-op
-  EXPECT_EQ(now->a, 12u);
+  {
+    const auto now = rcu.Acquire(slot);
+    EXPECT_EQ(now->a, 12u);
+    // Pin released: the next publish sweeps value 10.
+    rcu.Publish(std::make_shared<const Canary>(13));
+    EXPECT_EQ(rcu.RetiredCount(), 1u);  // only 12, still pinned by `now`
+    rcu.ReleaseSlot(nullptr);           // no-op
+    EXPECT_EQ(now->a, 12u);
+  }
+  // Readers release their Pins and Slots before the RcuPtr is destroyed.
+  rcu.ReleaseSlot(slot);
 }
 
 TEST(RcuPtr, SlotPoolExhaustsAndRecycles) {

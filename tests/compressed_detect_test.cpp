@@ -18,7 +18,6 @@
 #include "engine/epoch_detector.h"
 #include "gen/holme_kim.h"
 #include "graph/compressed_view.h"
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "graph/subgraph.h"
 #include "sim/scenario.h"
@@ -226,76 +225,36 @@ TEST_F(CompressedDetectTest, MaarSolverViewModeMatchesRamBitForBit) {
   }
 }
 
-TEST_F(CompressedDetectTest, MaarSolverViewModeRejectsNonIdentityLayout) {
-  const auto scenario = MakeAttackScenario(7, 300, 30);
-  const auto view = SaveAndOpen(Path("g.snap2"), scenario.graph);
-  util::Rng seed_rng(7);
-  const auto seeds = scenario.SampleSeeds(5, 2, seed_rng);
-  detect::MaarConfig cfg;
-  cfg.layout = graph::LayoutPolicy::kBfs;
-  EXPECT_THROW(detect::MaarSolver(view, seeds, cfg), std::invalid_argument);
-}
-
 // ---------- the full pipeline, property-style ----------
 
 TEST_F(CompressedDetectTest, FullPipelineBitIdenticalAtOneTwoEightThreads) {
-  // Each scenario is stored twice: in identity layout, and relabeled by the
-  // BFS policy with the stored old_of_new passed as the invariance rank. The
-  // view pipeline must match the in-RAM one on the loaded graph either way.
+  // The view pipeline must match the in-RAM one on the loaded graph.
   for (const std::uint64_t seed : {11ULL, 13ULL}) {
     const auto scenario = MakeAttackScenario(seed, 800, 80);
     util::Rng seed_rng(seed * 3 + 1);
-    const auto original_seeds = scenario.SampleSeeds(20, 8, seed_rng);
+    const auto seeds = scenario.SampleSeeds(20, 8, seed_rng);
+    const std::string path = Path("g" + std::to_string(seed) + ".snap2");
+    const auto view = SaveAndOpen(path, scenario.graph);
+    const AugmentedGraph g = graph::LoadSnapshot(path).graph;
 
-    for (const auto policy :
-         {graph::LayoutPolicy::kIdentity, graph::LayoutPolicy::kBfs}) {
-      const std::string path = Path("g" + std::to_string(seed) + "_" +
-                                    graph::LayoutPolicyName(policy) +
-                                    ".snap2");
-      graph::SnapshotOptions opts;
-      opts.format = graph::SnapshotFormat::kRjsnap02;
-      const graph::Layout layout =
-          graph::SaveSnapshotWithPolicy(path, scenario.graph, policy, opts);
-      ASSERT_EQ(layout.IsIdentity(), policy == graph::LayoutPolicy::kIdentity);
-      const auto view = CompressedGraphView::Open(path);
-      const AugmentedGraph g = graph::LoadSnapshot(path).graph;
-      detect::Seeds seeds;
-      seeds.legit = graph::IdsToLayout(layout, original_seeds.legit);
-      seeds.spammer = graph::IdsToLayout(layout, original_seeds.spammer);
+    detect::IterativeConfig base;
+    base.target_detections = scenario.num_fakes;
+    base.maar.seed = seed * 7919 + 13;
+    base.maar.num_random_inits = 2;
+    base.maar.num_threads = 1;
 
-      detect::IterativeConfig base;
-      base.target_detections = scenario.num_fakes;
-      base.maar.seed = seed * 7919 + 13;
-      base.maar.num_random_inits = 2;
-      base.maar.num_threads = 1;
-      base.maar.rank = layout.old_of_new;
-
-      for (auto [name, cfg] : ConfigVariants(g, seeds, base)) {
-        for (const int threads : {1, 2, 8}) {
-          cfg.maar.num_threads = threads;
-          const auto ram = detect::DetectFriendSpammers(g, seeds, cfg);
-          const auto mm =
-              detect::DetectFriendSpammersCompressed(view, seeds, cfg);
-          ExpectSameResult(ram, mm,
-                           "seed " + std::to_string(seed) + " " +
-                               graph::LayoutPolicyName(policy) + " " + name +
-                               " threads " + std::to_string(threads));
-        }
+    for (auto [name, cfg] : ConfigVariants(g, seeds, base)) {
+      for (const int threads : {1, 2, 8}) {
+        cfg.maar.num_threads = threads;
+        const auto ram = detect::DetectFriendSpammers(g, seeds, cfg);
+        const auto mm =
+            detect::DetectFriendSpammersCompressed(view, seeds, cfg);
+        ExpectSameResult(ram, mm,
+                         "seed " + std::to_string(seed) + " " + name +
+                             " threads " + std::to_string(threads));
       }
     }
   }
-}
-
-TEST_F(CompressedDetectTest, PipelineRejectsNonIdentityLayoutConfig) {
-  const auto scenario = MakeAttackScenario(17, 300, 30);
-  const auto view = SaveAndOpen(Path("g.snap2"), scenario.graph);
-  util::Rng seed_rng(7);
-  const auto seeds = scenario.SampleSeeds(5, 2, seed_rng);
-  detect::IterativeConfig cfg;
-  cfg.target_detections = scenario.num_fakes;
-  cfg.maar.layout = graph::LayoutPolicy::kBfs;
-  EXPECT_THROW(detect::DetectFriendSpammersCompressed(view, seeds, cfg),
-               std::invalid_argument);
 }
 
 TEST_F(CompressedDetectTest, BlockSpanDoesNotChangeAnyAnswer) {
@@ -324,12 +283,11 @@ TEST_F(CompressedDetectTest, EpochDetectorFromV2SnapshotMatchesV1) {
   const AugmentedGraph& g = scenario.graph;
   const std::string v1 = Path("g.snap");
   const std::string v2 = Path("g.snap2");
-  // Both saved with the BFS policy: FromSnapshot must translate back to
-  // the original id space identically for either format.
-  graph::SaveSnapshotWithPolicy(v1, g, graph::LayoutPolicy::kBfs);
+  // FromSnapshot must build the same detector from either format.
+  graph::SaveSnapshot(v1, g);
   graph::SnapshotOptions opts;
   opts.format = graph::SnapshotFormat::kRjsnap02;
-  graph::SaveSnapshotWithPolicy(v2, g, graph::LayoutPolicy::kBfs, opts);
+  graph::SaveSnapshot(v2, g, graph::Layout{}, opts);
 
   detect::Seeds seeds;
   seeds.legit = {0, 1};

@@ -16,7 +16,6 @@
 #include "gen/synthetic_stream.h"
 #include "graph/builder.h"
 #include "graph/compressed_view.h"
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "graph/snapshot_format.h"
 #include "sim/scenario.h"
@@ -33,7 +32,6 @@ namespace fs = std::filesystem;
 using graph::AugmentedGraph;
 using graph::CompressedGraphView;
 using graph::DecodeCursor;
-using graph::LayoutPolicy;
 using graph::LoadSnapshot;
 using graph::NodeId;
 using graph::Snapshot;
@@ -124,11 +122,19 @@ TEST_F(CompressedViewTest, V2LoadMatchesV1LoadExactly) {
   const AugmentedGraph g = RandomScenarioGraph(31);
   const std::string v1 = Path("g.snap");
   const std::string v2 = Path("g.snap2");
-  graph::SaveSnapshotWithPolicy(v1, g, LayoutPolicy::kBfs);
-  graph::SaveSnapshotWithPolicy(v2, g, LayoutPolicy::kBfs, V2Options());
+  // A hand-built non-identity permutation (id reversal), so both readers'
+  // permutation-section decode is compared too.
+  std::vector<NodeId> new_of_old(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    new_of_old[v] = g.NumNodes() - 1 - v;
+  }
+  const graph::Layout layout = graph::LayoutFromPermutation(new_of_old);
+  graph::SaveSnapshot(v1, g, layout);
+  graph::SaveSnapshot(v2, g, layout, V2Options());
   const Snapshot s1 = LoadSnapshot(v1);
   const Snapshot s2 = LoadSnapshot(v2);
   EXPECT_EQ(s1.graph, s2.graph);
+  EXPECT_EQ(s1.layout, layout);
   EXPECT_EQ(s1.layout, s2.layout);
 }
 
@@ -139,7 +145,7 @@ TEST_F(CompressedViewTest, V2LoadMatchesV1LoadExactly) {
 TEST_F(CompressedViewTest, AdjacencyIsSmallerThanRawOnAttackScenario) {
   const AugmentedGraph g = RandomScenarioGraph(37, 2000);
   const std::string v2 = Path("g.snap2");
-  graph::SaveSnapshotWithPolicy(v2, g, LayoutPolicy::kBfs, V2Options());
+  graph::SaveSnapshot(v2, g, graph::Layout{}, V2Options());
   const auto view = CompressedGraphView::Open(v2);
   const std::uint64_t raw_bytes =
       (2 * g.Friendships().NumEdges() + 2 * g.Rejections().NumArcs()) *

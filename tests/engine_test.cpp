@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <tuple>
 
 #include "detect/extended_kl.h"
@@ -286,75 +285,39 @@ TEST(DistMaarTest, MatchesSerialMaarSolver) {
 
 TEST(DistDetectorTest, MatchesSerialPipeline) {
   // A planted scenario with two fake groups exercises multiple rounds
-  // (and thus multiple re-shardings) of the distributed pipeline.
-  util::Rng rng(55);
-  const auto legit =
-      gen::ErdosRenyi({.num_nodes = 400, .num_edges = 1600}, rng);
-  sim::ScenarioConfig scfg;
-  scfg.seed = 5;
-  scfg.num_fakes = 80;
-  const auto scenario = sim::BuildScenario(legit, scfg);
-  util::Rng seed_rng(6);
-  const auto seeds = scenario.SampleSeeds(10, 4, seed_rng);
+  // (and thus multiple re-shardings) of the distributed pipeline. Each
+  // world is {ER rng seed, scenario seed, seed-sampling seed, maar seed}.
+  struct World {
+    std::uint64_t graph_rng, scenario, seed_rng, maar;
+  };
+  for (const World w : {World{55, 5, 6, 3}, World{57, 7, 8, 5}}) {
+    util::Rng rng(w.graph_rng);
+    const auto legit =
+        gen::ErdosRenyi({.num_nodes = 400, .num_edges = 1600}, rng);
+    sim::ScenarioConfig scfg;
+    scfg.seed = w.scenario;
+    scfg.num_fakes = 80;
+    const auto scenario = sim::BuildScenario(legit, scfg);
+    util::Rng seed_rng(w.seed_rng);
+    const auto seeds = scenario.SampleSeeds(10, 4, seed_rng);
 
-  detect::IterativeConfig cfg;
-  cfg.target_detections = 80;
-  cfg.maar.seed = 3;
-  const auto serial =
-      detect::DetectFriendSpammers(scenario.graph, seeds, cfg);
+    detect::IterativeConfig cfg;
+    cfg.target_detections = 80;
+    cfg.maar.seed = w.maar;
+    const auto serial =
+        detect::DetectFriendSpammers(scenario.graph, seeds, cfg);
 
-  Cluster cluster(
-      {.num_workers = 3, .prefetch_batch = 32, .buffer_capacity = 512});
-  const auto dist = DetectFriendSpammersDistributed(scenario.graph, seeds,
-                                                    cfg, cluster);
+    Cluster cluster(
+        {.num_workers = 3, .prefetch_batch = 32, .buffer_capacity = 512});
+    const auto dist = DetectFriendSpammersDistributed(scenario.graph, seeds,
+                                                      cfg, cluster);
 
-  EXPECT_EQ(dist.detection.detected, serial.detected);
-  EXPECT_EQ(dist.detection.rounds.size(), serial.rounds.size());
-  EXPECT_EQ(dist.detection.hit_target, serial.hit_target);
-  EXPECT_GE(dist.stores_built, 1);
-  EXPECT_GT(dist.io.nodes_fetched, 0u);
-}
-
-// DistributedKl has no layout-invariance rank, so a BFS-laid-out
-// distributed pipeline could return a different detected set than the
-// serial one (this world diverged). The distributed entry point rejects a
-// layout or rank up front; the identity run still matches serial detection
-// under either layout.
-TEST(DistDetectorTest, RejectsLayoutPolicyAndRank) {
-  util::Rng rng(57);
-  const auto legit =
-      gen::ErdosRenyi({.num_nodes = 400, .num_edges = 1600}, rng);
-  sim::ScenarioConfig scfg;
-  scfg.seed = 7;
-  scfg.num_fakes = 80;
-  const auto scenario = sim::BuildScenario(legit, scfg);
-  util::Rng seed_rng(8);
-  const auto seeds = scenario.SampleSeeds(10, 4, seed_rng);
-
-  detect::IterativeConfig cfg;
-  cfg.target_detections = 80;
-  cfg.maar.seed = 5;
-  Cluster cluster(
-      {.num_workers = 3, .prefetch_batch = 32, .buffer_capacity = 512});
-
-  detect::IterativeConfig bfs = cfg;
-  bfs.maar.layout = graph::LayoutPolicy::kBfs;
-  EXPECT_THROW(
-      DetectFriendSpammersDistributed(scenario.graph, seeds, bfs, cluster),
-      std::invalid_argument);
-  detect::IterativeConfig ranked = cfg;
-  ranked.maar.rank.resize(scenario.NumNodes());
-  std::iota(ranked.maar.rank.begin(), ranked.maar.rank.end(), 0);
-  EXPECT_THROW(
-      DetectFriendSpammersDistributed(scenario.graph, seeds, ranked, cluster),
-      std::invalid_argument);
-
-  const auto dist =
-      DetectFriendSpammersDistributed(scenario.graph, seeds, cfg, cluster);
-  EXPECT_EQ(dist.detection.detected,
-            detect::DetectFriendSpammers(scenario.graph, seeds, cfg).detected);
-  EXPECT_EQ(dist.detection.detected,
-            detect::DetectFriendSpammers(scenario.graph, seeds, bfs).detected);
+    EXPECT_EQ(dist.detection.detected, serial.detected) << w.graph_rng;
+    EXPECT_EQ(dist.detection.rounds.size(), serial.rounds.size());
+    EXPECT_EQ(dist.detection.hit_target, serial.hit_target);
+    EXPECT_GE(dist.stores_built, 1);
+    EXPECT_GT(dist.io.nodes_fetched, 0u);
+  }
 }
 
 TEST(DistKlTest, InvalidInputsThrow) {
@@ -367,12 +330,6 @@ TEST(DistKlTest, InvalidInputsThrow) {
                std::invalid_argument);
   EXPECT_THROW(DistributedKl(store, std::vector<char>(g.NumNodes(), 0), {},
                              detect::KlConfig{.k = 0.0}, cluster),
-               std::invalid_argument);
-  std::vector<graph::NodeId> rank(g.NumNodes());
-  std::iota(rank.begin(), rank.end(), 0);
-  EXPECT_THROW(DistributedKl(store, std::vector<char>(g.NumNodes(), 0), {},
-                             detect::KlConfig{.k = 1.0, .rank = &rank},
-                             cluster),
                std::invalid_argument);
 }
 

@@ -16,7 +16,6 @@
 #include "engine/epoch_detector.h"
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
-#include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "sim/scenario.h"
 #include "util/failpoint.h"
@@ -30,7 +29,6 @@ namespace fs = std::filesystem;
 
 using graph::AugmentedGraph;
 using graph::Layout;
-using graph::LayoutPolicy;
 using graph::LoadSnapshot;
 using graph::NodeId;
 using graph::SaveSnapshot;
@@ -81,6 +79,15 @@ AugmentedGraph RandomScenarioGraph(std::uint64_t seed, NodeId n = 400) {
   cfg.seed = seed;
   cfg.num_fakes = n / 10;
   return sim::BuildScenario(legit, cfg).graph;
+}
+
+// A hand-built non-identity permutation (id reversal): saving with it puts
+// the optional permutation section in the file. The CSRs are stored as
+// given; the loader only validates and returns the permutation.
+Layout ReversedLayout(NodeId n) {
+  std::vector<NodeId> new_of_old(n);
+  for (NodeId v = 0; v < n; ++v) new_of_old[v] = n - 1 - v;
+  return graph::LayoutFromPermutation(std::move(new_of_old));
 }
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {
@@ -141,18 +148,12 @@ TEST_F(SnapshotTest, IdentityRoundTripIsExact) {
   EXPECT_EQ(snap, (Snapshot{g, Layout{}}));
 }
 
-TEST_F(SnapshotTest, LayoutPolicyRoundTripStoresLaidOutCsrsAndPermutation) {
+TEST_F(SnapshotTest, PermutationSectionRoundTripsExactly) {
   const AugmentedGraph g = RandomScenarioGraph(11);
+  const Layout layout = ReversedLayout(g.NumNodes());
   const std::string path = Path("g.snap");
-  const Layout layout =
-      graph::SaveSnapshotWithPolicy(path, g, LayoutPolicy::kBfs);
-  ASSERT_FALSE(layout.IsIdentity());
-  const Snapshot snap = LoadSnapshot(path);
-  EXPECT_EQ(snap.layout, layout);
-  EXPECT_EQ(snap.graph, graph::ApplyLayout(g, layout));
-  // Mapping back through the stored permutation recovers the original.
-  EXPECT_EQ(graph::ApplyLayout(snap.graph, graph::InvertLayout(snap.layout)),
-            g);
+  SaveSnapshot(path, g, layout);
+  EXPECT_EQ(LoadSnapshot(path), (Snapshot{g, layout}));
 }
 
 TEST_F(SnapshotTest, PreservesIsolatedNodesAndEmptyGraphs) {
@@ -176,6 +177,15 @@ TEST_F(SnapshotTest, SaveRejectsMismatchedLayout) {
   EXPECT_THROW(SaveSnapshot(Path("bad.snap"), g,
                             graph::LayoutFromPermutation({1, 0})),
                std::invalid_argument);
+}
+
+TEST(LayoutTest, LayoutFromPermutationRejectsNonBijections) {
+  EXPECT_THROW(graph::LayoutFromPermutation({0, 0}), std::invalid_argument);
+  EXPECT_THROW(graph::LayoutFromPermutation({0, 5}), std::invalid_argument);
+  EXPECT_THROW(graph::LayoutFromPermutation({1, 2, 0, 1}),
+               std::invalid_argument);
+  const Layout ok = graph::LayoutFromPermutation({2, 0, 1});
+  EXPECT_EQ(ok.old_of_new, (std::vector<NodeId>{1, 2, 0}));
 }
 
 TEST_F(SnapshotTest, WritesAreByteDeterministic) {
@@ -210,7 +220,7 @@ TEST_F(SnapshotTest, GoldenPinReloadsEqualAndByteIdentical) {
 TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
   const AugmentedGraph g = RandomScenarioGraph(17, 120);
   const std::string path = Path("g.snap");
-  graph::SaveSnapshotWithPolicy(path, g, LayoutPolicy::kBfs);
+  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
   ASSERT_EQ(table.size(), 8u);  // meta, 3x(offsets+adjacency), layout
@@ -245,7 +255,7 @@ TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
 TEST_F(SnapshotTest, BitFlipsAnywhereAreRejected) {
   const AugmentedGraph g = RandomScenarioGraph(19, 60);
   const std::string path = Path("g.snap");
-  graph::SaveSnapshotWithPolicy(path, g, LayoutPolicy::kBfs);
+  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
 
@@ -344,8 +354,8 @@ TEST_F(SnapshotTest, WriteAndRenameFailpointsLeaveNoPartialFile) {
 TEST_F(SnapshotTest, OpenFailpointThrowsAndMapFailpointFallsBackToStreams) {
   const AugmentedGraph g = RandomScenarioGraph(23, 80);
   const std::string path = Path("g.snap");
-  const Layout layout =
-      graph::SaveSnapshotWithPolicy(path, g, LayoutPolicy::kBfs);
+  const Layout layout = ReversedLayout(g.NumNodes());
+  SaveSnapshot(path, g, layout);
   {
     util::ScopedFailpoint fp("snapshot/open",
                              util::FailpointPolicy::OnNth(1));
@@ -356,7 +366,7 @@ TEST_F(SnapshotTest, OpenFailpointThrowsAndMapFailpointFallsBackToStreams) {
     // snapshot.
     util::ScopedFailpoint fp("snapshot/map", util::FailpointPolicy::OnNth(1));
     const Snapshot snap = LoadSnapshot(path);
-    EXPECT_EQ(snap, (Snapshot{graph::ApplyLayout(g, layout), layout}));
+    EXPECT_EQ(snap, (Snapshot{g, layout}));
   }
 }
 
@@ -365,9 +375,7 @@ TEST_F(SnapshotTest, OpenFailpointThrowsAndMapFailpointFallsBackToStreams) {
 TEST_F(SnapshotTest, EpochDetectorFromSnapshotMatchesDirectConstruction) {
   const AugmentedGraph g = RandomScenarioGraph(29, 200);
   const std::string path = Path("g.snap");
-  // Save in BFS layout on purpose: FromSnapshot must hand the detector the
-  // ORIGINAL id space (stream ids never remap).
-  graph::SaveSnapshotWithPolicy(path, g, LayoutPolicy::kBfs);
+  SaveSnapshot(path, g);
 
   detect::Seeds seeds;
   seeds.legit = {0, 1};
@@ -384,6 +392,23 @@ TEST_F(SnapshotTest, EpochDetectorFromSnapshotMatchesDirectConstruction) {
   EXPECT_EQ(from_snap->LastResult().detected, direct.LastResult().detected);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.round_ratios, b.round_ratios);
+}
+
+TEST_F(SnapshotTest, EpochDetectorFromPermutedSnapshotThrowsNamingThePath) {
+  // Stream ids are original ids: a snapshot whose CSRs were stored under a
+  // permutation cannot seed a detector, so FromSnapshot refuses it.
+  const AugmentedGraph g = RandomScenarioGraph(29, 200);
+  const std::string path = Path("permuted.snap");
+  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
+  detect::Seeds seeds;
+  seeds.legit = {0, 1};
+  try {
+    engine::EpochDetector::FromSnapshot(path, seeds, engine::EpochConfig{});
+    FAIL() << "a permuted snapshot was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
