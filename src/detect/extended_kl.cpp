@@ -25,6 +25,12 @@ double GainBound(const graph::GraphSource& src, double k) {
 
 }  // namespace
 
+void ReserveKlScratch(const graph::GraphSource& src, double k,
+                      const KlConfig& config, KlScratch& scratch) {
+  scratch.bucket.Reset(src.NumNodes(), GainBound(src, k),
+                       config.gain_resolution);
+}
+
 KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,

@@ -51,7 +51,7 @@ struct KlResult {
 // Reusable workspace for ExtendedKl. Default-constructed empty; every
 // ExtendedKl call Reset()s it for the given graph, growing capacity only
 // when the graph is larger than any seen before. Not thread-safe — use one
-// scratch per thread (MaarSolver keeps one per pool block, side by side in
+// scratch per thread (MaarSolver keeps one per sweep worker, side by side in
 // one vector). Cache-line aligned so no two threads' scratches share a
 // line: every switch writes `touched`, `seq` and the partition totals,
 // which would otherwise falsely share with the next scratch's header.
@@ -75,5 +75,12 @@ KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,
                     KlScratch* scratch = nullptr);
+
+// Grows `scratch` once to what ExtendedKl needs on `src` at weight `k` (the
+// bucket array scales with max_F + k·max_R), so runs at k or below never
+// regrow it. A scratch grown run by run up a k sweep allocates a larger
+// array at every k, each alive beside the one it replaces while it grows.
+void ReserveKlScratch(const graph::GraphSource& src, double k,
+                      const KlConfig& config, KlScratch& scratch);
 
 }  // namespace rejecto::detect

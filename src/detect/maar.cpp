@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "util/timer.h"
@@ -159,9 +161,11 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
     return false;
   };
 
-  // Phase 1 — the (k × init) grid. Every cell is an independent KL run;
-  // grid[c] is written by exactly one task, so the only coordination is the
-  // ParallelFor barrier.
+  // Phase 1 — the sweep: the (k × init) grid plus the warm-start chain,
+  // reduced in sweep order (k outer, init inner, then the warm run at the
+  // next k). Every run is handed to whichever worker asks next, so the pool
+  // drains the grid and the chain together instead of finishing the grid
+  // before the chain starts.
   util::WallTimer sweep_timer;
   std::unique_ptr<util::ThreadPool> owned_pool;
   if (pool == nullptr && cells > 1 &&
@@ -172,58 +176,138 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
   }
   best.threads_used = pool == nullptr ? 1 : static_cast<int>(pool->size());
 
-  // One reusable KL workspace per pool block: a block runs as exactly one
-  // task, so its scratch is never shared, and every KL run inside the block
-  // reuses the same buffers instead of reallocating per cell. Out-of-core
-  // mode pairs each scratch with its own DecodeCursor (the cursor's block
-  // cache is mutable per-thread state, exactly like the scratch).
-  std::vector<KlScratch> scratches(pool != nullptr ? pool->size() : 1);
+  // One reusable KL workspace per sweep worker, and never one more: a worker
+  // runs one KL at a time, so its scratch is never shared, and at most
+  // pool->size() runs are ever in flight. Out-of-core mode pairs each
+  // scratch with its own DecodeCursor (the cursor's block cache is mutable
+  // per-thread state, exactly like the scratch). The Dinkelbach phase runs
+  // on the caller after every worker has returned, reusing workspace 0.
+  const std::size_t workers =
+      pool != nullptr ? std::min(pool->size(), cells) : 1;
+  std::vector<KlScratch> scratches(workers);
   std::vector<std::unique_ptr<graph::DecodeCursor>> cursors;
   if (view_ != nullptr) {
-    cursors.reserve(scratches.size());
-    for (std::size_t i = 0; i < scratches.size(); ++i) {
+    cursors.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
       cursors.push_back(std::make_unique<graph::DecodeCursor>(*view_));
     }
   }
-  auto run_kl = [&](std::size_t block, const std::vector<char>& init,
-                    const KlConfig& cell_kl) {
+  auto source = [&](std::size_t w) {
+    return view_ != nullptr ? graph::GraphSource(cursors[w].get())
+                            : graph::GraphSource(*g_);
+  };
+  auto run_kl = [&](std::size_t w, const std::vector<char>& init, double k) {
+    KlConfig run_cfg = config_.kl;
+    run_cfg.k = k;
     if (view_ != nullptr) {
-      return ExtendedKl(graph::GraphSource(cursors[block].get()), init,
-                        locked_, cell_kl, &scratches[block]);
+      return ExtendedKl(source(w), init, locked_, run_cfg, &scratches[w]);
     }
-    return kl_runner_(*g_, init, locked_, cell_kl, &scratches[block]);
+    return kl_runner_(*g_, init, locked_, run_cfg, &scratches[w]);
   };
-  std::vector<KlResult> grid(cells);
-  auto run_cell = [&](std::size_t block, std::size_t c) {
-    KlConfig cell_kl = config_.kl;
-    cell_kl.k = ks[c / inits.size()];
-    grid[c] = run_kl(block, inits[c % inits.size()], cell_kl);
-  };
-  if (pool != nullptr && cells > 1) {
-    pool->ParallelFor(cells, run_cell);
-  } else {
-    for (std::size_t c = 0; c < cells; ++c) run_cell(0, c);
-  }
 
-  // Phase 2 — deterministic reduction in sweep order (k outer, init inner),
-  // interleaved with the serial warm-start tail: once every cell at k_i has
-  // been reduced, the incumbent mask seeds one extra KL run at k_{i+1}.
-  // Everything here depends only on the cell results, never on the order
-  // the pool produced them, so thread count cannot change the winner.
-  KlConfig kl = config_.kl;
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-    for (std::size_t ii = 0; ii < inits.size(); ++ii) {
-      consider(std::move(grid[ki * inits.size() + ii]), ks[ki]);
+  // Shared sweep state, all guarded by `mu`. Grid cells are handed out in
+  // sweep order from `next_cell`; a finished cell parks its result in
+  // grid[c] until the reduction reaches it.
+  const std::size_t per_k = inits.size();
+  std::mutex mu;
+  std::vector<KlResult> grid(cells);
+  std::vector<char> cell_done(cells, 0);
+  std::size_t next_cell = 0;
+  std::size_t reduced = 0;  // grid cells consumed by `consider`
+  enum class Warm { kIdle, kReady, kRunning } warm = Warm::kIdle;
+  std::exception_ptr failure;
+  std::size_t failure_pos = std::numeric_limits<std::size_t>::max();
+
+  // Consumes finished cells in sweep order until one is still missing or
+  // the warm run at the next k is due: once every cell at k_i has been
+  // reduced, the incumbent mask seeds one extra KL run at k_{i+1}, and no
+  // cell at k_{i+1} may be reduced before it. Whichever worker finishes a
+  // run calls this, so the order of `consider` calls, and with it the
+  // winner, never depends on the thread count.
+  auto reduce = [&] {
+    while (warm == Warm::kIdle && reduced < cells && cell_done[reduced]) {
+      consider(std::move(grid[reduced]), ks[reduced / per_k]);
+      ++reduced;
+      if (config_.warm_start && best.valid && reduced % per_k == 0 &&
+          reduced < cells) {
+        warm = Warm::kReady;
+      }
     }
-    if (config_.warm_start && best.valid && ki + 1 < ks.size()) {
-      kl.k = ks[ki + 1];
-      ++best.warm_start_runs;
-      consider(run_kl(0, best.in_u, kl), ks[ki + 1]);
+  };
+
+  // A worker's loop: the due warm run first (it is the critical path), else
+  // the next grid cell, else return. Only a worker that has just reduced can
+  // make a warm run due, and it takes it on its next turn, so a worker that
+  // finds nothing to do can leave: every run left is in flight or will be
+  // unlocked by one that is. A failed run parks its exception and stops the
+  // grid handout; a due warm run still runs, because it precedes every
+  // failed run in sweep order. So every run before the earliest failing one
+  // runs, and that run's exception is the one rethrown, for any width.
+  auto work = [&](std::size_t w) {
+    // Every worker may reach the largest k, so size its workspace for it
+    // once, before taking the lock.
+    ReserveKlScratch(source(w), ks.back(), config_.kl, scratches[w]);
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      const bool is_warm = warm == Warm::kReady;
+      const std::size_t c = next_cell;
+      if (is_warm) {
+        warm = Warm::kRunning;
+      } else if (!failure && next_cell < cells) {
+        ++next_cell;
+      } else {
+        return;
+      }
+      const std::size_t ki = is_warm ? reduced / per_k : c / per_k;
+      // The reduction waits on a running warm run, so nothing writes
+      // best.in_u while the run reads it unlocked.
+      const std::vector<char>& init = is_warm ? best.in_u : inits[c % per_k];
+      lock.unlock();
+      KlResult r;
+      std::exception_ptr err;
+      try {
+        r = run_kl(w, init, ks[ki]);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      lock.lock();
+      if (err) {
+        // Sweep position: at each k, the warm run, then the cells.
+        const std::size_t pos =
+            ki * (per_k + 1) + (is_warm ? 0 : c % per_k + 1);
+        if (pos < failure_pos) {
+          failure_pos = pos;
+          failure = err;
+        }
+        continue;
+      }
+      if (is_warm) {
+        ++best.warm_start_runs;
+        consider(std::move(r), ks[ki]);
+        warm = Warm::kIdle;
+      } else {
+        grid[c] = std::move(r);
+        cell_done[c] = 1;
+      }
+      reduce();
     }
+  };
+  if (pool == nullptr) {
+    work(0);
+  } else {
+    std::vector<std::future<void>> done;
+    done.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      done.push_back(pool->Submit([&work, w] { work(w); }));
+    }
+    // Every task references this frame: wait for all before any get().
+    for (auto& f : done) f.wait();
+    for (auto& f : done) f.get();
   }
+  if (failure) std::rethrow_exception(failure);
   best.sweep_seconds = sweep_timer.Seconds();
 
-  // Phase 3 — Dinkelbach refinement: with k set to the best cut's own
+  // Phase 2 — Dinkelbach refinement: with k set to the best cut's own
   // ratio, the cut's objective is exactly 0, so any strictly-negative-
   // objective cut found by KL has a strictly smaller ratio.
   util::WallTimer refine_timer;
@@ -231,8 +315,7 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
        ++round) {
     const double k = best.ratio;
     if (!(k > 0) || !std::isfinite(k)) break;  // perfect cut; cannot improve
-    kl.k = k;
-    if (!consider(run_kl(0, best.in_u, kl), k)) {
+    if (!consider(run_kl(0, best.in_u, k), k)) {
       break;
     }
   }

@@ -16,13 +16,16 @@
 //
 // Parallel sweep (the paper's Spark prototype parallelizes exactly this
 // grid, §V/Table II): every (k, init) cell of the sweep is an independent
-// KL run, so Solve() fans the grid out over a util::ThreadPool and then
-// reduces the per-cell results serially in fixed sweep order — the winner,
-// tie-breaking included, is a pure function of the cell results, so any
-// thread count produces bit-identical cuts. Warm starts (the incumbent
-// best mask injected as one extra init at the next k) and the Dinkelbach
-// rounds are inherently sequential and run as a short serial tail on top
-// of the reduced grid, preserving that guarantee.
+// KL run. Warm starts add one more run per k — the incumbent best mask
+// seeded at k_{i+1} once every run at k_i has been reduced — so they form a
+// chain through the incumbent. Solve() hands both to the pool workers as
+// their dependencies allow: grid cells in sweep order, and each warm run
+// as soon as its k is reduced, ahead of any cell. Whichever worker
+// finishes a run advances one reduction in fixed sweep order (k outer,
+// init inner, then the warm run at the next k); the winner, tie-breaking
+// included, is a pure function of the run results, so any thread count
+// produces bit-identical cuts. The Dinkelbach rounds then run serially on
+// the caller.
 #pragma once
 
 #include <cstdint>
@@ -76,14 +79,15 @@ struct MaarConfig {
 
   std::uint64_t seed = 1;
 
-  // Worker threads for the (k × init) grid: 0 = util::HardwareThreads(),
+  // Worker threads for the sweep: 0 = util::HardwareThreads(),
   // values < 0 clamp to 1. Any setting yields bit-identical cuts (see the
   // header comment); threads only change wall-clock time.
   int num_threads = 0;
 
   // After the grid cells at k_i are reduced, re-run KL once at k_{i+1}
   // seeded with the incumbent best mask. Adds candidates only, so it can
-  // never worsen the returned cut.
+  // never worsen the returned cut. Each warm run waits on the one before,
+  // so the chain, not the grid, usually bounds the sweep's wall time.
   bool warm_start = true;
 };
 
@@ -96,10 +100,10 @@ struct MaarCut {
 
   // Instrumentation (benchmarks report speedup from these).
   int kl_runs = 0;              // total ExtendedKl invocations
-  int warm_start_runs = 0;      // subset of kl_runs from the warm tail
+  int warm_start_runs = 0;      // subset of kl_runs from the warm chain
   std::uint64_t switches = 0;   // KL switches applied, summed over runs
-  int threads_used = 1;         // pool width the grid actually ran on
-  double sweep_seconds = 0.0;   // parallel grid + reduction + warm tail
+  int threads_used = 1;         // pool width the sweep ran on
+  double sweep_seconds = 0.0;   // grid and warm chain, reduced as they run
   double refine_seconds = 0.0;  // Dinkelbach rounds
   double total_seconds = 0.0;   // whole Solve() call
 };
@@ -110,8 +114,8 @@ class MaarSolver {
   // distributed engine injects engine::DistributedKl (same signature, same
   // bit-exact results) so the whole k-sweep runs on the cluster substrate.
   // The KlScratch* is a per-thread reusable workspace owned by the solver
-  // (one per pool block, so no locking); runners that keep their own state
-  // may ignore it. It may be null.
+  // (one per sweep worker, so no locking); runners that keep their own
+  // state may ignore it. It may be null.
   using KlRunner = std::function<KlResult(
       const graph::AugmentedGraph&, const std::vector<char>& init_in_u,
       const std::vector<char>& locked, const KlConfig&, KlScratch* scratch)>;
@@ -122,21 +126,24 @@ class MaarSolver {
              KlRunner kl_runner);
 
   // Out-of-core mode: solves directly over a compressed snapshot view —
-  // every grid cell runs ExtendedKl through a per-thread DecodeCursor, so
+  // every KL run goes through its worker's DecodeCursor, so
   // peak RSS is per-cursor cache × threads rather than the full CSR
   // expansion. Bit-identical to solving over view.Materialize().graph:
   // both paths serve the same adjacency bytes and the reduction is the
-  // same pure function of the cell results. Custom KL runners are not
+  // same pure function of the run results. Custom KL runners are not
   // supported here. The view must outlive the solver.
   MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
              MaarConfig config);
 
   // Creates a private pool when config.num_threads resolves to > 1.
   MaarCut Solve();
-  // Runs the grid on `pool` (callers amortize pool construction across many
-  // solves, e.g. DetectFriendSpammers across rounds); nullptr behaves like
-  // Solve(). When the grid runs on a pool the kl_runner must be safe to
-  // invoke concurrently (the default ExtendedKl runner is pure).
+  // Runs the sweep on `pool` (callers amortize pool construction across
+  // many solves, e.g. DetectFriendSpammers across rounds); nullptr behaves
+  // like Solve(). The caller only waits for the sweep and then runs the
+  // Dinkelbach rounds. When the sweep runs on a pool the kl_runner must be
+  // safe to invoke concurrently (the default ExtendedKl runner is pure). If
+  // KL runs throw, Solve rethrows the exception of the earliest failing run
+  // in sweep order, after every worker has stopped.
   MaarCut Solve(util::ThreadPool* pool);
 
  private:

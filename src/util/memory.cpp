@@ -51,21 +51,24 @@ Block Allocate(std::size_t bytes) {
   if (bytes == 0) return {};
   const std::size_t total = RoundUp(bytes + kSimdSlackBytes);
   Counters& counters = GlobalCounters();
-  if (HugepagesEnabled() && total >= kHugepageThreshold) {
+  if (total >= kMapThreshold) {
+    const bool huge = HugepagesEnabled() && total >= kHugepageThreshold;
     void* map = MAP_FAILED;
-    if (!Failpoints::Instance().ShouldFail("memory/hugepage_map")) {
+    if (!huge || !Failpoints::Instance().ShouldFail("memory/hugepage_map")) {
       map = ::mmap(nullptr, total, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     }
     if (map != MAP_FAILED) {
       // Best effort: kernels without THP reject the advice; the mapping is
       // still a valid 64-byte-aligned zeroed block either way.
-      (void)::madvise(map, total, MADV_HUGEPAGE);
+      if (huge) (void)::madvise(map, total, MADV_HUGEPAGE);
       counters.mapped_allocs.fetch_add(1, std::memory_order_relaxed);
       counters.mapped_bytes.fetch_add(total, std::memory_order_relaxed);
       return {map, total, true};
     }
-    counters.hugepage_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    if (huge) {
+      counters.hugepage_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   void* ptr = std::aligned_alloc(kAlignment, total);
   if (ptr == nullptr) throw std::bad_alloc();

@@ -13,15 +13,23 @@
 //      therefore overread up to 3 bytes past the last valid element without
 //      faulting. See util/simd.h for the kernels that rely on this.
 //
+// Blocks of at least kMapThreshold bytes are anonymous mmap regions of their
+// own, unmapped again on Deallocate. From the heap they would come, once
+// glibc's dynamic mmap threshold has risen past them, out of the arena of
+// whichever thread allocated them, and a freed block would stay resident in
+// that arena: the resident size of a run would then depend on which pool
+// thread happened to allocate which workspace. Mapped, a block is resident
+// exactly while it is alive.
+//
 // Large blocks can additionally be backed by transparent hugepages: when
 // REJECTO_HUGEPAGES is on (util::HugepagesRequested; README "Environment
-// knobs"), allocations of at least kHugepageThreshold bytes come from an
-// anonymous mmap region advised with MADV_HUGEPAGE. The advice is
-// best-effort — kernels without THP simply ignore it — and when the mapping
-// itself cannot be created the allocator falls back to the plain
-// 64-byte-aligned heap path, so the flag can never make an allocation fail
-// that would otherwise succeed. The failpoint site
-// "memory/hugepage_map" forces that fallback deterministically in tests.
+// knobs"), mappings of at least kHugepageThreshold bytes are advised with
+// MADV_HUGEPAGE. The advice is best-effort — kernels without THP simply
+// ignore it — and when the mapping itself cannot be created the allocator
+// falls back to the plain 64-byte-aligned heap path, so no allocation can
+// fail that would otherwise succeed. The failpoint site
+// "memory/hugepage_map" forces that fallback for hugepage-sized blocks
+// deterministically in tests.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +43,17 @@ inline constexpr std::size_t kAlignment = 64;
 // Minimum readable bytes past the requested size (see module comment).
 inline constexpr std::size_t kSimdSlackBytes = 64;
 
-// Allocations at least this large use the hugepage path when enabled.
+// Allocations at least this large are mapped rather than taken from the
+// heap (glibc's own initial mmap threshold).
+inline constexpr std::size_t kMapThreshold = std::size_t{128} << 10;
+
+// Mappings at least this large are advised as hugepages when enabled.
 inline constexpr std::size_t kHugepageThreshold = std::size_t{2} << 20;
 
 struct Block {
   void* ptr = nullptr;       // 64-byte aligned, or nullptr for the empty block
   std::size_t bytes = 0;     // total readable bytes (>= request + slack)
-  bool mapped = false;       // true when mmap-backed (hugepage arena)
+  bool mapped = false;       // true when mmap-backed
 };
 
 // Returns a zero-initialised block of at least `bytes + kSimdSlackBytes`

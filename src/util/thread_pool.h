@@ -61,7 +61,7 @@ class ThreadPool {
   // Same partition, but fn also receives the index b of the contiguous block
   // the iteration belongs to (b < min(n, size())). Each block runs as exactly
   // one task, so callers may keep unsynchronized per-block state (e.g. one
-  // reusable KL scratch workspace per block) indexed by b.
+  // reusable decode buffer per block) indexed by b.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -221,6 +221,30 @@ TEST(MemoryTest, HugepagePathMapsLargeBlocks) {
   memory::SetHugepagesForTest(was_enabled);
 }
 
+TEST(MemoryTest, LargeBlocksAreMappedWithoutTheHugepageKnob) {
+  const bool was_enabled = memory::HugepagesEnabled();
+  memory::SetHugepagesForTest(false);
+  const auto before = memory::Stats();
+  memory::Block big = memory::Allocate(memory::kMapThreshold);
+  const auto after = memory::Stats();
+  ASSERT_NE(big.ptr, nullptr);
+  EXPECT_TRUE(big.mapped);
+  EXPECT_TRUE(IsAligned(big.ptr));
+  EXPECT_EQ(after.mapped_allocs, before.mapped_allocs + 1);
+  EXPECT_EQ(after.hugepage_fallbacks, before.hugepage_fallbacks);
+  // Same zero-init + slack contract as a heap block.
+  const auto* p = static_cast<const unsigned char*>(big.ptr);
+  for (std::size_t i = 0; i < big.bytes; ++i) ASSERT_EQ(p[i], 0u);
+  memory::Deallocate(big);
+
+  // Just below the threshold (slack included) stays on the heap.
+  memory::Block small = memory::Allocate(memory::kMapThreshold -
+                                         memory::kSimdSlackBytes - 64);
+  EXPECT_FALSE(small.mapped);
+  memory::Deallocate(small);
+  memory::SetHugepagesForTest(was_enabled);
+}
+
 TEST(MemoryTest, HugepageMapFailureFallsBackToHeap) {
   const bool was_enabled = memory::HugepagesEnabled();
   memory::SetHugepagesForTest(true);

@@ -202,26 +202,46 @@ TEST_F(CompressedDetectTest, MaarSolverViewModeMatchesRamBitForBit) {
 
   util::Rng seed_rng(7);
   const auto seeds = scenario.SampleSeeds(20, 8, seed_rng);
-  detect::MaarConfig cfg;
-  cfg.num_random_inits = 2;
-  cfg.seed = 99;
+  detect::MaarConfig grid;
+  grid.num_random_inits = 2;
+  grid.seed = 99;
+  // One k: a 3-cell grid, narrower than the widest pool below.
+  detect::MaarConfig one_k = grid;
+  one_k.k_min = one_k.k_max = 1.0;
 
-  for (const int threads : {1, 2, 8}) {
-    auto ram_cfg = cfg;
-    ram_cfg.num_threads = threads;
-    detect::MaarSolver ram_solver(g, seeds, ram_cfg);
-    const auto ram = ram_solver.Solve();
+  for (const auto& [name, cfg] :
+       {std::pair<std::string, detect::MaarConfig>{"grid", grid},
+        {"one k", one_k}}) {
+    auto serial = cfg;
+    serial.num_threads = 1;
+    const auto ref = detect::MaarSolver(g, seeds, serial).Solve();
+    ASSERT_TRUE(ref.valid) << name;
 
-    detect::MaarSolver view_solver(view, seeds, ram_cfg);
-    const auto mm = view_solver.Solve();
-
-    ASSERT_EQ(ram.valid, mm.valid) << "threads " << threads;
-    EXPECT_EQ(ram.in_u, mm.in_u) << "threads " << threads;
-    EXPECT_EQ(ram.cut.cross_friendships, mm.cut.cross_friendships);
-    EXPECT_EQ(ram.cut.rejections_into_u, mm.cut.rejections_into_u);
-    EXPECT_EQ(ram.cut.rejections_from_u, mm.cut.rejections_from_u);
-    EXPECT_EQ(ram.ratio, mm.ratio) << "threads " << threads;
-    EXPECT_EQ(ram.k, mm.k) << "threads " << threads;
+    // Every width, in RAM and off the view, against the 1-thread RAM cut.
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      auto run_cfg = cfg;
+      run_cfg.num_threads = threads;
+      const auto ram = detect::MaarSolver(g, seeds, run_cfg).Solve();
+      const auto mm = detect::MaarSolver(view, seeds, run_cfg).Solve();
+      for (const auto* got : {&ram, &mm}) {
+        std::string label = name;
+        label += got == &ram ? " ram threads " : " view threads ";
+        label += std::to_string(threads);
+        ASSERT_EQ(ref.valid, got->valid) << label;
+        EXPECT_EQ(ref.in_u, got->in_u) << label;
+        EXPECT_EQ(ref.cut.cross_friendships, got->cut.cross_friendships)
+            << label;
+        EXPECT_EQ(ref.cut.rejections_into_u, got->cut.rejections_into_u)
+            << label;
+        EXPECT_EQ(ref.cut.rejections_from_u, got->cut.rejections_from_u)
+            << label;
+        EXPECT_EQ(ref.ratio, got->ratio) << label;
+        EXPECT_EQ(ref.k, got->k) << label;
+        EXPECT_EQ(ref.kl_runs, got->kl_runs) << label;
+        EXPECT_EQ(ref.warm_start_runs, got->warm_start_runs) << label;
+        EXPECT_EQ(ref.switches, got->switches) << label;
+      }
+    }
   }
 }
 

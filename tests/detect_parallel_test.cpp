@@ -2,7 +2,13 @@
 // algorithmic one — any num_threads must produce bit-identical cuts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "detect/iterative.h"
 #include "detect/maar.h"
@@ -33,7 +39,7 @@ sim::Scenario PlantedScenario() {
 
 MaarConfig GridConfig() {
   MaarConfig cfg;
-  cfg.num_random_inits = 3;  // 4 inits x 11 k values: a real grid
+  cfg.num_random_inits = 3;  // 4 inits x 9 k values: a real grid
   cfg.seed = 9;
   return cfg;
 }
@@ -41,7 +47,7 @@ MaarConfig GridConfig() {
 TEST(ParallelMaarTest, ThreadCountNeverChangesTheCut) {
   const auto scenario = PlantedScenario();
   MaarCut reference;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 3, 4, 8}) {
     MaarConfig cfg = GridConfig();
     cfg.num_threads = threads;
     MaarSolver solver(scenario.graph, {}, cfg);
@@ -50,13 +56,103 @@ TEST(ParallelMaarTest, ThreadCountNeverChangesTheCut) {
     EXPECT_EQ(cut.threads_used, threads);
     if (threads == 1) {
       reference = cut;
+      EXPECT_GT(reference.warm_start_runs, 0);
       continue;
     }
     EXPECT_EQ(cut.in_u, reference.in_u) << threads << " threads";
     EXPECT_EQ(cut.ratio, reference.ratio) << threads << " threads";
     EXPECT_EQ(cut.k, reference.k) << threads << " threads";
     EXPECT_EQ(cut.kl_runs, reference.kl_runs) << threads << " threads";
+    EXPECT_EQ(cut.warm_start_runs, reference.warm_start_runs)
+        << threads << " threads";
     EXPECT_EQ(cut.switches, reference.switches) << threads << " threads";
+  }
+}
+
+// A KL run that throws inside the sweep must not hang Solve or lose the
+// exception: every width rethrows the one from the earliest failing run in
+// sweep order, and the pool stays usable for the next solve.
+TEST(ParallelMaarTest, FailingKlRunRethrowsAndLeavesPoolUsable) {
+  const auto scenario = PlantedScenario();
+  const MaarConfig cfg = GridConfig();
+  MaarConfig serial = cfg;
+  serial.num_threads = 1;
+  const MaarCut reference = MaarSolver(scenario.graph, {}, serial).Solve();
+  ASSERT_TRUE(reference.valid);
+
+  const double k_fail = 1.0;  // the fifth of nine k values
+  const auto message = [](double k) {
+    return "KL failed at k=" + std::to_string(k);
+  };
+  const MaarSolver::KlRunner failing =
+      [&](const graph::AugmentedGraph& g, const std::vector<char>& init,
+          const std::vector<char>& locked, const KlConfig& kl,
+          KlScratch* scratch) {
+        if (kl.k >= k_fail) {
+          // The earliest failures in sweep order fail last in time, so a
+          // sweep that keeps the first exception to arrive reports a later k.
+          if (kl.k == k_fail) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          throw std::runtime_error(message(kl.k));
+        }
+        return ExtendedKl(g, init, locked, kl, scratch);
+      };
+  for (const std::size_t width : {1u, 2u, 3u, 4u, 8u}) {
+    util::ThreadPool pool(width);
+    MaarSolver solver(scenario.graph, {}, cfg, failing);
+    try {
+      solver.Solve(&pool);
+      ADD_FAILURE() << "no exception at width " << width;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), message(k_fail)) << "width " << width;
+    }
+    const MaarCut cut = MaarSolver(scenario.graph, {}, cfg).Solve(&pool);
+    EXPECT_EQ(cut.in_u, reference.in_u) << "width " << width;
+    EXPECT_EQ(cut.ratio, reference.ratio) << "width " << width;
+    EXPECT_EQ(cut.kl_runs, reference.kl_runs) << "width " << width;
+  }
+}
+
+// At most one KL run per pool worker is ever in flight: each worker owns one
+// workspace, and the caller runs no sweep work of its own. This is what
+// keeps peak memory at one workspace per thread.
+TEST(ParallelMaarTest, NeverRunsMoreKlThanThePoolIsWide) {
+  const auto scenario = PlantedScenario();
+  for (const std::size_t width : {2u, 3u, 4u, 8u}) {
+    std::atomic<int> in_flight{0};
+    std::atomic<int> max_in_flight{0};
+    std::atomic<bool> first{true};
+    const MaarSolver::KlRunner counting =
+        [&](const graph::AugmentedGraph& g, const std::vector<char>& init,
+            const std::vector<char>& locked, const KlConfig& kl,
+            KlScratch* scratch) {
+          const int now = in_flight.fetch_add(1) + 1;
+          int seen = max_in_flight.load();
+          while (now > seen &&
+                 !max_in_flight.compare_exchange_weak(seen, now)) {
+          }
+          // The first run holds on (bounded) until a second one starts, so
+          // the lower bound below does not hinge on thread wake-up timing.
+          if (first.exchange(false)) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (in_flight.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
+          }
+          KlResult r = ExtendedKl(g, init, locked, kl, scratch);
+          in_flight.fetch_sub(1);
+          return r;
+        };
+    util::ThreadPool pool(width);
+    const MaarCut cut =
+        MaarSolver(scenario.graph, {}, GridConfig(), counting).Solve(&pool);
+    ASSERT_TRUE(cut.valid) << "width " << width;
+    EXPECT_LE(max_in_flight.load(), static_cast<int>(width))
+        << "width " << width;
+    EXPECT_GE(max_in_flight.load(), 2) << "width " << width;
   }
 }
 
