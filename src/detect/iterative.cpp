@@ -88,6 +88,10 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
     const double round_seconds = round_timer.Seconds();
     result.total_kl_runs += static_cast<std::uint64_t>(cut.kl_runs);
     result.total_switches += cut.switches;
+    result.total_speculative_runs +=
+        static_cast<std::uint64_t>(cut.speculative_runs);
+    result.total_speculative_hits +=
+        static_cast<std::uint64_t>(cut.speculative_hits);
     result.threads_used = std::max(result.threads_used, cut.threads_used);
     if (!cut.valid) break;
 
@@ -105,6 +109,8 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
     info.solve_seconds = round_seconds;
     info.kl_runs = cut.kl_runs;
     info.switches = cut.switches;
+    info.speculative_runs = cut.speculative_runs;
+    info.speculative_hits = cut.speculative_hits;
 
     // Collect this round's suspicious nodes (residual ids, ascending).
     std::vector<graph::NodeId> flagged;

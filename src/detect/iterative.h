@@ -56,6 +56,10 @@ struct RoundInfo {
   double solve_seconds = 0.0;           // the round's MAAR solve
   int kl_runs = 0;
   std::uint64_t switches = 0;
+  // Scheduling diagnostics (MaarCut's speculative warm runs): they depend
+  // on timing, like solve_seconds, so no determinism check compares them.
+  int speculative_runs = 0;
+  int speculative_hits = 0;
 };
 
 struct DetectionResult {
@@ -68,6 +72,9 @@ struct DetectionResult {
   double total_seconds = 0.0;           // whole DetectFriendSpammers call
   std::uint64_t total_kl_runs = 0;
   std::uint64_t total_switches = 0;
+  // Timing-dependent, like total_seconds: see RoundInfo.
+  std::uint64_t total_speculative_runs = 0;
+  std::uint64_t total_speculative_hits = 0;
   int threads_used = 1;                 // pool width of the MAAR sweeps
 };
 

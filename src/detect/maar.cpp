@@ -11,6 +11,28 @@
 #include "util/timer.h"
 
 namespace rejecto::detect {
+namespace {
+
+// A finished KL run with what the reduction ranks it by: whether it is a
+// valid cut and, if so, its friends-to-rejections ratio.
+struct ScoredRun {
+  KlResult r;
+  bool valid = false;
+  double ratio = 0.0;
+};
+
+// The reduction's order: a valid run beats the incumbent (best_ratio,
+// best_rejections) when its ratio is lower by more than 1e-12, or ties
+// within 1e-12 and explains more rejections. `consider` and the
+// speculative seed prediction both rank by this one function.
+bool Beats(const ScoredRun& s, double best_ratio,
+           std::uint64_t best_rejections) {
+  return s.valid && (s.ratio < best_ratio - 1e-12 ||
+                     (std::abs(s.ratio - best_ratio) <= 1e-12 &&
+                      s.r.cut.rejections_into_u > best_rejections));
+}
+
+}  // namespace
 
 int EffectiveThreads(int num_threads) {
   if (num_threads == 0) {
@@ -141,29 +163,30 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
   MaarCut best;
   best.ratio = std::numeric_limits<double>::infinity();
 
-  auto consider = [&](KlResult&& r, double k) {
+  // Scores a finished run once, on the worker that ran it, so that neither
+  // the reduction nor the seed prediction rescans a mask under the lock.
+  auto score = [&](KlResult&& r) {
+    ScoredRun s;
+    s.valid = IsValid(r.in_u, r.cut);
+    if (s.valid) s.ratio = r.cut.FriendsToRejectionsRatio();
+    s.r = std::move(r);
+    return s;
+  };
+  auto consider = [&](ScoredRun&& s, double k) {
     ++best.kl_runs;
-    best.switches += r.stats.switches_applied;
-    if (!IsValid(r.in_u, r.cut)) return false;
-    const double ratio = r.cut.FriendsToRejectionsRatio();
-    const bool better =
-        ratio < best.ratio - 1e-12 ||
-        (std::abs(ratio - best.ratio) <= 1e-12 &&
-         r.cut.rejections_into_u > best.cut.rejections_into_u);
-    if (better) {
-      best.valid = true;
-      best.in_u = std::move(r.in_u);
-      best.cut = r.cut;
-      best.ratio = ratio;
-      best.k = k;
-      return true;
-    }
-    return false;
+    best.switches += s.r.stats.switches_applied;
+    if (!Beats(s, best.ratio, best.cut.rejections_into_u)) return false;
+    best.valid = true;
+    best.in_u = std::move(s.r.in_u);
+    best.cut = s.r.cut;
+    best.ratio = s.ratio;
+    best.k = k;
+    return true;
   };
 
   // Phase 1 — the sweep: the (k × init) grid plus the warm-start chain,
-  // reduced in sweep order (k outer, init inner, then the warm run at the
-  // next k). Every run is handed to whichever worker asks next, so the pool
+  // reduced in sweep order (k outer, then the warm run at that k, then the
+  // inits). Every run is handed to whichever worker asks next, so the pool
   // drains the grid and the chain together instead of finishing the grid
   // before the chain starts.
   util::WallTimer sweep_timer;
@@ -175,6 +198,9 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
     pool = owned_pool.get();
   }
   best.threads_used = pool == nullptr ? 1 : static_cast<int>(pool->size());
+  // A speculative run only pays off on a worker that would otherwise idle,
+  // so the serial loop never speculates.
+  const bool speculate = pool != nullptr && config_.warm_start;
 
   // One reusable KL workspace per sweep worker, and never one more: a worker
   // runs one KL at a time, so its scratch is never shared, and at most
@@ -210,84 +236,198 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
   // grid[c] until the reduction reaches it.
   const std::size_t per_k = inits.size();
   std::mutex mu;
-  std::vector<KlResult> grid(cells);
+  std::vector<ScoredRun> grid(cells);
   std::vector<char> cell_done(cells, 0);
   std::size_t next_cell = 0;
   std::size_t reduced = 0;  // grid cells consumed by `consider`
-  enum class Warm { kIdle, kReady, kRunning } warm = Warm::kIdle;
+
+  // warm[i] is the warm run at ks[i] (slot 0 never runs: no k precedes the
+  // first). Its seed is the incumbent once every run at ks[i-1] has been
+  // reduced. A speculative run and a due run are the same slot:
+  //   kIdle → kSpeculating → kSpeculated: an idle worker ran it early on a
+  //     predicted seed;
+  //   → kDue → kRunning → kReduced: the reduction reached it and its
+  //     speculation, if any, missed, so it runs on best.in_u as it always
+  //     did;
+  //   kSpeculated → kReduced, or kSpeculating → kAttached → kReduced: the
+  //     reduction reached it and its speculation's seed equals best.in_u,
+  //     so the speculation is the run (KL is a pure function of its
+  //     inputs); an attached run is reduced by the worker running it.
+  enum class WarmState {
+    kIdle, kSpeculating, kSpeculated, kDue, kRunning, kAttached, kReduced
+  };
+  struct WarmSlot {
+    WarmState state = WarmState::kIdle;
+    std::vector<char> seed;  // a speculation's predicted seed
+    ScoredRun result;        // a finished speculation, until reduced
+  };
+  std::vector<WarmSlot> warm(ks.size());
+  auto release = [](WarmSlot& slot) {
+    slot.seed = std::vector<char>();
+    slot.result = ScoredRun();
+  };
   std::exception_ptr failure;
   std::size_t failure_pos = std::numeric_limits<std::size_t>::max();
 
-  // Consumes finished cells in sweep order until one is still missing or
-  // the warm run at the next k is due: once every cell at k_i has been
-  // reduced, the incumbent mask seeds one extra KL run at k_{i+1}, and no
-  // cell at k_{i+1} may be reduced before it. Whichever worker finishes a
-  // run calls this, so the order of `consider` calls, and with it the
-  // winner, never depends on the thread count.
+  // Consumes finished runs in sweep order until one is still missing.
+  // When the reduction reaches the warm run at ks[ki] (every cell at
+  // ks[ki-1] reduced), the incumbent is its seed: a speculation on that
+  // exact seed is kept, anything else is discarded and the run falls due.
+  // No cell at ks[ki] is reduced before the warm run is. Whichever worker
+  // finishes a run calls this, so the order of `consider` calls, and with
+  // it the winner, never depends on the thread count or on what was
+  // speculated.
   auto reduce = [&] {
-    while (warm == Warm::kIdle && reduced < cells && cell_done[reduced]) {
-      consider(std::move(grid[reduced]), ks[reduced / per_k]);
-      ++reduced;
-      if (config_.warm_start && best.valid && reduced % per_k == 0 &&
-          reduced < cells) {
-        warm = Warm::kReady;
+    while (reduced < cells) {
+      const std::size_t ki = reduced / per_k;
+      WarmSlot& slot = warm[ki];
+      if (reduced % per_k == 0 && ki > 0) {
+        const WarmState s = slot.state;
+        if (s == WarmState::kIdle || s == WarmState::kSpeculating ||
+            s == WarmState::kSpeculated) {
+          // A failed speculation leaves an empty seed, which no valid
+          // incumbent equals.
+          const bool hit = slot.seed == best.in_u;
+          if (!config_.warm_start || !best.valid) {
+            slot.state = WarmState::kReduced;  // no warm run at this k
+          } else if (hit && s == WarmState::kSpeculated) {
+            ++best.warm_start_runs;
+            ++best.speculative_hits;
+            consider(std::move(slot.result), ks[ki]);
+            slot.state = WarmState::kReduced;
+          } else if (hit) {
+            slot.state = WarmState::kAttached;
+          } else {
+            slot.state = WarmState::kDue;
+          }
+          // A speculation still in flight releases its own seed.
+          if (s != WarmState::kSpeculating) release(slot);
+        }
+        if (slot.state != WarmState::kReduced) return;
       }
+      if (!cell_done[reduced]) return;
+      consider(std::move(grid[reduced]), ks[ki]);
+      ++reduced;
     }
   };
 
+  // Picks the earliest warm run not yet reduced, running or speculated and
+  // predicts its seed: the incumbent the reduction would hold just before
+  // it if every run not yet finished lost. The fold continues from the
+  // reduction's incumbent over the finished cells and speculations in
+  // sweep order, ranked by the same Beats as `consider`. Returns the slot's
+  // k index, now kSpeculating with its seed set, or 0 if there is none.
+  auto start_speculation = [&]() -> std::size_t {
+    std::size_t j = std::max<std::size_t>(1, reduced / per_k);
+    while (j < ks.size() && warm[j].state != WarmState::kIdle) ++j;
+    if (j >= ks.size()) return 0;
+    double ratio = best.ratio;
+    std::uint64_t rejections = best.cut.rejections_into_u;
+    const std::vector<char>* mask = best.valid ? &best.in_u : nullptr;
+    auto fold = [&](const ScoredRun& s) {
+      if (!Beats(s, ratio, rejections)) return;
+      ratio = s.ratio;
+      rejections = s.r.cut.rejections_into_u;
+      mask = &s.r.in_u;
+    };
+    for (std::size_t c = reduced; c < j * per_k; ++c) {
+      const WarmSlot& slot = warm[c / per_k];
+      if (c % per_k == 0 && slot.state == WarmState::kSpeculated) {
+        fold(slot.result);
+      }
+      if (cell_done[c]) fold(grid[c]);
+    }
+    if (mask == nullptr) return 0;  // no warm run would follow this guess
+    warm[j].seed = *mask;
+    warm[j].state = WarmState::kSpeculating;
+    ++best.speculative_runs;
+    return j;
+  };
+
   // A worker's loop: the due warm run first (it is the critical path), else
-  // the next grid cell, else return. Only a worker that has just reduced can
-  // make a warm run due, and it takes it on its next turn, so a worker that
-  // finds nothing to do can leave: every run left is in flight or will be
-  // unlocked by one that is. A failed run parks its exception and stops the
-  // grid handout; a due warm run still runs, because it precedes every
-  // failed run in sweep order. So every run before the earliest failing one
-  // runs, and that run's exception is the one rethrown, for any width.
+  // the next grid cell, else a speculative warm run, else return. Only a
+  // worker that has just reduced can make a warm run due, and it takes it
+  // on its next turn, so a worker that finds nothing to do can leave: every
+  // run the reduction still waits on is in flight or will be unlocked by
+  // one that is. A failed run parks its exception and stops the grid
+  // handout and speculation; a due warm run still runs, because it
+  // precedes every failed run in sweep order. So every run before the
+  // earliest failing one runs, and that run's exception is the one
+  // rethrown, for any width. A speculation's exception is dropped: the
+  // serial sweep may never make that run, and if it does, the run falls
+  // due and runs again.
   auto work = [&](std::size_t w) {
     // Every worker may reach the largest k, so size its workspace for it
     // once, before taking the lock.
     ReserveKlScratch(source(w), ks.back(), config_.kl, scratches[w]);
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      const bool is_warm = warm == Warm::kReady;
+      enum class Job { kWarm, kCell, kSpeculation } job;
+      std::size_t ki = reduced / per_k;
       const std::size_t c = next_cell;
-      if (is_warm) {
-        warm = Warm::kRunning;
+      if (reduced < cells && warm[ki].state == WarmState::kDue) {
+        job = Job::kWarm;
+        warm[ki].state = WarmState::kRunning;
       } else if (!failure && next_cell < cells) {
+        job = Job::kCell;
+        ki = c / per_k;
         ++next_cell;
+      } else if (speculate && !failure && (ki = start_speculation()) != 0) {
+        job = Job::kSpeculation;
       } else {
         return;
       }
-      const std::size_t ki = is_warm ? reduced / per_k : c / per_k;
-      // The reduction waits on a running warm run, so nothing writes
-      // best.in_u while the run reads it unlocked.
-      const std::vector<char>& init = is_warm ? best.in_u : inits[c % per_k];
+      // Nothing writes best.in_u while the due run reads it unlocked (the
+      // reduction waits on that run), nor a slot's seed while its
+      // speculation is in flight.
+      const std::vector<char>& init = job == Job::kWarm   ? best.in_u
+                                      : job == Job::kCell ? inits[c % per_k]
+                                                          : warm[ki].seed;
       lock.unlock();
-      KlResult r;
+      ScoredRun s;
       std::exception_ptr err;
       try {
-        r = run_kl(w, init, ks[ki]);
+        s = score(run_kl(w, init, ks[ki]));
       } catch (...) {
         err = std::current_exception();
       }
       lock.lock();
-      if (err) {
+      WarmSlot& slot = warm[ki];
+      if (job == Job::kSpeculation) {
+        if (slot.state == WarmState::kSpeculating) {
+          slot.state = WarmState::kSpeculated;  // ahead of the reduction
+          if (err) {
+            slot.seed = std::vector<char>();
+          } else {
+            slot.result = std::move(s);
+          }
+          continue;
+        }
+        const bool attached = slot.state == WarmState::kAttached;
+        release(slot);
+        if (!attached) continue;  // missed or skipped: discarded
+        if (err) {
+          slot.state = WarmState::kDue;
+          continue;
+        }
+        ++best.speculative_hits;
+      } else if (err) {
         // Sweep position: at each k, the warm run, then the cells.
         const std::size_t pos =
-            ki * (per_k + 1) + (is_warm ? 0 : c % per_k + 1);
+            ki * (per_k + 1) + (job == Job::kWarm ? 0 : c % per_k + 1);
         if (pos < failure_pos) {
           failure_pos = pos;
           failure = err;
         }
         continue;
       }
-      if (is_warm) {
-        ++best.warm_start_runs;
-        consider(std::move(r), ks[ki]);
-        warm = Warm::kIdle;
-      } else {
-        grid[c] = std::move(r);
+      if (job == Job::kCell) {
+        grid[c] = std::move(s);
         cell_done[c] = 1;
+      } else {
+        ++best.warm_start_runs;
+        consider(std::move(s), ks[ki]);
+        slot.state = WarmState::kReduced;
       }
       reduce();
     }
@@ -315,7 +455,7 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
        ++round) {
     const double k = best.ratio;
     if (!(k > 0) || !std::isfinite(k)) break;  // perfect cut; cannot improve
-    if (!consider(run_kl(0, best.in_u, k), k)) {
+    if (!consider(score(run_kl(0, best.in_u, k)), k)) {
       break;
     }
   }

@@ -19,13 +19,19 @@
 // KL run. Warm starts add one more run per k — the incumbent best mask
 // seeded at k_{i+1} once every run at k_i has been reduced — so they form a
 // chain through the incumbent. Solve() hands both to the pool workers as
-// their dependencies allow: grid cells in sweep order, and each warm run
-// as soon as its k is reduced, ahead of any cell. Whichever worker
-// finishes a run advances one reduction in fixed sweep order (k outer,
-// init inner, then the warm run at the next k); the winner, tie-breaking
-// included, is a pure function of the run results, so any thread count
-// produces bit-identical cuts. The Dinkelbach rounds then run serially on
-// the caller.
+// their dependencies allow: each warm run as soon as its k is reduced,
+// ahead of any cell, then grid cells in sweep order. A worker left with
+// neither runs the earliest warm run not yet started speculatively, on a
+// predicted seed: the incumbent the reduction would reach if every
+// unfinished run lost. When that warm run falls due, its speculation is
+// kept only if the predicted seed equals the true incumbent byte for byte
+// (KL is a pure function of graph, init, locks and k, so it is the run the
+// serial sweep makes); otherwise it is discarded and the run is made as
+// usual. Whichever worker finishes a run advances one reduction in fixed
+// sweep order (k outer, then the warm run at that k, then the inits); the
+// winner, tie-breaking included, is a pure function of the kept run
+// results, so any thread count produces bit-identical cuts. The Dinkelbach
+// rounds then run serially on the caller.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +92,10 @@ struct MaarConfig {
 
   // After the grid cells at k_i are reduced, re-run KL once at k_{i+1}
   // seeded with the incumbent best mask. Adds candidates only, so it can
-  // never worsen the returned cut. Each warm run waits on the one before,
-  // so the chain, not the grid, usually bounds the sweep's wall time.
+  // never worsen the returned cut. Each warm run's seed depends on the one
+  // before, so on a pool idle workers run the rest of the chain early on
+  // predicted seeds, keeping only the runs whose seed proves right (see the
+  // header comment).
   bool warm_start = true;
 };
 
@@ -101,6 +109,13 @@ struct MaarCut {
   // Instrumentation (benchmarks report speedup from these).
   int kl_runs = 0;              // total ExtendedKl invocations
   int warm_start_runs = 0;      // subset of kl_runs from the warm chain
+  // Scheduling diagnostics, like the timings below: they depend on timing,
+  // so no determinism check compares them. speculative_runs counts the
+  // warm runs started early on a predicted seed; speculative_hits those
+  // whose seed matched and whose result the sweep kept (a subset of
+  // warm_start_runs). Both are 0 without a pool.
+  int speculative_runs = 0;
+  int speculative_hits = 0;
   std::uint64_t switches = 0;   // KL switches applied, summed over runs
   int threads_used = 1;         // pool width the sweep ran on
   double sweep_seconds = 0.0;   // grid and warm chain, reduced as they run
@@ -115,7 +130,10 @@ class MaarSolver {
   // bit-exact results) so the whole k-sweep runs on the cluster substrate.
   // The KlScratch* is a per-thread reusable workspace owned by the solver
   // (one per sweep worker, so no locking); runners that keep their own
-  // state may ignore it. It may be null.
+  // state may ignore it. It may be null. With a pool the runner may also be
+  // called for a speculative warm run whose result is discarded, so it must
+  // be pure: its result a function of its arguments, with no side effect
+  // the caller relies on.
   using KlRunner = std::function<KlResult(
       const graph::AugmentedGraph&, const std::vector<char>& init_in_u,
       const std::vector<char>& locked, const KlConfig&, KlScratch* scratch)>;
@@ -141,9 +159,12 @@ class MaarSolver {
   // many solves, e.g. DetectFriendSpammers across rounds); nullptr behaves
   // like Solve(). The caller only waits for the sweep and then runs the
   // Dinkelbach rounds. When the sweep runs on a pool the kl_runner must be
-  // safe to invoke concurrently (the default ExtendedKl runner is pure). If
-  // KL runs throw, Solve rethrows the exception of the earliest failing run
-  // in sweep order, after every worker has stopped.
+  // pure and safe to invoke concurrently (the default ExtendedKl runner
+  // is); only a pool sweep speculates. If KL runs throw, Solve rethrows the
+  // exception of the earliest failing run in sweep order, after every
+  // worker has stopped. A speculative run's exception is dropped: the
+  // serial sweep may never make that run, and if it does, it runs again
+  // as a regular warm run.
   MaarCut Solve(util::ThreadPool* pool);
 
  private:

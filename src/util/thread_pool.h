@@ -1,6 +1,8 @@
-// Fixed-size thread pool used by the distributed-execution substrate
-// (src/engine) to model cluster workers, by graph statistics for parallel
-// BFS sweeps, and by the detect::MaarSolver parallel (k × init) sweep.
+// Fixed-size thread pool. Its users: the engine cluster (modelled cluster
+// workers), graph::InducedSubgraph (parallel residual compaction),
+// graph::CompressedGraphView::Materialize (parallel block decode),
+// stream::DeltaGraph compaction, the detect::MaarSolver (k × init) sweep,
+// and serve::AdmissionService's detection pool.
 #pragma once
 
 #include <condition_variable>

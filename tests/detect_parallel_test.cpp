@@ -5,14 +5,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "detect/iterative.h"
 #include "detect/maar.h"
 #include "gen/planted_partition.h"
+#include "gen/watts_strogatz.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -154,6 +160,149 @@ TEST(ParallelMaarTest, NeverRunsMoreKlThanThePoolIsWide) {
         << "width " << width;
     EXPECT_GE(max_in_flight.load(), 2) << "width " << width;
   }
+}
+
+// A small-world legit graph with a colluding fake region, on which the
+// sweep's incumbent changes after it is first set: the first valid cut
+// appears at k = 1/2 (ratio 1.5) and the warm run at k = 1 improves it to
+// ~0.44. A speculative warm run at k >= 2 seeded before the k = 1 runs
+// finish therefore guesses the wrong incumbent.
+sim::Scenario ImprovingWarmRunScenario() {
+  util::Rng rng(15);
+  const auto legit = gen::WattsStrogatz(
+      {.num_nodes = 600, .lattice_degree = 6, .rewire_probability = 0.1}, rng);
+  sim::ScenarioConfig cfg;
+  cfg.seed = 2;
+  cfg.num_fakes = 60;
+  cfg.requests_per_spammer = 15;
+  cfg.intra_fake_links_per_account = 20;
+  return sim::BuildScenario(legit, cfg);
+}
+
+// Holds every KL run at k_hold until a speculative run has started, every
+// pool worker is held, or 2 s pass. While a run at k_hold is held the
+// reduction cannot pass it, so no warm run above k_hold can fall due, and a
+// run at a larger k beyond that k's grid cells must be a speculation. The
+// held runs keep the free workers' speculations ahead of the k_hold results
+// on any host, sanitizers included.
+class HoldAtK {
+ public:
+  HoldAtK(double k_hold, int cells_per_k, int width)
+      : k_hold_(k_hold), cells_per_k_(cells_per_k), width_(width) {}
+
+  void Enter(double k) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (k > k_hold_ && ++started_[k] > cells_per_k_) {
+      speculated_ = true;
+      cv_.notify_all();
+    }
+    if (k != k_hold_) return;
+    ++held_;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(2),
+                 [&] { return speculated_ || held_ >= width_; });
+    --held_;
+  }
+
+ private:
+  const double k_hold_;
+  const int cells_per_k_;
+  const int width_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<double, int> started_;
+  int held_ = 0;
+  bool speculated_ = false;
+};
+
+// Speculative warm runs change when the chain runs, never what the sweep
+// returns: with runs at k = 1 held back so that speculations both hit and
+// miss, every width reproduces the 1-thread cut and its counters.
+TEST(ParallelMaarTest, SpeculationKeepsTheSerialCut) {
+  const auto scenario = ImprovingWarmRunScenario();
+  MaarConfig cfg = GridConfig();
+  cfg.num_threads = 1;
+  const MaarCut reference = MaarSolver(scenario.graph, {}, cfg).Solve();
+  ASSERT_TRUE(reference.valid);
+  EXPECT_EQ(reference.speculative_runs, 0);
+
+  bool missed = false;
+  for (const int width : {2, 3, 4, 8}) {
+    HoldAtK hold(1.0, cfg.num_random_inits + 1, width);
+    const MaarSolver::KlRunner held =
+        [&](const graph::AugmentedGraph& g, const std::vector<char>& init,
+            const std::vector<char>& locked, const KlConfig& kl,
+            KlScratch* scratch) {
+          hold.Enter(kl.k);
+          return ExtendedKl(g, init, locked, kl, scratch);
+        };
+    util::ThreadPool pool(static_cast<std::size_t>(width));
+    const MaarCut cut =
+        MaarSolver(scenario.graph, {}, cfg, held).Solve(&pool);
+    const std::string label = "width " + std::to_string(width) +
+                              ", speculative " +
+                              std::to_string(cut.speculative_hits) + "/" +
+                              std::to_string(cut.speculative_runs);
+    ASSERT_TRUE(cut.valid) << label;
+    EXPECT_EQ(cut.in_u, reference.in_u) << label;
+    EXPECT_EQ(cut.ratio, reference.ratio) << label;
+    EXPECT_EQ(cut.k, reference.k) << label;
+    EXPECT_EQ(cut.kl_runs, reference.kl_runs) << label;
+    EXPECT_EQ(cut.warm_start_runs, reference.warm_start_runs) << label;
+    EXPECT_EQ(cut.switches, reference.switches) << label;
+    EXPECT_LE(cut.speculative_hits, cut.speculative_runs) << label;
+    EXPECT_LE(cut.speculative_hits, cut.warm_start_runs) << label;
+    missed = missed || (cut.speculative_runs > 0 &&
+                        cut.speculative_hits < cut.speculative_runs);
+  }
+  EXPECT_TRUE(missed) << "no width discarded a speculative run";
+}
+
+// A speculative run the serial sweep never makes must not fail the solve:
+// the runner throws on every (k, init) pair the 1-thread sweep did not run,
+// and every width still returns the serial cut.
+TEST(ParallelMaarTest, SpeculativeFailureNeverSurfaces) {
+  const auto scenario = ImprovingWarmRunScenario();
+  MaarConfig cfg = GridConfig();
+  cfg.num_threads = 1;
+  std::set<std::pair<double, std::vector<char>>> serial_runs;
+  const MaarSolver::KlRunner recording =
+      [&](const graph::AugmentedGraph& g, const std::vector<char>& init,
+          const std::vector<char>& locked, const KlConfig& kl,
+          KlScratch* scratch) {
+        serial_runs.emplace(kl.k, init);
+        return ExtendedKl(g, init, locked, kl, scratch);
+      };
+  const MaarCut reference =
+      MaarSolver(scenario.graph, {}, cfg, recording).Solve();
+  ASSERT_TRUE(reference.valid);
+
+  std::atomic<int> thrown{0};
+  for (int width = 2; width <= 8; ++width) {
+    HoldAtK hold(1.0, cfg.num_random_inits + 1, width);
+    const MaarSolver::KlRunner serial_only =
+        [&](const graph::AugmentedGraph& g, const std::vector<char>& init,
+            const std::vector<char>& locked, const KlConfig& kl,
+            KlScratch* scratch) {
+          hold.Enter(kl.k);
+          if (serial_runs.count({kl.k, init}) == 0) {
+            thrown.fetch_add(1);
+            throw std::runtime_error("a run the serial sweep never made");
+          }
+          return ExtendedKl(g, init, locked, kl, scratch);
+        };
+    util::ThreadPool pool(static_cast<std::size_t>(width));
+    const MaarCut cut =
+        MaarSolver(scenario.graph, {}, cfg, serial_only).Solve(&pool);
+    const std::string label = "width " + std::to_string(width);
+    ASSERT_TRUE(cut.valid) << label;
+    EXPECT_EQ(cut.in_u, reference.in_u) << label;
+    EXPECT_EQ(cut.ratio, reference.ratio) << label;
+    EXPECT_EQ(cut.kl_runs, reference.kl_runs) << label;
+    EXPECT_EQ(cut.warm_start_runs, reference.warm_start_runs) << label;
+    EXPECT_EQ(cut.switches, reference.switches) << label;
+  }
+  EXPECT_GT(thrown.load(), 0) << "no speculative run left the serial path";
 }
 
 TEST(ParallelMaarTest, ExternalPoolMatchesOwnedPool) {
