@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 
 namespace rejecto::detect {
@@ -16,9 +18,20 @@ void BucketList::Reset(graph::NodeId num_nodes, double max_abs_gain,
   if (resolution <= 0.0 || !std::isfinite(max_abs_gain) || max_abs_gain < 0) {
     throw std::invalid_argument("BucketList: bad resolution or gain bound");
   }
+  // Buckets span [-max_bucket_, max_bucket_] and are addressed as
+  // b + max_bucket_ in int32, so 2·max_bucket_ must fit one.
+  constexpr double kMaxBucket = (INT32_MAX - 1) / 2;
+  const double top = std::ceil(max_abs_gain * resolution) + 1.0;
+  if (!(top <= kMaxBucket)) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "BucketList: gain bound %g at resolution %g needs more "
+                  "than %.0f buckets a side",
+                  max_abs_gain, resolution, kMaxBucket);
+    throw std::invalid_argument(msg);
+  }
   resolution_ = resolution;
-  max_bucket_ = static_cast<std::int32_t>(
-      std::llround(std::ceil(max_abs_gain * resolution))) + 1;
+  max_bucket_ = static_cast<std::int32_t>(top);
   const std::size_t num_buckets =
       static_cast<std::size_t>(2 * max_bucket_) + 1;
   const std::size_t nodes = static_cast<std::size_t>(num_nodes);

@@ -9,7 +9,6 @@
 // DESIGN.md). Within a bucket order is LIFO, the classic FM policy.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +25,10 @@ class BucketList {
 
   // `num_nodes` bounds the node-id universe; `max_abs_gain` is the largest
   // |gain| that maps to a distinct bucket (larger gains clamp to the end
-  // buckets); `resolution` is buckets per unit gain.
+  // buckets); `resolution` is buckets per unit gain. Bucket indices are
+  // int32, so max_abs_gain × resolution must stay below 2^30 (a gain bound
+  // of ~1.68·10⁷ at the default 64 buckets per unit); a larger bound throws
+  // std::invalid_argument naming it. Gains passed in must not be NaN.
   BucketList(graph::NodeId num_nodes, double max_abs_gain, double resolution);
 
   // Re-targets the structure to a (possibly different) geometry, reusing
@@ -118,11 +120,18 @@ class BucketList {
     std::int32_t bucket = kAbsent;  // kAbsent when not in the structure
   };
 
+  // clamp(std::llround(gain × resolution_)) for any non-NaN gain, without
+  // the libm call: inside the clamp |scaled| < max_bucket_ < 2^30, so the
+  // truncation t fits an int32 and scaled − t is exact (same sign, |t| ≥
+  // |scaled|/2 once |scaled| ≥ 1); halves round away from zero.
   std::int32_t QuantizeClamped(double gain) const noexcept {
     const double scaled = gain * resolution_;
     if (scaled >= static_cast<double>(max_bucket_)) return max_bucket_;
     if (scaled <= static_cast<double>(-max_bucket_)) return -max_bucket_;
-    return static_cast<std::int32_t>(std::llround(scaled));
+    const auto t = static_cast<std::int32_t>(scaled);
+    const double frac = scaled - static_cast<double>(t);
+    return t + static_cast<std::int32_t>(frac >= 0.5) -
+           static_cast<std::int32_t>(frac <= -0.5);
   }
   void Unlink(graph::NodeId v);
 

@@ -7,7 +7,10 @@
 // tentatively switches it (even at negative gain, to climb out of local
 // minima), then applies the switch-sequence prefix with the largest positive
 // cumulative gain. Passes repeat until no improving prefix exists. Locked
-// nodes (seeds, §IV-F) never enter the bucket list.
+// nodes (seeds, §IV-F) never enter the bucket list. The prefix is applied
+// by rewinding the partition to a checkpoint taken at the pass start and
+// replaying it (Partition::Mark/Rewind), not by undoing the rest of the
+// pass switch by switch.
 //
 // The inner loop is the classic FM delta-gain kernel: a switch makes ONE
 // traversal of the node's friends/rejectors/rejectees
@@ -57,6 +60,7 @@ struct KlResult {
 // which would otherwise falsely share with the next scratch's header.
 struct alignas(64) KlScratch {
   Partition partition;
+  Partition::Checkpoint checkpoint;  // the partition at this pass's start
   BucketList bucket;
   util::AlignedVector<graph::NodeId> seq;   // this pass's switch sequence
   util::AlignedVector<graph::NodeId> touched;  // neighbors hit per switch
@@ -77,9 +81,10 @@ KlResult ExtendedKl(const graph::GraphSource& src,
                     KlScratch* scratch = nullptr);
 
 // Grows `scratch` once to what ExtendedKl needs on `src` at weight `k` (the
-// bucket array scales with max_F + k·max_R), so runs at k or below never
-// regrow it. A scratch grown run by run up a k sweep allocates a larger
-// array at every k, each alive beside the one it replaces while it grows.
+// bucket array scales with max_F + k·max_R, the pass checkpoint with the
+// node count), so runs at k or below never regrow it. A scratch grown run
+// by run up a k sweep allocates a larger array at every k, each alive
+// beside the one it replaces while it grows.
 void ReserveKlScratch(const graph::GraphSource& src, double k,
                       const KlConfig& config, KlScratch& scratch);
 

@@ -263,6 +263,38 @@ void Partition::SwitchFused(graph::NodeId v, double k, BucketList& bl,
   }
 }
 
+void Partition::Mark(Checkpoint& cp) const {
+  const graph::NodeId n = NumNodes();
+  cp.counters.resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    cp.counters[v] = {agg_[v].cross_friends, agg_[v].out_to_u,
+                      agg_[v].in_from_w};
+  }
+  cp.cross_friendships = cross_friendships_;
+  cp.rejections_into_u = rejections_into_u_;
+  cp.size_u = size_u_;
+}
+
+void Partition::Rewind(const Checkpoint& cp, const graph::NodeId* switched,
+                       std::size_t count) {
+  const graph::NodeId n = NumNodes();
+  REJECTO_DCHECK(cp.counters.size() == n, "Partition::Rewind: checkpoint size");
+  for (std::size_t i = 0; i < count; ++i) {
+    REJECTO_DCHECK(switched[i] < n, "Partition::Rewind: node id");
+    in_u_[switched[i]] ^= 1;
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    NodeAggregates& a = agg_[v];
+    a.deg = (a.deg & kDegMask) | (in_u_[v] ? kSideBit : 0u);
+    a.cross_friends = cp.counters[v].cross_friends;
+    a.out_to_u = cp.counters[v].out_to_u;
+    a.in_from_w = cp.counters[v].in_from_w;
+  }
+  cross_friendships_ = cp.cross_friendships;
+  rejections_into_u_ = cp.rejections_into_u;
+  size_u_ = cp.size_u;
+}
+
 graph::CutQuantities Partition::Quantities() const noexcept {
   graph::CutQuantities q;
   q.cross_friendships = cross_friendships_;

@@ -13,8 +13,14 @@
 // which make both the switch gain of any node and the global cut totals
 // O(1) to read, and a node switch O(deg + rejdeg) to apply. The exact
 // O(E+R) recomputation in AugmentedGraph::ComputeCut is the test oracle.
+//
+// Every aggregate is an integer function of the mask, so a pass can be
+// taken back wholesale: Mark saves the three mutable counters and the
+// totals into a Checkpoint, and Rewind restores them after flipping the
+// switched nodes' mask bytes back, with no adjacency read at all.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -85,6 +91,33 @@ class Partition {
                            static_cast<std::int64_t>(agg_[v].in_from_w);
     return (agg_[v].deg & kSideBit) ? d : -d;
   }
+
+  // The partition state at a pass start, minus what the graph and the mask
+  // already determine: 12 bytes per node (the three mutable counters; deg is
+  // immutable and the side bit is re-derived from the mask) plus the
+  // totals. Owned by the caller so a KL workspace sizes it once.
+  struct Checkpoint {
+    struct Counters {
+      std::uint32_t cross_friends;
+      std::uint32_t out_to_u;
+      std::uint32_t in_from_w;
+    };
+    util::AlignedVector<Counters> counters;
+    std::uint64_t cross_friendships = 0;
+    std::uint64_t rejections_into_u = 0;
+    graph::NodeId size_u = 0;
+  };
+
+  // Saves the current state into `cp`, growing it only when the graph is
+  // larger than any it has held.
+  void Mark(Checkpoint& cp) const;
+
+  // Returns to the state `cp` saved. `switched` lists the nodes switched
+  // since the Mark, each once (an FM pass switches a node at most once);
+  // their mask bytes flip back, then one sequential sweep restores every
+  // counter and side bit. O(|V| + count), reading no adjacency.
+  void Rewind(const Checkpoint& cp, const graph::NodeId* switched,
+              std::size_t count);
 
   // Current cut totals (kept in lockstep with switches).
   graph::CutQuantities Quantities() const noexcept;

@@ -76,7 +76,7 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
                            const detect::KlConfig& kl_config,
                            Cluster& cluster) {
   const graph::NodeId n = store.NumNodes();
-  if (kl_config.k <= 0.0) {
+  if (!(kl_config.k > 0.0)) {  // NaN too: a NaN gain has no bucket
     throw std::invalid_argument("DistributedKl: k must be positive");
   }
   if (init_in_u.size() != n) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "detect/bucket_list.h"
+#include "util/rng.h"
 
 namespace rejecto::detect {
 namespace {
@@ -111,6 +117,89 @@ TEST(BucketListTest, RemoveAbsentThrows) {
 TEST(BucketListTest, InvalidConstructionThrows) {
   EXPECT_THROW(BucketList(10, 5.0, 0.0), std::invalid_argument);
   EXPECT_THROW(BucketList(10, -1.0, 4.0), std::invalid_argument);
+}
+
+// Bucket indices are int32 addressed as b + max_bucket, so a gain bound
+// whose bucket span does not fit one must be refused up front, not overflow
+// (3.4·10⁷ at 64 buckets per unit) or try to allocate the span (10⁹).
+TEST(BucketListTest, GainBoundPastTheInt32BucketRangeThrows) {
+  for (const double bound : {3.4e7, 1e9, 1e300}) {
+    try {
+      BucketList bl(10, bound, 64.0);
+      ADD_FAILURE() << "bound " << bound << " accepted";
+    } catch (const std::invalid_argument& e) {
+      std::ostringstream want;
+      want << "gain bound " << bound;
+      EXPECT_NE(std::string(e.what()).find(want.str()), std::string::npos)
+          << e.what();
+    }
+  }
+  // A refused Reset leaves a live list untouched.
+  BucketList bl(10, 5.0, 64.0);
+  bl.Insert(3, 1.0);
+  EXPECT_THROW(bl.Reset(10, 3.4e7, 64.0), std::invalid_argument);
+  EXPECT_THROW(bl.Reset(10, 5.0, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_EQ(bl.Size(), 1u);
+  EXPECT_EQ(bl.PopMax(), 3u);
+}
+
+// The quantizer is inline arithmetic; std::llround (round half away from
+// zero) clamped to the bucket range is its specification. Checked on every
+// half-way point of the range, their neighbouring doubles, signed zeros,
+// the clamp edges and well past them, and over a million seeded gains.
+TEST(BucketListTest, QuantizeMatchesClampedLlround) {
+  util::Rng rng(1913);
+  std::size_t mismatches = 0;
+  for (const double resolution : {64.0, 1.0, 10.0, 3.0, 0.5}) {
+    const BucketList bl(4, 40.0, resolution);
+    const auto max_bucket =
+        static_cast<long long>((bl.BucketCapacity() - 1) / 2);
+    auto expect_match = [&](double gain) {
+      // Pre-clamped one bucket past the range, where llround is defined.
+      const double past = static_cast<double>(max_bucket + 1);
+      const long long want =
+          std::clamp(std::llround(std::clamp(gain * resolution, -past, past)),
+                     -max_bucket, max_bucket);
+      const std::int32_t got = bl.Quantize(gain);
+      if (got != want && ++mismatches <= 5) {  // report the first few only
+        ADD_FAILURE() << "gain " << std::setprecision(17) << gain
+                      << " at resolution " << resolution << ": bucket "
+                      << got << ", llround gives " << want;
+      }
+    };
+    auto expect_around = [&](double gain) {
+      expect_match(gain);
+      expect_match(std::nextafter(gain, HUGE_VAL));
+      expect_match(std::nextafter(gain, -HUGE_VAL));
+    };
+    expect_around(0.0);
+    expect_around(-0.0);
+    for (long long j = 0; j <= max_bucket + 2; ++j) {
+      const double half = (static_cast<double>(j) + 0.5) / resolution;
+      expect_around(half);
+      expect_around(-half);
+    }
+    const double edge = static_cast<double>(max_bucket) / resolution;
+    for (const double g : {edge, 2 * edge, 1e300, HUGE_VAL}) {
+      expect_around(g);
+      expect_around(-g);
+    }
+    // 250,000 seeded gains per resolution, 1.25M in all: uniform over the
+    // range and a little past it, then the gains KL forms, ΔF − k·ΔR for
+    // integer ΔF, ΔR and a sweep-like k.
+    const double span = 1.1 * edge;
+    for (int i = 0; i < 150'000; ++i) {
+      expect_match(rng.NextDouble(-span, span));
+    }
+    for (int i = 0; i < 100'000; ++i) {
+      const double k = std::ldexp(1.0 + rng.NextDouble(),
+                                  static_cast<int>(rng.NextInt(-4, 3)));
+      expect_match(static_cast<double>(rng.NextInt(-20, 20)) -
+                   k * static_cast<double>(rng.NextInt(-12, 12)));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(BucketListTest, CollectTopOrdersDescending) {

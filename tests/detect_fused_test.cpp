@@ -7,6 +7,7 @@
 // it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -165,6 +166,61 @@ TEST(FusedKlTest, MatchesReferenceWithLockedSeeds) {
       }
     }
   }
+}
+
+// Node 0 rejects nodes 1..m, which form a friendship path; nodes
+// m+1..m+extra are friends of node 0 only. With node 0 locked in Ū and k = 3,
+// a path node gains at least 1 by entering U whatever its path neighbours
+// do, and a node past m loses exactly 1. So from the all-Ū start the first
+// pass switches the m path nodes, then the `extra` losers, and keeps
+// exactly the first m switches; the second pass keeps none.
+graph::AugmentedGraph PathUnderOneRejector(graph::NodeId m,
+                                           graph::NodeId extra) {
+  graph::GraphBuilder b(1 + m + extra);
+  for (graph::NodeId v = 1; v <= m; ++v) {
+    b.AddRejection(0, v);
+    if (v < m) b.AddFriendship(v, v + 1);
+  }
+  for (graph::NodeId v = m + 1; v <= m + extra; ++v) b.AddFriendship(0, v);
+  return b.BuildAugmented();
+}
+
+// The kept prefix of a pass is replayed after a rewind to the pass start;
+// these pin its three shapes (the whole pass, nothing, most of the pass)
+// against the reference's switch-by-switch rollback.
+void ExpectKeptPrefix(graph::NodeId m, graph::NodeId extra,
+                      bool start_in_u, int passes,
+                      std::uint64_t switches_applied) {
+  const graph::NodeId n = 1 + m + extra;
+  const auto g = PathUnderOneRejector(m, extra);
+  std::vector<char> init(n, 0);
+  if (start_in_u) std::fill(init.begin() + 1, init.begin() + 1 + m, 1);
+  std::vector<char> locked(n, 0);
+  locked[0] = 1;
+  const KlConfig cfg{.k = 3.0};
+  const auto fused = ExtendedKl(g, init, locked, cfg);
+  ExpectBitIdentical(fused, ReferenceKl(g, init, locked, cfg));
+  EXPECT_EQ(fused.stats.passes, passes);
+  EXPECT_EQ(fused.stats.switches_applied, switches_applied);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(fused.in_u[v], v >= 1 && v <= m ? 1 : 0) << "node " << v;
+  }
+}
+
+TEST(FusedKlTest, KeptPrefixIsTheWholePass) {
+  ExpectKeptPrefix(/*m=*/12, /*extra=*/0, /*start_in_u=*/false,
+                   /*passes=*/2, /*switches_applied=*/12);
+}
+
+TEST(FusedKlTest, KeptPrefixIsEmptyAtTheOptimum) {
+  // U = the path is the global minimum (no cross friendship, every
+  // rejection counted), so the first pass keeps nothing and is the last.
+  ExpectKeptPrefix(12, 5, /*start_in_u=*/true, 1, 0);
+}
+
+TEST(FusedKlTest, KeptPrefixIsMoreThanHalfThePass) {
+  // 12 of the first pass's 17 switches are kept.
+  ExpectKeptPrefix(12, 5, /*start_in_u=*/false, 2, 12);
 }
 
 // Per-switch oracle: replay a fused switch sequence and after EVERY switch

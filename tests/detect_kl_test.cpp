@@ -105,6 +105,10 @@ TEST(ExtendedKlTest, InvalidKThrows) {
   EXPECT_THROW(
       ExtendedKl(g, std::vector<char>(20, 0), {}, KlConfig{.k = -1.0}),
       std::invalid_argument);
+  // A NaN k makes every gain NaN, which has no bucket.
+  EXPECT_THROW(ExtendedKl(g, std::vector<char>(20, 0), {},
+                          KlConfig{.k = std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
 }
 
 TEST(ExtendedKlTest, BadLockSizeThrows) {

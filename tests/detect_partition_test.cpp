@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "detect/partition.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -82,6 +85,66 @@ TEST(PartitionTest, DoubleSwitchIsIdentity) {
   EXPECT_EQ(before.cross_friendships, after.cross_friendships);
   EXPECT_EQ(before.rejections_into_u, after.rejections_into_u);
   EXPECT_EQ(p.Mask(), mask);
+}
+
+void ExpectSameState(const Partition& got, const Partition& want,
+                     const char* when) {
+  ASSERT_EQ(got.Mask(), want.Mask()) << when;
+  EXPECT_EQ(got.SizeU(), want.SizeU()) << when;
+  const auto q = got.Quantities();
+  const auto w = want.Quantities();
+  EXPECT_EQ(q.cross_friendships, w.cross_friendships) << when;
+  EXPECT_EQ(q.rejections_into_u, w.rejections_into_u) << when;
+  EXPECT_EQ(q.rejections_from_u, w.rejections_from_u) << when;
+  for (const double k : {0.3, 1.0, 7.5}) {
+    EXPECT_EQ(got.Objective(k), want.Objective(k)) << when;
+    for (graph::NodeId v = 0; v < got.NumNodes(); ++v) {
+      ASSERT_EQ(got.DeltaObjective(v, k), want.DeltaObjective(v, k))
+          << when << ": node " << v << " at k " << k;
+    }
+  }
+}
+
+// Rewind after an FM-like pass (each node switched at most once, in random
+// order) must land exactly on the marked state: every gain, total, size and
+// mask byte equals a fresh Partition on the marked mask, and so does every
+// state reached by switching on from there (the side bits came back too).
+TEST(PartitionTest, RewindRestoresMarkedStateExactly) {
+  util::Rng rng(404);
+  Partition p;
+  Partition::Checkpoint cp;
+  for (int trial = 0; trial < 20; ++trial) {
+    const graph::NodeId n = 10 + static_cast<graph::NodeId>(rng.NextUInt(50));
+    const auto g =
+        RandomAugmented(n, static_cast<graph::EdgeId>(n) * 3, n * 2, rng);
+    // Reused across graphs of different sizes, like a KL workspace.
+    p.Reset(g, RandomMask(n, rng.NextDouble(), rng));
+    for (int warmup = 0; warmup < 5; ++warmup) {
+      p.Switch(static_cast<graph::NodeId>(rng.NextUInt(n)));
+    }
+    const std::vector<char> marked = p.Mask();
+    p.Mark(cp);
+
+    std::vector<graph::NodeId> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    for (graph::NodeId i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextUInt(i)]);
+    }
+    // Empty, partial and whole passes.
+    const std::size_t switched =
+        trial % 4 == 0 ? 0 : trial % 4 == 1 ? n : rng.NextUInt(n + 1);
+    for (std::size_t i = 0; i < switched; ++i) p.Switch(order[i]);
+    p.Rewind(cp, order.data(), switched);
+
+    Partition fresh(g, marked);
+    ExpectSameState(p, fresh, "after rewind");
+    for (int step = 0; step < 3 * static_cast<int>(n); ++step) {
+      const auto v = static_cast<graph::NodeId>(rng.NextUInt(n));
+      p.Switch(v);
+      fresh.Switch(v);
+    }
+    ExpectSameState(p, fresh, "after switching on from the rewind");
+  }
 }
 
 // Property: after any random switch sequence, the incrementally-maintained

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "detect/extended_kl.h"
@@ -331,6 +332,11 @@ TEST(DistKlTest, InvalidInputsThrow) {
   EXPECT_THROW(DistributedKl(store, std::vector<char>(g.NumNodes(), 0), {},
                              detect::KlConfig{.k = 0.0}, cluster),
                std::invalid_argument);
+  EXPECT_THROW(
+      DistributedKl(store, std::vector<char>(g.NumNodes(), 0), {},
+                    detect::KlConfig{.k = std::numeric_limits<double>::quiet_NaN()},
+                    cluster),
+      std::invalid_argument);
 }
 
 }  // namespace
