@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark): data-structure and algorithm
 // throughput underlying the headline numbers — bucket-list operations, the
 // incremental partition switch, a full extended-KL solve, the parallel MAAR
-// sweep, generator throughput, and the engine's fetch path. In full mode
-// (REJECTO_BENCH_FAST unset), main() then runs the 100M-edge out-of-core
-// memory-ceiling check, which aborts the process if the scan breaks its RSS
-// budget. End-to-end performance is measured by bench/e2e.
+// sweep, generator throughput, the CSR build of a request log, and the
+// engine's fetch path. In full mode (REJECTO_BENCH_FAST unset), main() then
+// runs the 100M-edge out-of-core memory-ceiling check, which aborts the
+// process if the scan breaks its RSS budget. End-to-end performance is
+// measured by bench/e2e.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -154,6 +155,28 @@ void BM_HolmeKim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HolmeKim)->Arg(10'000)->Unit(benchmark::kMillisecond);
+
+// The first layer of every batch run: RequestLog::BuildAugmentedGraph, one
+// GraphBuilder pass over the request log of a paper attack (one fake per ten
+// users) overlaid on a Holme–Kim graph of range(0) legitimate users.
+void BM_GraphBuilderBuildAugmented(benchmark::State& state) {
+  const auto n = static_cast<graph::NodeId>(state.range(0));
+  util::Rng rng(7);
+  const auto legit = gen::HolmeKim(
+      {.num_nodes = n, .edges_per_node = 4, .triad_probability = 0.5}, rng);
+  sim::ScenarioConfig cfg;
+  cfg.seed = 11;
+  cfg.num_fakes = n / 10;
+  const sim::Scenario scenario = sim::BuildScenario(legit, cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scenario.log.BuildAugmentedGraph());
+  }
+  state.SetItemsProcessed(state.iterations() * scenario.log.NumRequests());
+}
+BENCHMARK(BM_GraphBuilderBuildAugmented)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardFetchBatch(benchmark::State& state) {
   const auto scenario = MakeScenario(20'000, 2'000);

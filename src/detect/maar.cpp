@@ -72,8 +72,12 @@ MaarSolver::MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
 void MaarSolver::ValidateConfig() {
   const graph::NodeId n = NumNodes();
   seeds_.Validate(n);
-  if (config_.k_min <= 0 || config_.k_max < config_.k_min ||
-      config_.k_scale <= 1.0) {
+  // isfinite also rules out NaN, which passes every comparison below: a NaN
+  // k_min would sweep no k, a NaN k_scale one k, and an infinite k_max
+  // would never end the sweep.
+  if (!std::isfinite(config_.k_min) || !std::isfinite(config_.k_max) ||
+      !std::isfinite(config_.k_scale) || config_.k_min <= 0 ||
+      config_.k_max < config_.k_min || config_.k_scale <= 1.0) {
     throw std::invalid_argument("MaarSolver: invalid k sweep");
   }
   if (!config_.extra_init.empty() && config_.extra_init.size() != n) {

@@ -53,6 +53,8 @@ int EffectiveThreads(int num_threads);
 
 struct MaarConfig {
   // Geometric k sweep: k_min, k_min*k_scale, ... up to k_max (inclusive-ish).
+  // All three must be finite, with k_min > 0, k_max >= k_min and
+  // k_scale > 1; MaarSolver throws std::invalid_argument otherwise.
   double k_min = 1.0 / 16.0;
   double k_max = 16.0;
   double k_scale = 2.0;

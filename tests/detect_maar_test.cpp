@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "detect/iterative.h"
 #include "detect/maar.h"
@@ -148,6 +152,30 @@ TEST(MaarSolverTest, InvalidSweepThrows) {
   MaarConfig cfg2 = SmallConfig();
   cfg2.k_min = -1;
   EXPECT_THROW(MaarSolver(g, {}, cfg2), std::invalid_argument);
+  // NaN slips past `k_min <= 0`-style checks (every comparison with it is
+  // false), and an infinite k_max would make the sweep endless.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(MaarConfig&)>>>
+      bad = {
+          {"NaN k_min", [&](MaarConfig& c) { c.k_min = nan; }},
+          {"NaN k_max", [&](MaarConfig& c) { c.k_max = nan; }},
+          {"NaN k_scale", [&](MaarConfig& c) { c.k_scale = nan; }},
+          {"infinite k_max", [&](MaarConfig& c) { c.k_max = inf; }},
+          {"infinite k_scale", [&](MaarConfig& c) { c.k_scale = inf; }},
+          {"zero k_min", [&](MaarConfig& c) { c.k_min = 0; }},
+          {"k_max below k_min", [&](MaarConfig& c) { c.k_max = c.k_min / 2; }},
+      };
+  for (const auto& [name, mutate] : bad) {
+    SCOPED_TRACE(name);
+    MaarConfig c = SmallConfig();
+    mutate(c);
+    EXPECT_THROW(MaarSolver(g, {}, c), std::invalid_argument);
+  }
+  // k_max == k_min is a one-k sweep, not an error.
+  MaarConfig one_k = SmallConfig();
+  one_k.k_max = one_k.k_min;
+  EXPECT_NO_THROW(MaarSolver(g, {}, one_k));
 }
 
 TEST(MaarSolverTest, SeedPinningOverridesBadLocalMinima) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/augmented_graph.h"
 #include "graph/builder.h"
@@ -121,6 +124,152 @@ TEST(GraphBuilderTest, BuilderReusableAfterBuild) {
   const SocialGraph g2 = b.BuildSocial();
   EXPECT_EQ(g1.NumEdges(), 1u);
   EXPECT_EQ(g2.NumEdges(), 2u);
+}
+
+TEST(GraphBuilderTest, IdsOutsideTheNodeRangeThrow) {
+  GraphBuilder b(3);
+  b.AddFriendship(0, 1);
+  EXPECT_THROW(b.AddFriendship(1, kInvalidNode), std::invalid_argument);
+  EXPECT_THROW(b.AddFriendship(kInvalidNode, 2), std::invalid_argument);
+  EXPECT_THROW(b.AddRejection(2, kInvalidNode), std::invalid_argument);
+  EXPECT_THROW(b.AddRejection(kInvalidNode, 0), std::invalid_argument);
+  // A refused edge or arc leaves the builder as it was.
+  EXPECT_EQ(b.NumNodes(), 3u);
+  EXPECT_EQ(b.NumPendingEdges(), 1u);
+  EXPECT_EQ(b.NumPendingArcs(), 0u);
+  const SocialGraph g = b.BuildSocial();
+  EXPECT_EQ(std::vector<NodeId>(g.Neighbors(0).begin(), g.Neighbors(0).end()),
+            std::vector<NodeId>{1});
+  EXPECT_EQ(std::vector<NodeId>(g.Neighbors(1).begin(), g.Neighbors(1).end()),
+            std::vector<NodeId>{0});
+  EXPECT_EQ(g.Degree(2), 0u);
+
+  GraphBuilder one(1);
+  EXPECT_THROW(one.AddNodes(kInvalidNode), std::invalid_argument);
+  EXPECT_EQ(one.NumNodes(), 1u);
+
+  // The range fills up to kInvalidNode nodes (ids to kInvalidNode - 1) and
+  // never wraps. Nothing here is built: that would need 32 GiB of offsets.
+  GraphBuilder full(kInvalidNode - 2);
+  full.AddRejection(kInvalidNode - 2, 0);
+  EXPECT_EQ(full.NumNodes(), kInvalidNode - 1);
+  EXPECT_EQ(full.AddNode(), kInvalidNode - 1);
+  EXPECT_EQ(full.NumNodes(), kInvalidNode);
+  EXPECT_THROW(full.AddNode(), std::invalid_argument);
+  EXPECT_THROW(full.AddNodes(2), std::invalid_argument);
+  EXPECT_EQ(full.NumNodes(), kInvalidNode);
+}
+
+// The sort-and-unique CSR build GraphBuilder used before its counting
+// build: copy every (row, id) pair, sort, drop repeats, count rows. It is
+// the oracle the counting build must match byte for byte.
+struct ReferenceCsr {
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId> adj;
+};
+
+ReferenceCsr SortedCsr(NodeId num_nodes,
+                       std::vector<std::pair<NodeId, NodeId>> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  ReferenceCsr csr;
+  csr.offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (const auto& [from, to] : pairs) ++csr.offsets[from + 1];
+  for (std::size_t i = 1; i < csr.offsets.size(); ++i) {
+    csr.offsets[i] += csr.offsets[i - 1];
+  }
+  csr.adj.reserve(pairs.size());
+  for (const auto& [from, to] : pairs) csr.adj.push_back(to);
+  return csr;
+}
+
+AugmentedGraph SortedReference(NodeId n, const std::vector<Edge>& edges,
+                               const std::vector<Arc>& arcs) {
+  std::vector<std::pair<NodeId, NodeId>> both;
+  for (const Edge& e : edges) {
+    both.emplace_back(e.u, e.v);
+    both.emplace_back(e.v, e.u);
+  }
+  const ReferenceCsr social = SortedCsr(n, std::move(both));
+  std::vector<std::pair<NodeId, NodeId>> out_pairs;
+  for (const Arc& a : arcs) out_pairs.emplace_back(a.from, a.to);
+  const ReferenceCsr out = SortedCsr(n, std::move(out_pairs));
+  std::vector<std::pair<NodeId, NodeId>> in_pairs;
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t i = out.offsets[u]; i < out.offsets[u + 1]; ++i) {
+      in_pairs.emplace_back(out.adj[i], u);
+    }
+  }
+  const ReferenceCsr in = SortedCsr(n, std::move(in_pairs));
+  return AugmentedGraph(
+      SocialGraph::FromCsr(n, social.offsets, social.adj),
+      RejectionGraph::FromCsr(n, out.offsets, out.adj, in.offsets, in.adj));
+}
+
+TEST(GraphBuilderTest, CountingBuildMatchesSortedReference) {
+  constexpr int kCases = 240;
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    util::Rng rng(0xC0FFEE + c);
+    // Case 0 is the empty builder; every eighth case has isolated nodes
+    // only; the rest mix duplicates, reciprocal arcs and implicit growth.
+    const NodeId n0 = c == 0 ? 0 : static_cast<NodeId>(rng.NextUInt(40));
+    const bool no_edges = c == 0 || c % 8 == 1;
+    const bool hub = c % 5 == 2;
+    GraphBuilder b(n0);
+    std::vector<Edge> edges;
+    std::vector<Arc> arcs;
+    // Ids may run past n0 (implicit growth) by up to 8.
+    auto pick = [&] { return static_cast<NodeId>(rng.NextUInt(n0 + 8)); };
+    auto add_edge = [&](NodeId u, NodeId v) {
+      if (u == v) return;
+      b.AddFriendship(u, v);
+      edges.push_back({u, v});
+    };
+    auto add_arc = [&](NodeId from, NodeId to) {
+      if (from == to) return;
+      b.AddRejection(from, to);
+      arcs.push_back({from, to});
+    };
+    const std::size_t m = no_edges ? 0 : rng.NextUInt(4 * (n0 + 8));
+    for (std::size_t i = 0; i < m; ++i) {
+      const double r = rng.NextDouble();
+      if (r < 0.15 && !edges.empty()) {
+        // A repeated friendship, in either orientation.
+        const Edge e = edges[rng.NextUInt(edges.size())];
+        rng.NextBool(0.5) ? add_edge(e.u, e.v) : add_edge(e.v, e.u);
+      } else if (r < 0.25 && !arcs.empty()) {
+        // A repeated arc, or the reciprocal of an existing one.
+        const Arc a = arcs[rng.NextUInt(arcs.size())];
+        rng.NextBool(0.5) ? add_arc(a.from, a.to) : add_arc(a.to, a.from);
+      } else if (r < 0.6) {
+        add_edge(pick(), pick());
+      } else {
+        add_arc(pick(), pick());
+      }
+    }
+    if (hub && !no_edges) {
+      // One row of degree far above the mean, in all three CSRs.
+      const NodeId h = pick();
+      for (int i = 0; i < 300; ++i) {
+        add_edge(h, pick());
+        rng.NextBool(0.5) ? add_arc(h, pick()) : add_arc(pick(), h);
+      }
+    }
+    // Trailing isolated nodes past every id any edge touched.
+    if (c % 3 == 0) b.AddNodes(static_cast<NodeId>(rng.NextUInt(4)));
+
+    const NodeId n = b.NumNodes();
+    const AugmentedGraph expected = SortedReference(n, edges, arcs);
+    const AugmentedGraph built = b.BuildAugmented();
+    ASSERT_EQ(built.NumNodes(), n);
+    EXPECT_EQ(built.Friendships(), expected.Friendships());
+    EXPECT_EQ(built.Rejections(), expected.Rejections());
+    EXPECT_EQ(b.BuildSocial(), expected.Friendships());
+    EXPECT_EQ(b.BuildRejection(), expected.Rejections());
+    // Building does not consume the builder.
+    EXPECT_EQ(b.BuildAugmented(), built);
+  }
 }
 
 // ---------- RejectionGraph ----------
