@@ -7,8 +7,9 @@
 // Parses the text edge lists once (the slow path) and writes the
 // checksummed snapshot under the dense text-intern ids. The default format
 // stays RJSNAP01 (plain CSR, so existing goldens and scripts are
-// untouched); --format=rjsnap02 writes the delta+varint compressed format
-// that CompressedGraphView consumes straight off the mmap.
+// untouched); --format=rjsnap02 writes the delta+varint compressed format,
+// which CompressedGraphView opens off the mmap and Materialize expands for
+// detection (DetectFriendSpammersCompressed).
 // --compress-block-rows sets the v2 block span (64-256 rows, default 128;
 // ignored for v1). Later runs load the snapshot in milliseconds instead of
 // re-parsing the text.

@@ -70,11 +70,7 @@ struct alignas(64) KlScratch {
 // src.NumNodes(). init_in_u must already respect the lock placement. When
 // `scratch` is null a call-local workspace is used; results are identical
 // either way, and identical whatever graph the scratch last served.
-//
-// `src` is either an in-RAM AugmentedGraph (implicit conversion keeps the
-// historical call sites compiling unchanged) or a cursor over a compressed
-// snapshot; both backends serve identical adjacency bytes, so the returned
-// cut is bit-identical regardless of which one a caller picks.
+// AugmentedGraph call sites convert to `src` implicitly.
 KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,

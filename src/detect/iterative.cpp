@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <optional>
 
 #include "graph/compressed_view.h"
-#include "graph/graph_source.h"
 #include "graph/subgraph.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -17,23 +15,11 @@ namespace {
 // Per-node suspicion on the residual graph: the fraction of a node's
 // incoming requests that were rejections. Used only to trim the final
 // round's overshoot to the detection target.
-double Suspicion(const graph::GraphSource& g, graph::NodeId v) {
-  const double rej = g.RejInDegree(v);
-  const double fr = g.FriendDegree(v);
+double Suspicion(const graph::AugmentedGraph& g, graph::NodeId v) {
+  const double rej = g.Rejections().InDegree(v);
+  const double fr = g.Friendships().Degree(v);
   return (rej + fr) == 0 ? 0.0 : rej / (rej + fr);
 }
-
-// The graph a round reads: exactly one pointer is set. Round 0 reads the
-// caller's input — a graph in RAM or a compressed view — and every later
-// round the compacted RAM residual.
-struct RoundInput {
-  const graph::AugmentedGraph* ram = nullptr;
-  const graph::CompressedGraphView* view = nullptr;
-
-  graph::NodeId NumNodes() const {
-    return ram != nullptr ? ram->NumNodes() : view->NumNodes();
-  }
-};
 
 // One pool for the whole pipeline: rounds reuse it instead of paying
 // thread construction per residual solve.
@@ -54,16 +40,17 @@ MaarRunner SolveOn(util::ThreadPool* pool) {
 // The one §IV-E loop: solve MAAR on the residual, flag the U region, prune
 // it, repeat. No round prunes after the last permitted round or once the
 // target is reached — that residual would never be read.
-DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
+DetectionResult RunRounds(const graph::AugmentedGraph& g, const Seeds& seeds,
                           const IterativeConfig& config,
                           const MaarRunner& solve, util::ThreadPool* pool) {
   util::WallTimer total_timer;
   DetectionResult result;
 
-  // Round 0 reads the input directly; only the compacted rounds
-  // materialize a residual graph of their own.
+  // Round 0 reads the input directly; only the compacted rounds build a
+  // residual graph of their own.
+  const graph::AugmentedGraph* residual = &g;
   graph::AugmentedGraph residual_storage;
-  std::vector<graph::NodeId> to_original(residual.NumNodes());
+  std::vector<graph::NodeId> to_original(g.NumNodes());
   std::iota(to_original.begin(), to_original.end(), 0);
   Seeds cur_seeds = seeds;
   const auto target_reached = [&] {
@@ -72,7 +59,7 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
   };
 
   for (int round = 0; round < config.max_rounds; ++round) {
-    const graph::NodeId n = residual.NumNodes();
+    const graph::NodeId n = residual->NumNodes();
     // Mirror MaarSolver's clamp of the minimum region size.
     const graph::NodeId min_region = std::max<graph::NodeId>(
         1, std::min<graph::NodeId>(config.maar.min_region_size, n / 2));
@@ -81,10 +68,7 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
     MaarConfig maar = config.maar;
     maar.seed = config.maar.seed + static_cast<std::uint64_t>(round) * 0x9e37ULL;
     util::WallTimer round_timer;
-    const MaarCut cut =
-        residual.ram != nullptr
-            ? solve(*residual.ram, cur_seeds, maar)
-            : MaarSolver(*residual.view, cur_seeds, maar).Solve(pool);
+    const MaarCut cut = solve(*residual, cur_seeds, maar);
     const double round_seconds = round_timer.Seconds();
     result.total_kl_runs += static_cast<std::uint64_t>(cut.kl_runs);
     result.total_switches += cut.switches;
@@ -130,14 +114,9 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
       const std::size_t room =
           static_cast<std::size_t>(config.target_detections) -
           result.detected.size();
-      std::optional<graph::DecodeCursor> cursor;
-      const graph::GraphSource source =
-          residual.ram != nullptr
-              ? graph::GraphSource(*residual.ram)
-              : graph::GraphSource(&cursor.emplace(*residual.view));
       std::vector<double> susp(flagged.size());
       for (std::size_t i = 0; i < flagged.size(); ++i) {
-        susp[i] = Suspicion(source, flagged[i]);
+        susp[i] = Suspicion(*residual, flagged[i]);
       }
       std::vector<std::size_t> order(flagged.size());
       std::iota(order.begin(), order.end(), 0);
@@ -166,9 +145,7 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
       if (cut.in_u[v]) keep[v] = 0;
     }
     graph::CompactedGraph compacted =
-        residual.ram != nullptr
-            ? graph::InducedSubgraph(*residual.ram, keep, pool)
-            : graph::InducedSubgraph(*residual.view, keep, pool);
+        graph::InducedSubgraph(*residual, keep, pool);
 
     std::vector<graph::NodeId> new_id(n, graph::kInvalidNode);
     for (graph::NodeId nid = 0;
@@ -190,7 +167,7 @@ DetectionResult RunRounds(RoundInput residual, const Seeds& seeds,
       next_to_original[nid] = to_original[compacted.parent_id[nid]];
     }
     residual_storage = std::move(compacted.graph);
-    residual = {&residual_storage, nullptr};
+    residual = &residual_storage;
     to_original = std::move(next_to_original);
     cur_seeds = std::move(next_seeds);
   }
@@ -216,16 +193,20 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const MaarRunner& solve,
                                      util::ThreadPool* pool) {
   seeds.Validate(g.NumNodes());
-  return RunRounds({&g, nullptr}, seeds, config, solve, pool);
+  return RunRounds(g, seeds, config, solve, pool);
 }
 
 DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config) {
+  util::WallTimer timer;
   seeds.Validate(view.NumNodes());
   const auto pool = MakePool(config);
-  return RunRounds({nullptr, &view}, seeds, config, SolveOn(pool.get()),
-                   pool.get());
+  const graph::AugmentedGraph g = view.Materialize(pool.get()).graph;
+  DetectionResult result =
+      DetectFriendSpammers(g, seeds, config, SolveOn(pool.get()), pool.get());
+  result.total_seconds = timer.Seconds();
+  return result;
 }
 
 }  // namespace rejecto::detect

@@ -100,17 +100,13 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const MaarRunner& solve,
                                      util::ThreadPool* pool = nullptr);
 
-// Out-of-core pipeline over a compressed RJSNAP02 snapshot: the same round
-// loop as DetectFriendSpammers, with round 0 — the only round that sees the
-// full graph — reading the view. It solves MAAR straight off the mmap
-// through per-thread decode cursors and compacts the residual by streaming
-// the blocks, so the full CSR is never expanded in RAM; every later round
-// reads the compacted RAM residual (a small fraction of the graph once the
-// first U region is pruned). No round compacts after the last permitted
-// round or once the target is reached, so with max_rounds = 1 no block is
-// decoded for compaction. Produces bit-identical results to
-// DetectFriendSpammers(LoadSnapshot(path).graph, ...) at any thread count.
-// Reported ids are the ids the snapshot's CSRs are stored under.
+// The pipeline over a compressed RJSNAP02 snapshot: materializes the view
+// once on the detection pool (every block CRC-checked, so a damaged
+// snapshot throws std::runtime_error before any KL run) and runs
+// DetectFriendSpammers on the result, so the answer is the one
+// DetectFriendSpammers(LoadSnapshot(path).graph, ...) gives at any thread
+// count. total_seconds includes the materialization. Reported ids are the
+// ids the snapshot's CSRs are stored under.
 DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config);

@@ -13,6 +13,11 @@
 namespace rejecto::detect {
 namespace {
 
+// Caps on the sweep ValidateConfig accepts. They refuse only sweeps that
+// could never finish (k_scale = 1 + 1e-12 would ask for ~5.5e12 k values).
+constexpr double kMaxSweepKs = 4096;
+constexpr double kMaxSweepCells = 65536;
+
 // A finished KL run with what the reduction ranks it by: whether it is a
 // valid cut and, if so, its friends-to-rejections ratio.
 struct ScoredRun {
@@ -32,6 +37,13 @@ bool Beats(const ScoredRun& s, double best_ratio,
                       s.r.cut.rejections_into_u > best_rejections));
 }
 
+KlResult RunExtendedKl(const graph::AugmentedGraph& graph,
+                       const std::vector<char>& init,
+                       const std::vector<char>& locked, const KlConfig& kl,
+                       KlScratch* scratch) {
+  return ExtendedKl(graph, init, locked, kl, scratch);
+}
+
 }  // namespace
 
 int EffectiveThreads(int num_threads) {
@@ -43,13 +55,7 @@ int EffectiveThreads(int num_threads) {
 
 MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
                        MaarConfig config)
-    : MaarSolver(g, std::move(seeds), config,
-                 [](const graph::AugmentedGraph& graph,
-                    const std::vector<char>& init,
-                    const std::vector<char>& locked, const KlConfig& kl,
-                    KlScratch* scratch) {
-                   return ExtendedKl(graph, init, locked, kl, scratch);
-                 }) {}
+    : MaarSolver(g, std::move(seeds), std::move(config), RunExtendedKl) {}
 
 MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
                        MaarConfig config, KlRunner kl_runner)
@@ -65,12 +71,17 @@ MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
 
 MaarSolver::MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
                        MaarConfig config)
-    : view_(&view), seeds_(std::move(seeds)), config_(std::move(config)) {
+    : owned_(std::make_shared<const graph::AugmentedGraph>(
+          view.Materialize().graph)),
+      g_(owned_.get()),
+      seeds_(std::move(seeds)),
+      config_(std::move(config)),
+      kl_runner_(RunExtendedKl) {
   ValidateConfig();
 }
 
 void MaarSolver::ValidateConfig() {
-  const graph::NodeId n = NumNodes();
+  const graph::NodeId n = g_->NumNodes();
   seeds_.Validate(n);
   // isfinite also rules out NaN, which passes every comparison below: a NaN
   // k_min would sweep no k, a NaN k_scale one k, and an infinite k_max
@@ -80,6 +91,19 @@ void MaarSolver::ValidateConfig() {
       config_.k_max < config_.k_min || config_.k_scale <= 1.0) {
     throw std::invalid_argument("MaarSolver: invalid k sweep");
   }
+  // The sweep's length (to within the one k SweepKs's rounding may add),
+  // from the config alone, before SweepKs builds it. Computed in double: a
+  // huge k_max / k_min overflows to infinity, which the caps refuse like
+  // any other oversized sweep.
+  const double num_ks =
+      std::floor(std::log(config_.k_max / config_.k_min) /
+                 std::log(config_.k_scale)) +
+      1;
+  const double num_inits = 1.0 + std::max(0, config_.num_random_inits) +
+                           (config_.extra_init.empty() ? 0 : 1);
+  if (num_ks > kMaxSweepKs || num_ks * num_inits > kMaxSweepCells) {
+    throw std::invalid_argument("MaarSolver: k sweep too long");
+  }
   if (!config_.extra_init.empty() && config_.extra_init.size() != n) {
     throw std::invalid_argument("MaarSolver: extra_init size mismatch");
   }
@@ -88,23 +112,14 @@ void MaarSolver::ValidateConfig() {
 
 std::vector<std::vector<char>> MaarSolver::InitialPartitions(
     util::Rng& rng) const {
-  const graph::NodeId n = NumNodes();
+  const graph::NodeId n = g_->NumNodes();
   std::vector<std::vector<char>> inits;
 
   // Rejection heuristic: any node that ever got rejected starts in U. The
   // sweep's KL runs pull sporadically-rejected legitimate users back out.
-  // Out-of-core mode scans the rejection-in degrees through a throwaway
-  // cursor — a sequential pass, so each block decodes exactly once.
   std::vector<char> heur(n, 0);
-  if (g_ != nullptr) {
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (g_->Rejections().InDegree(v) > 0) heur[v] = 1;
-    }
-  } else {
-    graph::DecodeCursor cursor(*view_);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (cursor.InDegree(v) > 0) heur[v] = 1;
-    }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (g_->Rejections().InDegree(v) > 0) heur[v] = 1;
   }
   ApplySeedPlacement(heur, seeds_);
   inits.push_back(std::move(heur));
@@ -132,7 +147,7 @@ bool MaarSolver::IsValid(const std::vector<char>& in_u,
                          const graph::CutQuantities& cut) const {
   graph::NodeId size_u = 0;
   for (char c : in_u) size_u += (c != 0);
-  const graph::NodeId n = NumNodes();
+  const graph::NodeId n = g_->NumNodes();
   const graph::NodeId size_w = n - size_u;
   // Clamp the minimum region size only when infeasible: no cut of an
   // n-node graph can put min_region_size nodes on both sides once
@@ -208,30 +223,14 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
 
   // One reusable KL workspace per sweep worker, and never one more: a worker
   // runs one KL at a time, so its scratch is never shared, and at most
-  // pool->size() runs are ever in flight. Out-of-core mode pairs each
-  // scratch with its own DecodeCursor (the cursor's block cache is mutable
-  // per-thread state, exactly like the scratch). The Dinkelbach phase runs
-  // on the caller after every worker has returned, reusing workspace 0.
+  // pool->size() runs are ever in flight. The Dinkelbach phase runs on the
+  // caller after every worker has returned, reusing workspace 0.
   const std::size_t workers =
       pool != nullptr ? std::min(pool->size(), cells) : 1;
   std::vector<KlScratch> scratches(workers);
-  std::vector<std::unique_ptr<graph::DecodeCursor>> cursors;
-  if (view_ != nullptr) {
-    cursors.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      cursors.push_back(std::make_unique<graph::DecodeCursor>(*view_));
-    }
-  }
-  auto source = [&](std::size_t w) {
-    return view_ != nullptr ? graph::GraphSource(cursors[w].get())
-                            : graph::GraphSource(*g_);
-  };
   auto run_kl = [&](std::size_t w, const std::vector<char>& init, double k) {
     KlConfig run_cfg = config_.kl;
     run_cfg.k = k;
-    if (view_ != nullptr) {
-      return ExtendedKl(source(w), init, locked_, run_cfg, &scratches[w]);
-    }
     return kl_runner_(*g_, init, locked_, run_cfg, &scratches[w]);
   };
 
@@ -363,7 +362,7 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
   auto work = [&](std::size_t w) {
     // Every worker may reach the largest k, so size its workspace for it
     // once, before taking the lock.
-    ReserveKlScratch(source(w), ks.back(), config_.kl, scratches[w]);
+    ReserveKlScratch(*g_, ks.back(), config_.kl, scratches[w]);
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
       enum class Job { kWarm, kCell, kSpeculation } job;

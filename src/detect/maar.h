@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "detect/extended_kl.h"
@@ -54,7 +55,9 @@ int EffectiveThreads(int num_threads);
 struct MaarConfig {
   // Geometric k sweep: k_min, k_min*k_scale, ... up to k_max (inclusive-ish).
   // All three must be finite, with k_min > 0, k_max >= k_min and
-  // k_scale > 1; MaarSolver throws std::invalid_argument otherwise.
+  // k_scale > 1, and the sweep must stay within 4,096 k values and 65,536
+  // (k × init) cells (the default is 9 × 2); MaarSolver throws
+  // std::invalid_argument otherwise.
   double k_min = 1.0 / 16.0;
   double k_max = 16.0;
   double k_scale = 2.0;
@@ -145,13 +148,10 @@ class MaarSolver {
   MaarSolver(const graph::AugmentedGraph& g, Seeds seeds, MaarConfig config,
              KlRunner kl_runner);
 
-  // Out-of-core mode: solves directly over a compressed snapshot view —
-  // every KL run goes through its worker's DecodeCursor, so
-  // peak RSS is per-cursor cache × threads rather than the full CSR
-  // expansion. Bit-identical to solving over view.Materialize().graph:
-  // both paths serve the same adjacency bytes and the reduction is the
-  // same pure function of the run results. Custom KL runners are not
-  // supported here. The view must outlive the solver.
+  // Solves a compressed snapshot: materializes the view (serially) into a
+  // graph the solver owns and runs the default ExtendedKl runner on it, so
+  // the cut is the one MaarSolver(view.Materialize().graph, ...) returns.
+  // Throws std::runtime_error if a block fails its CRC.
   MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
              MaarConfig config);
 
@@ -174,14 +174,11 @@ class MaarSolver {
   std::vector<double> SweepKs() const;
   bool IsValid(const std::vector<char>& in_u,
                const graph::CutQuantities& cut) const;
-  graph::NodeId NumNodes() const {
-    return g_ != nullptr ? g_->NumNodes() : view_->NumNodes();
-  }
   void ValidateConfig();
 
-  // Exactly one of g_/view_ is set (RAM vs out-of-core mode).
+  // Set by the view constructor only; g_ then points into it.
+  std::shared_ptr<const graph::AugmentedGraph> owned_;
   const graph::AugmentedGraph* g_ = nullptr;
-  const graph::CompressedGraphView* view_ = nullptr;
   Seeds seeds_;
   MaarConfig config_;
   KlRunner kl_runner_;

@@ -40,8 +40,8 @@ class Partition {
   Partition() = default;
 
   // in_u[v] != 0 places v in the suspicious region U.
-  // The source's backing (graph or cursor) must outlive the partition;
-  // AugmentedGraph call sites convert implicitly.
+  // The source's graph must outlive the partition; AugmentedGraph call
+  // sites convert implicitly.
   Partition(const graph::GraphSource& src, std::vector<char> in_u);
 
   // Re-seeds the partition for (a possibly different) source and mask,

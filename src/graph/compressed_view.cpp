@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/block_codec.h"
 #include "util/crc32c.h"
@@ -289,45 +290,6 @@ Snapshot CompressedGraphView::Materialize(util::ThreadPool* pool) const {
                               std::move(offs[2]), std::move(adjs[2])));
   snap.layout = layout_;
   return snap;
-}
-
-// ---------- DecodeCursor ----------
-
-DecodeCursor::DecodeCursor(const CompressedGraphView& view,
-                           std::size_t cache_rows)
-    : view_(&view) {
-  const std::size_t capacity =
-      std::max<std::size_t>(4, cache_rows / view.BlockRows());
-  for (Cache& c : caches_) {
-    c.slot_of_block.assign(view.NumBlocks(), -1);
-    c.slots.resize(std::min<std::size_t>(
-        capacity, std::max<std::size_t>(1, view.NumBlocks())));
-  }
-}
-
-const DecodeCursor::Slot& DecodeCursor::Fetch(int csr, NodeId block) {
-  Cache& c = caches_[csr];
-  const std::int32_t hit = c.slot_of_block[block];
-  if (hit >= 0) {
-    Slot& s = c.slots[static_cast<std::size_t>(hit)];
-    s.tick = ++tick_;
-    ++cache_hits_;
-    return s;
-  }
-  // Miss: evict the least-recently-used slot. The linear scan is noise next
-  // to the block decode it precedes (slot counts are a few hundred).
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < c.slots.size(); ++i) {
-    if (c.slots[i].tick < c.slots[victim].tick) victim = i;
-  }
-  Slot& s = c.slots[victim];
-  if (s.block != kInvalidNode) c.slot_of_block[s.block] = -1;
-  view_->DecodeBlockInto(csr, block, s.row_offsets, s.adj);
-  s.block = block;
-  s.tick = ++tick_;
-  c.slot_of_block[block] = static_cast<std::int32_t>(victim);
-  ++blocks_decoded_;
-  return s;
 }
 
 }  // namespace rejecto::graph

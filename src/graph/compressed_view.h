@@ -1,36 +1,23 @@
-// Out-of-core view of an RJSNAP02 compressed snapshot.
+// Reader for an RJSNAP02 compressed snapshot.
 //
 // CompressedGraphView mmaps the file and exposes the three adjacency
 // structures (friendship, rejection-out, rejection-in) at block granularity:
 // Open() validates the container, the meta section and the three block
 // indexes — a few KB of reads — without paging in a single adjacency byte.
 // Each block's encoded bytes carry their own CRC32C in the index, verified
-// on first decode, so a 100M+-edge snapshot opens in milliseconds and
-// integrity checking is paid only for the blocks detection actually visits.
+// when the block is decoded (DecodeBlockInto), so opening stays cheap and a
+// damaged block is reported by section, block and file offset.
 //
-// DecodeCursor is the per-thread access path detection runs on: a bounded
-// LRU of decoded blocks per CSR (three independent caches, so the three
-// row spans SwitchFused holds for one vertex can never evict each other),
-// reusable aligned decode scratch, and span accessors mirroring the
-// AugmentedGraph API. Peak RSS of a detection pass over the view is
-// index + per-cursor cache + scratch — independent of the edge count.
-//
-// Span lifetime: a span returned for node u stays valid until `capacity`
-// further *distinct-block* accesses on the same CSR (LRU order). Callers
-// holding a row across long stretches must copy it; the detection kernels
-// only ever hold one row per CSR at a time.
-//
-// Materialize() decodes every block (optionally in parallel) into a plain
-// in-RAM Snapshot — the v2 path of LoadSnapshot, and the reference the
-// bit-identity property tests compare the out-of-core path against.
+// Materialize() decodes every block (in parallel on a pool) into a plain
+// in-RAM Snapshot. It is the v2 path of LoadSnapshot and the way detection
+// reads a compressed snapshot: DetectFriendSpammersCompressed materializes
+// once on the detection pool and runs the in-RAM pipeline, so every block's
+// CRC is checked before any KL run starts.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "graph/snapshot.h"
 #include "graph/snapshot_format.h"
@@ -78,7 +65,7 @@ class CompressedGraphView {
 
   const std::string& Path() const noexcept { return path_; }
 
-  // Bytes of file mapped (the whole file; residency is what stays small).
+  // Bytes of file mapped (the whole file).
   std::uint64_t MappedBytes() const noexcept { return file_->size(); }
 
   // Total encoded adjacency bytes across the three blob sections.
@@ -141,78 +128,6 @@ class CompressedGraphView {
   std::uint64_t max_rejection_degree_ = 0;
   Layout layout_;
   CsrView csr_[3];
-};
-
-// Per-thread decoded-block cache over a CompressedGraphView. Not
-// thread-safe; create one per worker (MaarSolver keeps one per scratch
-// slot). Row accessors mirror SocialGraph/RejectionGraph.
-class DecodeCursor {
- public:
-  static constexpr std::size_t kDefaultCacheRows = 65536;
-
-  // cache_rows: decoded rows retained per CSR (three caches of this size).
-  // The cache always holds at least 4 blocks per CSR so short access
-  // patterns never thrash.
-  explicit DecodeCursor(const CompressedGraphView& view,
-                        std::size_t cache_rows = kDefaultCacheRows);
-
-  const CompressedGraphView& View() const noexcept { return *view_; }
-  NodeId NumNodes() const noexcept { return view_->NumNodes(); }
-
-  std::span<const NodeId> Friends(NodeId u) {
-    return Row(CompressedGraphView::kFriend, u);
-  }
-  std::span<const NodeId> Rejectees(NodeId u) {
-    return Row(CompressedGraphView::kRejOut, u);
-  }
-  std::span<const NodeId> Rejectors(NodeId u) {
-    return Row(CompressedGraphView::kRejIn, u);
-  }
-
-  std::uint32_t FriendDegree(NodeId u) {
-    return RowDegree(CompressedGraphView::kFriend, u);
-  }
-  std::uint32_t OutDegree(NodeId u) {
-    return RowDegree(CompressedGraphView::kRejOut, u);
-  }
-  std::uint32_t InDegree(NodeId u) {
-    return RowDegree(CompressedGraphView::kRejIn, u);
-  }
-
-  std::uint64_t BlocksDecoded() const noexcept { return blocks_decoded_; }
-  std::uint64_t CacheHits() const noexcept { return cache_hits_; }
-
- private:
-  struct Slot {
-    NodeId block = kInvalidNode;
-    std::uint64_t tick = 0;
-    util::AlignedVector<std::uint32_t> row_offsets;
-    util::AlignedVector<NodeId> adj;
-  };
-  struct Cache {
-    std::vector<std::int32_t> slot_of_block;  // -1 when not resident
-    std::vector<Slot> slots;
-  };
-
-  const Slot& Fetch(int csr, NodeId block);
-
-  std::span<const NodeId> Row(int csr, NodeId u) {
-    const Slot& s = Fetch(csr, u / view_->BlockRows());
-    const std::uint32_t r = u % view_->BlockRows();
-    return {s.adj.data() + s.row_offsets[r],
-            s.adj.data() + s.row_offsets[r + 1]};
-  }
-  std::uint32_t RowDegree(int csr, NodeId u) {
-    const Slot& s = Fetch(csr, u / view_->BlockRows());
-    const std::uint32_t r = u % view_->BlockRows();
-    return s.row_offsets[r + 1] - s.row_offsets[r];
-  }
-
-  const CompressedGraphView* view_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t blocks_decoded_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  Cache caches_[3];
 };
 
 }  // namespace rejecto::graph

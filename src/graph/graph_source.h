@@ -1,25 +1,16 @@
-// Uniform adjacency source for the detection kernels: an in-RAM
-// AugmentedGraph or an out-of-core DecodeCursor behind one row-span API.
+// Row-span view of an AugmentedGraph for the detection kernels.
 //
 // Partition and ExtendedKl only ever consume per-node degrees and sorted
-// row spans; GraphSource is that contract as a value type (two pointers),
-// so the hot loops compile to one predictable branch per accessor and the
-// existing AugmentedGraph call sites keep working through the implicit
-// conversion. Cursor-backed spans follow DecodeCursor's lifetime rule (a
-// row stays valid across the handful of accesses a switch makes, not
-// forever); RAM-backed spans live as long as the graph.
-//
-// Both backends return identical bytes for identical graphs, which is the
-// root of the compressed path's bit-identical-cut guarantee: every quantity
-// detection derives — aggregates, gains, tie-breaks, degree maxima for the
-// bucket bound — flows through these accessors.
+// row spans; GraphSource is that contract as a value type (one pointer), so
+// the hot loops read the CSRs with no indirection beyond the graph's own,
+// and the AugmentedGraph call sites keep working through the implicit
+// conversion. Spans live as long as the graph.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "graph/augmented_graph.h"
-#include "graph/compressed_view.h"
 #include "graph/types.h"
 
 namespace rejecto::graph {
@@ -30,59 +21,39 @@ class GraphSource {
   GraphSource() = default;
 
   // Implicit by design: every Partition/ExtendedKl call site holding an
-  // AugmentedGraph keeps compiling unchanged.
-  GraphSource(const AugmentedGraph& g) : ram_(&g) {}  // NOLINT
+  // AugmentedGraph keeps compiling unchanged. The graph must outlive the
+  // source.
+  GraphSource(const AugmentedGraph& g) : g_(&g) {}  // NOLINT
 
-  // Cursor-backed (out-of-core) source. The cursor must outlive the source
-  // and is mutated by the accessors (its block cache); one cursor per
-  // thread, like any other KL scratch state.
-  explicit GraphSource(DecodeCursor* cursor) : cursor_(cursor) {}
-
-  NodeId NumNodes() const {
-    return ram_ != nullptr ? ram_->NumNodes() : cursor_->NumNodes();
-  }
+  NodeId NumNodes() const { return g_->NumNodes(); }
 
   std::uint64_t MaxFriendshipDegree() const {
-    return ram_ != nullptr ? ram_->MaxFriendshipDegree()
-                           : cursor_->View().MaxFriendshipDegree();
+    return g_->MaxFriendshipDegree();
   }
-  std::uint64_t MaxRejectionDegree() const {
-    return ram_ != nullptr ? ram_->MaxRejectionDegree()
-                           : cursor_->View().MaxRejectionDegree();
-  }
+  std::uint64_t MaxRejectionDegree() const { return g_->MaxRejectionDegree(); }
 
   std::uint32_t FriendDegree(NodeId u) const {
-    return ram_ != nullptr ? ram_->Friendships().Degree(u)
-                           : cursor_->FriendDegree(u);
+    return g_->Friendships().Degree(u);
   }
   std::uint32_t RejOutDegree(NodeId u) const {
-    return ram_ != nullptr ? ram_->Rejections().OutDegree(u)
-                           : cursor_->OutDegree(u);
+    return g_->Rejections().OutDegree(u);
   }
   std::uint32_t RejInDegree(NodeId u) const {
-    return ram_ != nullptr ? ram_->Rejections().InDegree(u)
-                           : cursor_->InDegree(u);
+    return g_->Rejections().InDegree(u);
   }
 
   std::span<const NodeId> Friends(NodeId u) const {
-    return ram_ != nullptr ? ram_->Friendships().Neighbors(u)
-                           : cursor_->Friends(u);
+    return g_->Friendships().Neighbors(u);
   }
   std::span<const NodeId> Rejectees(NodeId u) const {
-    return ram_ != nullptr ? ram_->Rejections().Rejectees(u)
-                           : cursor_->Rejectees(u);
+    return g_->Rejections().Rejectees(u);
   }
   std::span<const NodeId> Rejectors(NodeId u) const {
-    return ram_ != nullptr ? ram_->Rejections().Rejectors(u)
-                           : cursor_->Rejectors(u);
+    return g_->Rejections().Rejectors(u);
   }
 
-  // Non-null when RAM-backed (callers needing the full graph API).
-  const AugmentedGraph* Ram() const noexcept { return ram_; }
-
  private:
-  const AugmentedGraph* ram_ = nullptr;
-  DecodeCursor* cursor_ = nullptr;
+  const AugmentedGraph* g_ = nullptr;
 };
 
 }  // namespace rejecto::graph

@@ -13,11 +13,10 @@
 //   RJSNAP02 — the same graph with delta+varint compressed adjacency in
 //   fixed-span blocks (64–256 rows) behind a per-CSR block index, each
 //   block carrying its own CRC32C. About 45–60% of the RJSNAP01 adjacency
-//   bytes on the attack scenarios (generator ids or shuffled ids), and —
-//   the real point — readable *in place*: graph/compressed_view.h decodes
-//   blocks straight off the mmap, so detection over a 100M+-edge snapshot
-//   never expands the file into RAM. LoadSnapshot still works on v2 files
-//   (decode-everything), it just stops being the only option.
+//   bytes on the attack scenarios (generator ids or shuffled ids).
+//   graph/compressed_view.h opens it in place and decodes it block by
+//   block (CompressedGraphView::Materialize, in parallel); LoadSnapshot on
+//   a v2 file is that decode.
 //
 // Shared container layout (graph/snapshot_format.h): magic, section count,
 // table CRC32C, a 24-byte-per-entry section table, then 64-byte-aligned
@@ -78,7 +77,7 @@ struct Snapshot {
 
 enum class SnapshotFormat {
   kRjsnap01,  // raw CSR sections (zero-copy load)
-  kRjsnap02,  // block-compressed adjacency (out-of-core readable)
+  kRjsnap02,  // block-compressed adjacency, per-block CRCs
 };
 
 struct SnapshotOptions {

@@ -1,15 +1,12 @@
 #include "graph/subgraph.h"
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "graph/compressed_view.h"
 #include "util/buffer.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -37,16 +34,12 @@ void PrefixSum(Offsets& offsets) {
   }
 }
 
-// The filter both overloads share: the keep -> new-id mapping, the
-// per-row count/fill kernels and the CSR assembly. An overload supplies
-// only its traversal: for_each_kept_row(parent_id, visit) must call
-// visit(csr, u, row) exactly once per kept node u and CSR (0 = friendships,
-// 1 = rejectees, 2 = rejectors, CompressedGraphView's order), from any
-// number of threads. Whichever source it reads, the residual CSR comes out
-// bit-identical.
-template <typename ForEachKeptRow>
-CompactedGraph Compact(NodeId n, const std::vector<char>& keep,
-                       ForEachKeptRow&& for_each_kept_row) {
+}  // namespace
+
+CompactedGraph InducedSubgraph(const AugmentedGraph& g,
+                               const std::vector<char>& keep,
+                               util::ThreadPool* pool) {
+  const NodeId n = g.NumNodes();
   if (keep.size() != n) {
     throw std::invalid_argument("InducedSubgraph: mask size mismatch");
   }
@@ -94,14 +87,26 @@ CompactedGraph Compact(NodeId n, const std::vector<char>& keep,
     }
   };
 
+  // Node-block sweeps over the kept nodes, a node's three rows together
+  // (0 = friendships, 1 = rejectees, 2 = rejectors).
+  const SocialGraph& fr = g.Friendships();
+  const RejectionGraph& rej = g.Rejections();
+  const auto for_each_kept_row = [&](auto&& visit) {
+    ForEachNode(pool, m, [&](std::size_t nid) {
+      const NodeId u = out.parent_id[nid];
+      visit(0, u, fr.Neighbors(u));
+      visit(1, u, rej.Rejectees(u));
+      visit(2, u, rej.Rejectors(u));
+    });
+  };
+
   util::AlignedVector<std::size_t> offs[3] = {
       util::AlignedVector<std::size_t>(m + 1, 0),
       util::AlignedVector<std::size_t>(m + 1, 0),
       util::AlignedVector<std::size_t>(m + 1, 0)};
-  for_each_kept_row(out.parent_id,
-                    [&](int csr, NodeId u, std::span<const NodeId> row) {
-                      offs[csr][new_id[u] + 1] = count_kept(row);
-                    });
+  for_each_kept_row([&](int csr, NodeId u, std::span<const NodeId> row) {
+    offs[csr][new_id[u] + 1] = count_kept(row);
+  });
   for (auto& off : offs) PrefixSum(off);
 
   util::AlignedVector<NodeId> adjs[3] = {
@@ -112,10 +117,9 @@ CompactedGraph Compact(NodeId n, const std::vector<char>& keep,
   // each filtered row lands already sorted; the in-adjacency stays the
   // exact mirror of the out-adjacency because both sides drop the same
   // arcs. Rows are disjoint ranges, so parallel fills don't race.
-  for_each_kept_row(out.parent_id,
-                    [&](int csr, NodeId u, std::span<const NodeId> row) {
-                      fill_row(row, adjs[csr].data() + offs[csr][new_id[u]]);
-                    });
+  for_each_kept_row([&](int csr, NodeId u, std::span<const NodeId> row) {
+    fill_row(row, adjs[csr].data() + offs[csr][new_id[u]]);
+  });
 
   const NodeId num_new = static_cast<NodeId>(m);
   out.graph = AugmentedGraph(
@@ -123,69 +127,6 @@ CompactedGraph Compact(NodeId n, const std::vector<char>& keep,
       RejectionGraph::FromCsr(num_new, std::move(offs[1]), std::move(adjs[1]),
                               std::move(offs[2]), std::move(adjs[2])));
   return out;
-}
-
-}  // namespace
-
-CompactedGraph InducedSubgraph(const AugmentedGraph& g,
-                               const std::vector<char>& keep,
-                               util::ThreadPool* pool) {
-  const SocialGraph& fr = g.Friendships();
-  const RejectionGraph& rej = g.Rejections();
-  // Node-block sweeps over the kept nodes, a node's three rows together.
-  const auto for_each_kept_row = [&](const std::vector<NodeId>& parent_id,
-                                     auto&& visit) {
-    ForEachNode(pool, parent_id.size(), [&](std::size_t nid) {
-      const NodeId u = parent_id[nid];
-      visit(0, u, fr.Neighbors(u));
-      visit(1, u, rej.Rejectees(u));
-      visit(2, u, rej.Rejectors(u));
-    });
-  };
-  return Compact(g.NumNodes(), keep, for_each_kept_row);
-}
-
-CompactedGraph InducedSubgraph(const CompressedGraphView& view,
-                               const std::vector<char>& keep,
-                               util::ThreadPool* pool) {
-  // Block-granular sweeps over the three CSRs (item = csr * num_blocks +
-  // block), each block decoded into per-thread scratch. A block's kept rows
-  // map to a contiguous nid range (new_id is monotone), so blocks write
-  // disjoint slices of the offset/adjacency arrays and the parallel sweeps
-  // are race-free.
-  const NodeId nb = view.NumBlocks();
-  const std::size_t work = static_cast<std::size_t>(nb) * 3;
-  struct Scratch {
-    util::AlignedVector<std::uint32_t> ro;
-    util::AlignedVector<NodeId> adj;
-  };
-  const auto for_each_kept_row = [&](const std::vector<NodeId>&,
-                                     auto&& visit) {
-    const auto sweep_block = [&](Scratch& s, std::size_t item) {
-      const int csr = static_cast<int>(item / nb);
-      const NodeId b = static_cast<NodeId>(item % nb);
-      const NodeId first_row = b * view.BlockRows();
-      const std::uint32_t rows = view.BlockRowCount(csr, b);
-      view.DecodeBlockInto(csr, b, s.ro, s.adj);
-      for (std::uint32_t r = 0; r < rows; ++r) {
-        const NodeId u = first_row + r;
-        if (!keep[u]) continue;
-        visit(csr, u, {s.adj.data() + s.ro[r], s.adj.data() + s.ro[r + 1]});
-      }
-    };
-    if (pool != nullptr && work > 1) {
-      std::vector<Scratch> scratch(std::min(work, pool->size()));
-      pool->ParallelFor(work, [&](std::size_t block, std::size_t item) {
-        sweep_block(scratch[block], item);
-      });
-    } else {
-      Scratch scratch;
-      for (std::size_t item = 0; item < work; ++item) {
-        sweep_block(scratch, item);
-      }
-    }
-  };
-  return Compact(view.NumNodes(), keep, for_each_kept_row);
 }
 
 }  // namespace rejecto::graph

@@ -25,8 +25,6 @@ class ThreadPool;
 
 namespace rejecto::graph {
 
-class CompressedGraphView;
-
 struct CompactedGraph {
   AugmentedGraph graph;
   // new dense id -> id in the parent graph
@@ -36,16 +34,6 @@ struct CompactedGraph {
 // Keeps exactly the nodes with keep[u] != 0 and the edges/arcs with both
 // endpoints kept. Precondition: keep.size() == g.NumNodes().
 CompactedGraph InducedSubgraph(const AugmentedGraph& g,
-                               const std::vector<char>& keep,
-                               util::ThreadPool* pool = nullptr);
-
-// Same filter fed straight from a compressed snapshot view: the count and
-// fill sweeps decode each adjacency block exactly twice (once per sweep)
-// into per-thread scratch, so peak memory is the residual CSR plus one
-// decoded block per worker — the parent graph is never expanded. Produces
-// bit-identical output to InducedSubgraph(view.Materialize().graph, keep)
-// at any thread count.
-CompactedGraph InducedSubgraph(const CompressedGraphView& view,
                                const std::vector<char>& keep,
                                util::ThreadPool* pool = nullptr);
 

@@ -1,6 +1,8 @@
 // Fixed-size thread pool. Its users: the engine cluster (modelled cluster
 // workers), graph::InducedSubgraph (parallel residual compaction),
-// graph::CompressedGraphView::Materialize (parallel block decode),
+// graph::CompressedGraphView::Materialize (parallel block decode, on the
+// detection pool when detect::DetectFriendSpammersCompressed reads a
+// snapshot),
 // stream::DeltaGraph compaction, the detect::MaarSolver (k × init) sweep,
 // and serve::AdmissionService's detection pool.
 #pragma once

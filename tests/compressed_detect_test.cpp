@@ -1,14 +1,16 @@
-// Detection over the compressed mmap view must be BIT-identical to the
-// in-RAM pipeline: same MAAR cuts, same rounds, same detected sets, at any
-// thread count (the acceptance bar for RJSNAP02 — compression must never
-// change an answer). Covers the full stack of the out-of-core seam:
-// InducedSubgraph over the view, MaarSolver's view mode, the iterative
-// driver, and EpochDetector::FromSnapshot dispatch.
+// Detection off a compressed snapshot must be BIT-identical to the in-RAM
+// pipeline: same MAAR cuts, same rounds, same detected sets, at any thread
+// count (the acceptance bar for RJSNAP02 — compression must never change an
+// answer). Covers MaarSolver's view constructor, the compressed iterative
+// pipeline, a damaged snapshot on that pipeline, and
+// EpochDetector::FromSnapshot dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,10 +21,8 @@
 #include "gen/holme_kim.h"
 #include "graph/compressed_view.h"
 #include "graph/snapshot.h"
-#include "graph/subgraph.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace rejecto {
 namespace {
@@ -122,10 +122,10 @@ double ThresholdStoppingAt(const detect::DetectionResult& base,
 
 // The config branches the round loop takes, each as a variant of `base`
 // (which should set a target the first round reaches): the defaults, a
-// single round (the out-of-core benchmark's config), no trim, several
-// untargeted rounds, a target reached (and trimmed to) in round 1, and
-// acceptance thresholds stopping at round 0 and at a later round. The last
-// three are derived from an untargeted run on `g`.
+// single round (batch_ooc's config), no trim, several untargeted rounds, a
+// target reached (and trimmed to) in round 1, and acceptance thresholds
+// stopping at round 0 and at a later round. The last three are derived
+// from an untargeted run on `g`.
 std::vector<std::pair<std::string, detect::IterativeConfig>> ConfigVariants(
     const AugmentedGraph& g, const detect::Seeds& seeds,
     const detect::IterativeConfig& base) {
@@ -163,34 +163,6 @@ std::vector<std::pair<std::string, detect::IterativeConfig>> ConfigVariants(
       << "no later round has a higher acceptance rate than all before it";
   out.emplace_back("threshold stops at a later round", stop_later);
   return out;
-}
-
-// ---------- induced subgraphs ----------
-
-TEST_F(CompressedDetectTest, InducedSubgraphFromViewMatchesRamAtAnyThreads) {
-  const auto scenario = MakeAttackScenario(3, 700, 70);
-  const AugmentedGraph& g = scenario.graph;
-  const auto view = SaveAndOpen(Path("g.snap2"), g, 64);
-
-  util::Rng rng(11);
-  for (int rep = 0; rep < 4; ++rep) {
-    std::vector<char> keep(g.NumNodes());
-    for (auto& k : keep) k = rng.NextUInt(100) < 70 ? 1 : 0;
-
-    const auto want = graph::InducedSubgraph(g, keep);
-    const auto serial = graph::InducedSubgraph(view, keep);
-    EXPECT_EQ(serial.graph, want.graph) << "rep " << rep;
-    EXPECT_EQ(serial.parent_id, want.parent_id) << "rep " << rep;
-
-    for (const int threads : {2, 8}) {
-      util::ThreadPool pool(threads);
-      const auto parallel = graph::InducedSubgraph(view, keep, &pool);
-      EXPECT_EQ(parallel.graph, want.graph)
-          << "rep " << rep << " threads " << threads;
-      EXPECT_EQ(parallel.parent_id, want.parent_id)
-          << "rep " << rep << " threads " << threads;
-    }
-  }
 }
 
 // ---------- MAAR over the view ----------
@@ -296,6 +268,51 @@ TEST_F(CompressedDetectTest, BlockSpanDoesNotChangeAnyAnswer) {
         Path("g" + std::to_string(rows) + ".snap2"), scenario.graph, rows);
     const auto mm = detect::DetectFriendSpammersCompressed(view, seeds, cfg);
     ExpectSameResult(ram, mm, "block_rows " + std::to_string(rows));
+  }
+}
+
+// A damaged block is found while the snapshot is materialized, before any
+// KL run: the error names the section, the block and the CRC mismatch, at
+// every width.
+TEST_F(CompressedDetectTest, DamagedBlockThrowsCrcMismatchBeforeDetection) {
+  const auto scenario = MakeAttackScenario(37, 600, 60);
+  util::Rng seed_rng(41);
+  const auto seeds = scenario.SampleSeeds(15, 6, seed_rng);
+  const std::string path = Path("g.snap2");
+  NodeId block = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  {
+    const auto view = SaveAndOpen(path, scenario.graph);
+    block = view.NumBlocks() / 2;
+    view.BlockFileRange(CompressedGraphView::kRejIn, block, &offset, &length);
+  }
+  ASSERT_GT(length, 0u);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(offset + length / 2);
+    f.seekg(at);
+    const char byte = static_cast<char>(f.get());
+    f.seekp(at);
+    f.put(static_cast<char>(byte ^ 0x20));
+    ASSERT_TRUE(f.good());
+  }
+  // Opening reads only the indexes, so it still succeeds.
+  const auto view = CompressedGraphView::Open(path);
+  detect::IterativeConfig cfg;
+  cfg.target_detections = scenario.num_fakes;
+  for (const int threads : {1, 2, 8}) {
+    cfg.maar.num_threads = threads;
+    try {
+      detect::DetectFriendSpammersCompressed(view, seeds, cfg);
+      ADD_FAILURE() << "damaged snapshot detected on, threads " << threads;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rejection-in-blocks"), std::string::npos) << what;
+      EXPECT_NE(what.find("block " + std::to_string(block) + " CRC mismatch"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

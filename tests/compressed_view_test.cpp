@@ -1,10 +1,11 @@
-// graph/compressed_view.h: the RJSNAP02 out-of-core reader. Opening must
-// never expand the adjacency; Materialize and the DecodeCursor must agree
+// graph/compressed_view.h: the RJSNAP02 reader. Opening must never expand
+// the adjacency; Materialize and every single-block decode must agree
 // exactly with the uncompressed load; corruption is caught per block with a
 // section+offset diagnostic that tells a torn file from bit rot; and the
 // on-disk format itself is pinned by a golden file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "graph/snapshot.h"
 #include "graph/snapshot_format.h"
 #include "sim/scenario.h"
+#include "util/buffer.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -31,7 +33,6 @@ namespace fs = std::filesystem;
 
 using graph::AugmentedGraph;
 using graph::CompressedGraphView;
-using graph::DecodeCursor;
 using graph::LoadSnapshot;
 using graph::NodeId;
 using graph::Snapshot;
@@ -206,68 +207,46 @@ TEST_F(CompressedViewTest, WritesAreByteDeterministic) {
   EXPECT_EQ(ReadFileBytes(Path("a.snap2")), ReadFileBytes(Path("b.snap2")));
 }
 
-// ---------- the decode cursor ----------
+// ---------- single-block decode ----------
 
-TEST_F(CompressedViewTest, CursorRowsMatchTheGraphEverywhere) {
+TEST_F(CompressedViewTest, BlockRowsMatchTheGraphEverywhere) {
   const AugmentedGraph g = RandomScenarioGraph(47, 700);
   const std::string path = Path("g.snap2");
   graph::SaveSnapshot(path, g, graph::Layout{}, V2Options());
   const auto view = CompressedGraphView::Open(path);
-  DecodeCursor cursor(view);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto fr = cursor.Friends(v);
-    ASSERT_TRUE(std::equal(fr.begin(), fr.end(),
-                           g.Friendships().Neighbors(v).begin(),
-                           g.Friendships().Neighbors(v).end()))
-        << "friend row " << v;
-    const auto out = cursor.Rejectees(v);
-    ASSERT_TRUE(std::equal(out.begin(), out.end(),
-                           g.Rejections().Rejectees(v).begin(),
-                           g.Rejections().Rejectees(v).end()))
-        << "out row " << v;
-    const auto in = cursor.Rejectors(v);
-    ASSERT_TRUE(std::equal(in.begin(), in.end(),
-                           g.Rejections().Rejectors(v).begin(),
-                           g.Rejections().Rejectors(v).end()))
-        << "in row " << v;
-    EXPECT_EQ(cursor.FriendDegree(v), fr.size());
-    EXPECT_EQ(cursor.OutDegree(v), out.size());
-    EXPECT_EQ(cursor.InDegree(v), in.size());
+  const auto row_of = [&](int csr, NodeId v) {
+    switch (csr) {
+      case CompressedGraphView::kFriend:
+        return g.Friendships().Neighbors(v);
+      case CompressedGraphView::kRejOut:
+        return g.Rejections().Rejectees(v);
+      default:
+        return g.Rejections().Rejectors(v);
+    }
+  };
+  // Every block of every CSR, decoded on its own, row by row against the
+  // graph; the blocks' rows tile [0, n).
+  util::AlignedVector<std::uint32_t> ro;
+  util::AlignedVector<NodeId> adj;
+  for (int csr = 0; csr < 3; ++csr) {
+    NodeId next_row = 0;
+    for (NodeId b = 0; b < view.NumBlocks(); ++b) {
+      view.DecodeBlockInto(csr, b, ro, adj);
+      const std::uint32_t rows = view.BlockRowCount(csr, b);
+      ASSERT_EQ(ro.size(), rows + 1u) << "csr " << csr << " block " << b;
+      ASSERT_EQ(ro[0], 0u) << "csr " << csr << " block " << b;
+      ASSERT_EQ(ro[rows], adj.size()) << "csr " << csr << " block " << b;
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        const NodeId v = b * view.BlockRows() + r;
+        ASSERT_EQ(v, next_row++);
+        const auto want = row_of(csr, v);
+        ASSERT_TRUE(std::equal(adj.begin() + ro[r], adj.begin() + ro[r + 1],
+                               want.begin(), want.end()))
+            << "csr " << csr << " row " << v;
+      }
+    }
+    EXPECT_EQ(next_row, g.NumNodes()) << "csr " << csr;
   }
-}
-
-TEST_F(CompressedViewTest, TinyCacheStaysCorrectUnderThrashing) {
-  const AugmentedGraph g = RandomScenarioGraph(53, 900);
-  const std::string path = Path("g.snap2");
-  graph::SaveSnapshot(path, g, graph::Layout{}, V2Options(64));
-  const auto view = CompressedGraphView::Open(path);
-  // cache_rows = 1 clamps to the 4-block floor: far fewer blocks than the
-  // graph has, so the LRU evicts constantly. Random access must still be
-  // exact.
-  DecodeCursor cursor(view, /*cache_rows=*/1);
-  util::Rng rng(5);
-  for (int i = 0; i < 5'000; ++i) {
-    const NodeId v = static_cast<NodeId>(rng.NextUInt(g.NumNodes()));
-    const auto fr = cursor.Friends(v);
-    ASSERT_TRUE(std::equal(fr.begin(), fr.end(),
-                           g.Friendships().Neighbors(v).begin(),
-                           g.Friendships().Neighbors(v).end()))
-        << "friend row " << v << " after " << i << " random accesses";
-  }
-  EXPECT_GT(cursor.BlocksDecoded(), 0u);
-}
-
-TEST_F(CompressedViewTest, SequentialScanHitsTheCache) {
-  const AugmentedGraph g = RandomScenarioGraph(59, 600);
-  const std::string path = Path("g.snap2");
-  graph::SaveSnapshot(path, g, graph::Layout{}, V2Options(128));
-  const auto view = CompressedGraphView::Open(path);
-  DecodeCursor cursor(view);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) cursor.Friends(v);
-  // A sequential scan decodes each friendship block exactly once.
-  EXPECT_EQ(cursor.BlocksDecoded(), view.NumBlocks());
-  EXPECT_EQ(cursor.CacheHits(),
-            static_cast<std::uint64_t>(g.NumNodes()) - view.NumBlocks());
 }
 
 // ---------- streamed writer vs in-RAM writer ----------
@@ -404,10 +383,25 @@ TEST_F(CompressedViewTest, BlobCorruptionIsLazyCaughtOnFirstDecode) {
   // pages them in. The damage surfaces at the first decode of the affected
   // block — and only that block.
   const auto view = CompressedGraphView::Open(path);
-  DecodeCursor cursor(view);
-  EXPECT_NO_THROW(cursor.Friends(0));  // different CSR, untouched bytes
-  const NodeId last = g.NumNodes() - 1;
-  EXPECT_THROW(cursor.Rejectors(last), std::runtime_error);
+  util::AlignedVector<std::uint32_t> ro;
+  util::AlignedVector<NodeId> adj;
+  const NodeId last = view.NumBlocks() - 1;
+  // Untouched bytes: the same block of another CSR, and the first
+  // rejection-in block when the damaged last one is a different block.
+  EXPECT_NO_THROW(view.DecodeBlockInto(CompressedGraphView::kFriend, last, ro,
+                                       adj));
+  ASSERT_GT(last, 0u);
+  EXPECT_NO_THROW(
+      view.DecodeBlockInto(CompressedGraphView::kRejIn, 0, ro, adj));
+  try {
+    view.DecodeBlockInto(CompressedGraphView::kRejIn, last, ro, adj);
+    FAIL() << "damaged block decoded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find("block " + std::to_string(last)), std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(CompressedViewTest, IndexBitFlipsAreRejectedAtOpen) {

@@ -165,6 +165,22 @@ TEST(MaarSolverTest, InvalidSweepThrows) {
           {"infinite k_scale", [&](MaarConfig& c) { c.k_scale = inf; }},
           {"zero k_min", [&](MaarConfig& c) { c.k_min = 0; }},
           {"k_max below k_min", [&](MaarConfig& c) { c.k_max = c.k_min / 2; }},
+          // Finite but endless sweeps: refused from the config alone, so
+          // the constructor throws before any sweep is built.
+          {"k_scale 1 + 1e-12", [&](MaarConfig& c) { c.k_scale = 1 + 1e-12; }},
+          {"tiny k_min, huge k_max",
+           [&](MaarConfig& c) {
+             c.k_min = std::numeric_limits<double>::denorm_min();
+             c.k_max = std::numeric_limits<double>::max();
+           }},
+          {"4,629 k values",
+           [&](MaarConfig& c) {
+             c.k_min = 1e-10;
+             c.k_max = 1e10;
+             c.k_scale = 1.01;
+           }},
+          {"too many grid cells",
+           [&](MaarConfig& c) { c.num_random_inits = 100'000; }},
       };
   for (const auto& [name, mutate] : bad) {
     SCOPED_TRACE(name);
@@ -176,6 +192,12 @@ TEST(MaarSolverTest, InvalidSweepThrows) {
   MaarConfig one_k = SmallConfig();
   one_k.k_max = one_k.k_min;
   EXPECT_NO_THROW(MaarSolver(g, {}, one_k));
+  // A long sweep well inside the caps (~558 k values) still validates.
+  MaarConfig fine = SmallConfig();
+  fine.k_min = 1.0 / 16.0;
+  fine.k_max = 16.0;
+  fine.k_scale = 1.01;
+  EXPECT_NO_THROW(MaarSolver(g, {}, fine));
 }
 
 TEST(MaarSolverTest, SeedPinningOverridesBadLocalMinima) {
