@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): data-structure and algorithm
 // throughput underlying the headline numbers — bucket-list operations, the
 // incremental partition switch, a full extended-KL solve, the parallel MAAR
-// sweep, generator throughput, the CSR build of a request log, and the
-// engine's fetch path. In full mode (REJECTO_BENCH_FAST unset), main() then
+// sweep, generator throughput, the CSR build of a request log, the
+// engine's fetch path, and the admission service's Reader::Decide. In full mode (REJECTO_BENCH_FAST unset), main() then
 // runs the 100M-edge out-of-core memory-ceiling check, which aborts the
 // process if the scan breaks its RSS budget. End-to-end performance is
 // measured by bench/e2e.
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "gen/holme_kim.h"
 #include "gen/synthetic_stream.h"
 #include "graph/compressed_view.h"
+#include "serve/admission.h"
+#include "serve/policy.h"
 #include "sim/scenario.h"
 #include "util/buffer.h"
 #include "util/flags.h"
@@ -216,6 +219,48 @@ void BM_PrefetchBufferGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PrefetchBufferGet);
+
+// One admission service for every BM_ReaderDecide thread: a 10,000 +
+// 1,000 paper attack as the base graph, one forced detection epoch
+// published, and the token-bucket chain admit_live runs.
+serve::AdmissionService& DecideService() {
+  static const std::unique_ptr<serve::AdmissionService> svc = [] {
+    const sim::Scenario scenario = MakeScenario(10'000, 1'000);
+    util::Rng seed_rng(13);
+    serve::AdmissionConfig cfg;
+    cfg.epoch.events_per_epoch = 0;
+    cfg.epoch.detect.target_detections = scenario.num_fakes;
+    auto service = std::make_unique<serve::AdmissionService>(
+        scenario.graph, scenario.SampleSeeds(20, 5, seed_rng), cfg);
+    serve::TokenBucketConfig tb;
+    tb.num_senders = scenario.NumNodes();
+    service->AddPolicy(std::make_unique<serve::TokenBucketPolicy>(tb));
+    service->ForceEpoch();
+    return service;
+  }();
+  return *svc;
+}
+
+// The lock-free read path: pin the published epoch, score, run the chain.
+// Each thread decides through its own Reader over its own uniform sender
+// sequence, with the logical clock ticking every 1,024 decisions. Timed in
+// wall time, so items_per_second is the rate of all threads together.
+void BM_ReaderDecide(benchmark::State& state) {
+  serve::AdmissionService& svc = DecideService();
+  const graph::NodeId n = svc.CurrentEpoch()->graph->NumNodes();
+  util::Rng rng(31 + static_cast<std::uint64_t>(state.thread_index()));
+  std::vector<graph::NodeId> senders(1 << 16);
+  for (auto& s : senders) s = static_cast<graph::NodeId>(rng.NextUInt(n));
+  auto reader = svc.CreateReader();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        reader.Decide(senders[i & (senders.size() - 1)], i >> 10));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReaderDecide)->Threads(1)->Threads(2)->UseRealTime();
 
 // Process peak resident set (VmHWM) from /proc/self/status, in bytes; 0
 // where the kernel does not expose it.

@@ -12,19 +12,34 @@
 
 namespace rejecto::serve {
 
+AdmissionConfig AdmissionService::Validated(AdmissionConfig config) {
+  if (config.queue_capacity > MpscQueue<Command>::kMaxCapacity) {
+    throw std::invalid_argument(
+        "AdmissionService: queue_capacity " +
+        std::to_string(config.queue_capacity) + " exceeds " +
+        std::to_string(MpscQueue<Command>::kMaxCapacity));
+  }
+  if (config.max_readers > RcuPtr<PublishedEpoch>::kMaxSlots) {
+    throw std::invalid_argument(
+        "AdmissionService: max_readers " + std::to_string(config.max_readers) +
+        " exceeds " + std::to_string(RcuPtr<PublishedEpoch>::kMaxSlots));
+  }
+  if (config.max_pending_epochs == 0) {
+    throw std::invalid_argument(
+        "AdmissionService: max_pending_epochs must be >= 1");
+  }
+  return config;
+}
+
 AdmissionService::AdmissionService(graph::AugmentedGraph base,
                                    detect::Seeds seeds,
                                    AdmissionConfig config)
-    : config_(std::move(config)),
+    : config_(Validated(std::move(config))),
       seeds_(std::move(seeds)),
       queue_(config_.queue_capacity),
       rcu_(ReclaimMode::kHazard, config_.max_readers),
       delta_(std::move(base), config_.epoch.delta) {
   seeds_.Validate(delta_.NumNodes());
-  if (config_.max_pending_epochs == 0) {
-    throw std::invalid_argument(
-        "AdmissionService: max_pending_epochs must be >= 1");
-  }
   // The pool serves the detection thread ONLY. The writer compacts
   // single-threaded: sharing one pool between a writer-thread Compact and a
   // concurrent detection sweep would run two ParallelFor drivers at once.
@@ -68,61 +83,138 @@ void AdmissionService::AddPolicy(std::unique_ptr<AdmissionPolicy> policy) {
   policies_.push_back(std::move(policy));
 }
 
-bool AdmissionService::TrySubmit(const stream::Event& e) {
+AdmissionService::Command AdmissionService::EventCommand(
+    const stream::Event& e) {
   if (e.type != stream::EventType::kRemoveNode && e.u == e.v) {
     throw std::invalid_argument("AdmissionService: self-edge event");
   }
-  if (stopped_.load(std::memory_order_acquire)) return false;
   Command cmd;
   cmd.kind = Command::Kind::kEvent;
   cmd.event = e;
+  return cmd;
+}
+
+bool AdmissionService::TrySubmit(const stream::Event& e) {
+  const Command cmd = EventCommand(e);
+  if (stopped_.load(std::memory_order_acquire)) return false;
   if (!queue_.TryPush(cmd)) return false;
+  WakeWriter();
   events_submitted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void AdmissionService::Submit(const stream::Event& e) {
-  while (!TrySubmit(e)) {
-    if (stopped_.load(std::memory_order_acquire)) {
-      throw std::logic_error("AdmissionService::Submit: service stopped");
+  if (!Push(EventCommand(e), /*until_stopped=*/true)) {
+    throw std::logic_error("AdmissionService::Submit: service stopped");
+  }
+  events_submitted_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool AdmissionService::Push(const Command& cmd, bool until_stopped) {
+  for (;;) {
+    if (until_stopped && stopped_.load(std::memory_order_acquire)) {
+      return false;
     }
-    std::this_thread::yield();
+    if (queue_.TryPush(cmd)) break;
+    // Full: announce the park, then retry once behind the fence. Either
+    // the retry sees the writer's pops, or the writer sees the announcement
+    // before it parks and bumps space_gen_ past `gen`.
+    const std::uint32_t gen = space_gen_.load(std::memory_order_acquire);
+    producers_waiting_.store(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (until_stopped && stopped_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    if (queue_.TryPush(cmd)) break;
+    space_gen_.wait(gen, std::memory_order_acquire);
+  }
+  WakeWriter();
+  return true;
+}
+
+void AdmissionService::WakeWriter() {
+  // Pairs with the writer's fence between announcing its park and its last
+  // look at the ring.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (writer_parked_.load(std::memory_order_relaxed) != 0 &&
+      writer_parked_.exchange(0) != 0) {
+    writer_parked_.notify_one();
+  }
+}
+
+void AdmissionService::WakeProducers() {
+  producers_waiting_.store(0, std::memory_order_relaxed);
+  space_gen_.fetch_add(1, std::memory_order_release);
+  space_gen_.notify_all();
+}
+
+void AdmissionService::SignalAcks() {
+  acks_.fetch_add(1, std::memory_order_release);
+  acks_.notify_all();
+}
+
+std::uint64_t AdmissionService::AwaitAck(
+    const std::atomic<std::uint64_t>& ack) {
+  for (;;) {
+    const std::uint32_t seen = acks_.load(std::memory_order_acquire);
+    if (const std::uint64_t v = ack.load(std::memory_order_acquire); v != 0) {
+      return v;
+    }
+    if (writer_exited_.load(std::memory_order_acquire)) {
+      return ack.load(std::memory_order_acquire);
+    }
+    acks_.wait(seen, std::memory_order_acquire);
   }
 }
 
 void AdmissionService::Drain() {
-  if (stopped_.load(std::memory_order_acquire)) return;
   std::atomic<std::uint64_t> ack{0};
   Command cmd;
   cmd.kind = Command::Kind::kBarrier;
   cmd.ack = &ack;
-  while (!queue_.TryPush(cmd)) std::this_thread::yield();
-  while (ack.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+  if (Push(cmd, /*until_stopped=*/true)) AwaitAck(ack);
 }
 
 std::uint64_t AdmissionService::ForceEpoch() {
-  if (stopped_.load(std::memory_order_acquire)) {
-    throw std::logic_error("AdmissionService::ForceEpoch: service stopped");
-  }
   std::atomic<std::uint64_t> ack{0};
   Command cmd;
   cmd.kind = Command::Kind::kEpoch;
   cmd.ack = &ack;
-  while (!queue_.TryPush(cmd)) std::this_thread::yield();
-  std::uint64_t id = 0;
-  while ((id = ack.load(std::memory_order_acquire)) == 0) {
-    std::this_thread::yield();
+  const std::uint64_t id =
+      Push(cmd, /*until_stopped=*/true) ? AwaitAck(ack) : 0;
+  if (id == 0) {
+    throw std::logic_error("AdmissionService::ForceEpoch: service stopped");
   }
-  while (PublishedEpochId() < id) std::this_thread::yield();
+  // The job is queued; the detection thread publishes it even if Stop()
+  // runs meanwhile.
+  for (std::uint64_t seen = 0; (seen = PublishedEpochId()) < id;) {
+    published_id_.wait(seen, std::memory_order_acquire);
+  }
   return id;
 }
 
 void AdmissionService::WriterLoop() {
+  const std::size_t half_ring = queue_.Capacity() / 2;
   for (;;) {
     Command cmd;
     if (!queue_.TryPop(cmd)) {
-      std::this_thread::yield();
-      continue;
+      // Announce the park, then look once more behind the fence: a
+      // producer either sees the announcement after its push (and wakes
+      // us) or its element is visible here. Parked producers are woken
+      // first: an empty ring is below half.
+      writer_parked_.store(1, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (producers_waiting_.load(std::memory_order_relaxed) != 0) {
+        WakeProducers();
+      }
+      if (!queue_.TryPop(cmd)) {
+        writer_parked_.wait(1, std::memory_order_acquire);
+        continue;
+      }
+      writer_parked_.store(0, std::memory_order_relaxed);
+    } else if (producers_waiting_.load(std::memory_order_relaxed) != 0 &&
+               queue_.ApproxSize() <= half_ring) {
+      WakeProducers();
     }
     switch (cmd.kind) {
       case Command::Kind::kEvent: {
@@ -140,12 +232,20 @@ void AdmissionService::WriterLoop() {
       }
       case Command::Kind::kBarrier:
         cmd.ack->store(1, std::memory_order_release);
+        SignalAcks();
         break;
       case Command::Kind::kEpoch:
         cmd.ack->store(CutSnapshot(), std::memory_order_release);
+        SignalAcks();
         break;
       case Command::Kind::kStop:
         if (wal_ != nullptr) wal_->Close();
+        // Nothing behind the stop command is ever popped: release every
+        // producer still parked on the ring and every caller awaiting an ack
+        // for a command that landed there.
+        writer_exited_.store(true, std::memory_order_release);
+        WakeProducers();
+        SignalAcks();
         return;
     }
   }
@@ -154,10 +254,11 @@ void AdmissionService::WriterLoop() {
 std::uint64_t AdmissionService::CutSnapshot() {
   // Backpressure: an overloaded detector throttles ingest instead of
   // growing the job queue without bound.
-  while (jobs_pending_.load(std::memory_order_acquire) >=
-         config_.max_pending_epochs) {
+  for (std::size_t pending = 0;
+       (pending = jobs_pending_.load(std::memory_order_acquire)) >=
+       config_.max_pending_epochs;) {
     backpressure_yields_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
+    jobs_pending_.wait(pending, std::memory_order_acquire);
   }
   util::WallTimer timer;
   delta_.Compact();
@@ -229,7 +330,9 @@ void AdmissionService::DetectLoop() {
     retired_epochs_.store(rcu_.RetiredCount(), std::memory_order_relaxed);
     epochs_published_.fetch_add(1, std::memory_order_relaxed);
     published_id_.store(job.epoch_id, std::memory_order_release);
+    published_id_.notify_all();
     jobs_pending_.fetch_sub(1, std::memory_order_release);
+    jobs_pending_.notify_one();
   }
 }
 
@@ -347,7 +450,7 @@ void AdmissionService::Stop() {
   }
   Command cmd;
   cmd.kind = Command::Kind::kStop;
-  while (!queue_.TryPush(cmd)) std::this_thread::yield();
+  Push(cmd, /*until_stopped=*/false);
   writer_.join();
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);

@@ -41,6 +41,17 @@
 // Backpressure: at most max_pending_epochs snapshot jobs may be in flight;
 // past that the writer stalls (metered) rather than queueing unboundedly —
 // an overloaded detector slows ingest instead of exploding memory.
+//
+// Waiting: no thread spins. Every wait parks on a word that the waking
+// thread changes (C++20 atomic wait/notify): the writer on an empty ring
+// (the producer whose push finds it parked wakes it; a seq_cst fence on
+// each side closes the race), the writer on backpressure (the detection
+// thread's jobs_pending_ decrement), a producer on a full ring (woken once,
+// when the writer has drained the ring to half), Drain/ForceEpoch on their
+// acks (a service-owned counter bumped after each ack) and ForceEpoch on
+// published_id_. Each Reader and each hazard slot fills cache lines of its
+// own, so a pin and its bookkeeping never write to a line another reader
+// writes (a policy may still share: the token bucket's per-sender words).
 #pragma once
 
 #include <atomic>
@@ -74,11 +85,13 @@ struct AdmissionConfig {
   // disables auto-epochs; ForceEpoch() still works).
   engine::EpochConfig epoch;
 
-  // Hazard-slot pool size (serve/rcu.h): caps concurrent readers.
+  // Hazard-slot pool size (serve/rcu.h): caps concurrent readers. Each
+  // slot is one 64-byte line; at most RcuPtr's kMaxSlots (4,096).
   std::size_t max_readers = 64;
 
-  // Ingest ring capacity (rounded up to a power of two) and the cap on
-  // snapshot jobs in flight before ingest stalls.
+  // Ingest ring capacity (rounded up to a power of two; at most MpscQueue's
+  // kMaxCapacity, 2^20) and the cap on snapshot jobs in flight before
+  // ingest stalls.
   std::size_t queue_capacity = 1 << 14;
   std::size_t max_pending_epochs = 2;
 
@@ -102,7 +115,7 @@ struct AdmissionStats {
   double snapshot_seconds_total = 0.0;  // compact + CSR copy (ingest stalled)
   double last_snapshot_seconds = 0.0;
   double last_detect_seconds = 0.0;
-  std::uint64_t backpressure_yields = 0;  // writer waits on a detect slot
+  std::uint64_t backpressure_yields = 0;  // writer parks on a detect slot
   std::uint64_t published_epoch_id = 0;   // gauge
   std::uint64_t published_events = 0;     // gauge: events in current epoch
   std::size_t retired_epochs = 0;         // gauge: hazard keepalives
@@ -113,7 +126,9 @@ class AdmissionService {
  public:
   // Starts the writer and detection threads and publishes the bootstrap
   // epoch 0 (no baseline: every sender admits) so readers never observe an
-  // unpublished state. Seeds are graph ids and never remap.
+  // unpublished state. Seeds are graph ids and never remap. Throws
+  // std::invalid_argument for an oversized queue_capacity or max_readers,
+  // or a zero max_pending_epochs, before allocating or starting a thread.
   AdmissionService(graph::AugmentedGraph base, detect::Seeds seeds,
                    AdmissionConfig config);
   ~AdmissionService();
@@ -131,11 +146,12 @@ class AdmissionService {
   // Enqueues one event; false when the ring is full (caller decides to
   // retry, shed, or block).
   bool TrySubmit(const stream::Event& e);
-  // Blocking submit: spins with yield until the ring accepts.
+  // Blocking submit: parks while the ring is full. Throws std::logic_error
+  // once the service is stopped, including while parked.
   void Submit(const stream::Event& e);
 
   // Blocks until every event submitted before this call has been applied
-  // by the writer thread.
+  // by the writer thread (returns early if the service stops first).
   void Drain();
 
   // Forces a snapshot+detection now (even mid-interval) and blocks until
@@ -147,8 +163,10 @@ class AdmissionService {
 
   // A reader thread's handle: its RCU slot, latency histogram, and verdict
   // counters. Movable; must be destroyed before the service. One Reader
-  // per thread — Decide is not reentrant on the same Reader.
-  class Reader {
+  // per thread — Decide is not reentrant on the same Reader. Line-aligned,
+  // so the per-decision counters of adjacent Readers (in a vector, say)
+  // never share a cache line.
+  class alignas(64) Reader {
    public:
     Reader() = default;
     Reader(Reader&& o) noexcept;
@@ -203,7 +221,8 @@ class AdmissionService {
     Kind kind = Kind::kEvent;
     stream::Event event;
     // kBarrier: writer stores 1. kEpoch: writer stores the assigned epoch
-    // id. Must outlive the command (caller stack + spin-wait).
+    // id. Lives on the caller's stack, which waits (on acks_, never on this
+    // word) until the store lands or the writer exits.
     std::atomic<std::uint64_t>* ack = nullptr;
   };
 
@@ -213,6 +232,23 @@ class AdmissionService {
     std::shared_ptr<const graph::AugmentedGraph> graph;
   };
 
+  // Throws std::invalid_argument for a config the constructor refuses.
+  static AdmissionConfig Validated(AdmissionConfig config);
+  // Throws std::invalid_argument for a self-edge.
+  static Command EventCommand(const stream::Event& e);
+
+  // Pushes `cmd`, parking while the ring is full. With `until_stopped`,
+  // gives up (false) once the service is stopped.
+  bool Push(const Command& cmd, bool until_stopped);
+  // Producer side, after every successful push: wakes a parked writer.
+  void WakeWriter();
+  // Writer side: wakes every producer parked on a full ring.
+  void WakeProducers();
+  // Writer side, after storing an ack (and on exit): wakes AwaitAck.
+  void SignalAcks();
+  // Waits until the writer stores `ack` or exits; returns the ack (0 when
+  // the writer exited without seeing the command).
+  std::uint64_t AwaitAck(const std::atomic<std::uint64_t>& ack);
   void WriterLoop();
   void DetectLoop();
   // Writer-side: compact, copy the CSR, enqueue the detection job
@@ -247,9 +283,21 @@ class AdmissionService {
   mutable std::mutex latest_mu_;
   std::shared_ptr<const PublishedEpoch> latest_;
 
-  // Cross-thread counters/gauges (relaxed; Stats() is advisory).
-  std::atomic<std::uint64_t> events_submitted_{0};
-  std::atomic<std::uint64_t> events_ingested_{0};
+  // Parking words. writer_parked_ is 1 while the writer sleeps on an empty
+  // ring; producers read it after every push. producers_waiting_ is set by
+  // a producer about to park on a full ring; the writer then bumps
+  // space_gen_ (what those producers wait on) at half a ring. acks_ is
+  // bumped after every ack store and when the writer exits.
+  alignas(64) std::atomic<std::uint32_t> writer_parked_{0};
+  alignas(64) std::atomic<std::uint32_t> producers_waiting_{0};
+  std::atomic<std::uint32_t> space_gen_{0};
+  std::atomic<std::uint32_t> acks_{0};
+  std::atomic<bool> writer_exited_{false};
+
+  // Cross-thread counters/gauges (relaxed; Stats() is advisory). Producers
+  // write the first, the writer and detection threads the rest.
+  alignas(64) std::atomic<std::uint64_t> events_submitted_{0};
+  alignas(64) std::atomic<std::uint64_t> events_ingested_{0};
   std::atomic<std::uint64_t> events_applied_{0};
   std::atomic<std::uint64_t> events_noop_{0};
   std::atomic<std::uint64_t> backpressure_yields_{0};

@@ -10,8 +10,9 @@
 // the stamp, so the consumer's acquire load of the stamp is the only
 // synchronization on the hot path — no mutex, no condition variable, no
 // allocation after construction. Full/empty are reported, not blocked on;
-// callers decide whether to spin, yield, or drop (the admission service
-// spins with a yield and meters the stall).
+// callers decide whether to wait or drop (the admission service parks the
+// writer on an empty ring and a producer on a full one; see
+// serve/admission.h).
 #pragma once
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rejecto::serve {
@@ -26,8 +28,18 @@ namespace rejecto::serve {
 template <typename T>
 class MpscQueue {
  public:
-  // Capacity is rounded up to a power of two; must be >= 2.
+  // The largest capacity accepted: 2^20 cells. Rounding up past 2^63 would
+  // wrap to 0, and a ring this deep already holds far more than an epoch.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+
+  // Capacity is rounded up to a power of two (at least 2). Throws
+  // std::invalid_argument past kMaxCapacity, before allocating.
   explicit MpscQueue(std::size_t capacity) {
+    if (capacity > kMaxCapacity) {
+      throw std::invalid_argument("MpscQueue: capacity " +
+                                  std::to_string(capacity) + " exceeds " +
+                                  std::to_string(kMaxCapacity));
+    }
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;

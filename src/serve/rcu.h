@@ -9,9 +9,11 @@
 // re-check the cell, retry on a lost race with a concurrent publish).
 // Reclamation is writer-side: every publish retires the previous epoch into
 // a keepalive list and frees any retired epoch no slot still points at.
-// Readers never touch a shared reference count, so the read path scales
-// with zero write sharing beyond the slot itself. The slot pool is fixed at
-// construction, which caps the number of concurrent readers.
+// Readers never touch a shared reference count, and each slot fills a
+// 64-byte cache line of its own, so a reader's two hazard stores per pin
+// never land on a line another reader writes (the writer only reads the
+// slots, once per publish). The slot pool is fixed at construction, which
+// caps the number of concurrent readers.
 //
 // Guarantees, pinned by the race tests: a Pin keeps its epoch alive and
 // bit-stable for the Pin's whole lifetime, no matter how many publishes
@@ -26,6 +28,7 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,8 +43,9 @@ template <typename T>
 class RcuPtr {
  public:
   // One per reader thread, claimed from a fixed pool so the writer's
-  // reclamation scan is a bounded array walk.
-  struct Slot {
+  // reclamation scan is a bounded array walk. Line-aligned: adjacent slots
+  // belong to different readers.
+  struct alignas(64) Slot {
     std::atomic<const T*> hazard{nullptr};
     std::atomic<bool> in_use{false};
   };
@@ -88,9 +92,13 @@ class RcuPtr {
     Slot* slot_ = nullptr;
   };
 
-  // bench/e2e still passes the mode; a later change drops it.
+  // The largest slot pool accepted: 4,096 slots, 256 KiB.
+  static constexpr std::size_t kMaxSlots = 4096;
+
+  // bench/e2e still passes the mode; a later change drops it. Throws
+  // std::invalid_argument past kMaxSlots, before allocating.
   explicit RcuPtr(ReclaimMode /*mode*/, std::size_t max_slots = 64)
-      : slots_(max_slots) {}
+      : slots_(CheckedSlots(max_slots)) {}
 
   ~RcuPtr() {
     // Readers must be gone: a live Pin or Slot past this point is a
@@ -170,6 +178,15 @@ class RcuPtr {
   std::size_t RetiredCount() const noexcept { return retired_.size(); }
 
  private:
+  static std::size_t CheckedSlots(std::size_t max_slots) {
+    if (max_slots > kMaxSlots) {
+      throw std::invalid_argument("RcuPtr: " + std::to_string(max_slots) +
+                                  " slots exceed " +
+                                  std::to_string(kMaxSlots));
+    }
+    return max_slots;
+  }
+
   // Drops every retired value no hazard slot references. Writer-only.
   void Reclaim() {
     std::size_t kept = 0;

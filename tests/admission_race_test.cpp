@@ -6,11 +6,21 @@
 // Property test: a reader holding a Pin across two publishes keeps a
 // consistent view the whole time, and reclamation happens only after the
 // pin is released.
+// Wake-up tests: producers, Drain/ForceEpoch callers and Stop on a two-cell
+// ring, under a watchdog that fails the binary instead of letting a lost
+// wake-up hang it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -18,6 +28,7 @@
 #include "graph/builder.h"
 #include "serve/admission.h"
 #include "serve/rcu.h"
+#include "stream/mutation_log.h"
 #include "sim/scenario.h"
 #include "sim/stream_feed.h"
 #include "util/rng.h"
@@ -118,6 +129,59 @@ TEST(RcuPtr, PinSurvivesTwoPublishesThenReclaims) {
   rcu.ReleaseSlot(slot);
 }
 
+TEST(RcuPtr, SlotPoolIsBounded) {
+  constexpr std::size_t kMax = RcuPtr<Canary>::kMaxSlots;
+  EXPECT_THROW(RcuPtr<Canary>(ReclaimMode::kHazard, kMax + 1),
+               std::invalid_argument);
+  RcuPtr<Canary> rcu(ReclaimMode::kHazard, kMax);
+  std::vector<RcuPtr<Canary>::Slot*> slots;
+  for (std::size_t i = 0; i < kMax; ++i) {
+    slots.push_back(rcu.AcquireSlot());
+    ASSERT_NE(slots.back(), nullptr);
+  }
+  EXPECT_EQ(rcu.AcquireSlot(), nullptr);
+  for (auto* s : slots) rcu.ReleaseSlot(s);
+}
+
+// Each reader writes its hazard slot twice and its Reader's counters once
+// per decision; none of those bytes may share a 64-byte line with another
+// reader's.
+TEST(ServeLayout, ReadersNeverShareACacheLine) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto first_line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kLine;
+  };
+  const auto last_line = [](const void* p, std::size_t bytes) {
+    return (reinterpret_cast<std::uintptr_t>(p) + bytes - 1) / kLine;
+  };
+
+  RcuPtr<Canary> rcu(ReclaimMode::kHazard, 4);
+  std::vector<RcuPtr<Canary>::Slot*> slots;
+  for (int i = 0; i < 4; ++i) {
+    slots.push_back(rcu.AcquireSlot());
+    ASSERT_NE(slots.back(), nullptr);
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (std::size_t j = i + 1; j < slots.size(); ++j) {
+      const auto* lo = std::min(slots[i], slots[j]);
+      const auto* hi = std::max(slots[i], slots[j]);
+      EXPECT_LT(last_line(lo, sizeof(*lo)), first_line(hi))
+          << "slots " << i << " and " << j;
+    }
+  }
+  for (auto* s : slots) rcu.ReleaseSlot(s);
+
+  serve::AdmissionConfig cfg;
+  cfg.epoch.events_per_epoch = 0;
+  serve::AdmissionService svc(graph::GraphBuilder(8).BuildAugmented(),
+                              detect::Seeds{}, cfg);
+  std::vector<serve::AdmissionService::Reader> readers;
+  readers.push_back(svc.CreateReader());
+  readers.push_back(svc.CreateReader());
+  EXPECT_LT(last_line(&readers[0], sizeof(readers[0])),
+            first_line(&readers[1]));
+}
+
 TEST(RcuPtr, SlotPoolExhaustsAndRecycles) {
   RcuPtr<Canary> rcu(ReclaimMode::kHazard, 2);
   auto* s0 = rcu.AcquireSlot();
@@ -185,6 +249,187 @@ TEST(AdmissionServiceRace, ReadersSurviveRapidEpochTurnover) {
   EXPECT_EQ(regressions.load(), 0u);
   EXPECT_GE(final_id, log.NumEvents() / 64);
   EXPECT_EQ(svc.Stats().epochs_published, final_id);
+}
+
+// Fails the binary instead of hanging it: a lost wake-up parks a thread
+// forever, so a test waiting on that thread would never return.
+class Watchdog {
+ public:
+  Watchdog(std::chrono::seconds limit, const char* what)
+      : thread_([this, limit, what] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr,
+                         "watchdog: %s did not finish within %lld s "
+                         "(a lost wake-up?)\n",
+                         what, static_cast<long long>(limit.count()));
+            std::_Exit(EXIT_FAILURE);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts after the members it reads
+};
+
+constexpr std::chrono::seconds kDeadline{60};
+constexpr int kProducers = 4;
+
+// An add-only churned stream (no node removals): its events commute, so any
+// interleaving of the producers builds the same final graph.
+struct AddOnlyStream {
+  stream::MutationLog log;
+  detect::Seeds seeds;
+  graph::NodeId num_fakes = 0;
+};
+
+AddOnlyStream MakeAddOnlyStream() {
+  util::Rng rng(13);
+  const auto legit = gen::ErdosRenyi({.num_nodes = 120, .num_edges = 420}, rng);
+  sim::ScenarioConfig scfg;
+  scfg.seed = 17;
+  scfg.num_fakes = 24;
+  const auto scenario = sim::BuildScenario(legit, scfg);
+  util::Rng seed_rng(19);
+  sim::ChurnConfig churn;
+  churn.seed = 23;
+  churn.num_removals = 0;
+  return {sim::GenerateChurnLog(scenario.log, churn),
+          scenario.SampleSeeds(10, 4, seed_rng), scfg.num_fakes};
+}
+
+// Every wait is as tight as it gets: a two-cell ring (producers park after
+// at most two events in flight) and one detection job in flight (the writer
+// parks on backpressure every few events).
+serve::AdmissionConfig TightConfig(const AddOnlyStream& s) {
+  serve::AdmissionConfig cfg;
+  cfg.queue_capacity = 2;
+  cfg.max_pending_epochs = 1;
+  cfg.epoch.events_per_epoch = 16;
+  cfg.epoch.detect.target_detections = s.num_fakes;
+  cfg.epoch.detect.maar.seed = 29;
+  cfg.epoch.detect.maar.num_threads = 1;
+  return cfg;
+}
+
+TEST(AdmissionServiceRace, NoLostWakeupsOnATwoCellRing) {
+  const AddOnlyStream s = MakeAddOnlyStream();
+  const auto events = s.log.Events();
+  Watchdog watchdog(kDeadline, "NoLostWakeupsOnATwoCellRing");
+  serve::AdmissionService svc(
+      graph::GraphBuilder(s.log.NumNodes()).BuildAugmented(), s.seeds,
+      TightConfig(s));
+
+  std::atomic<int> producing{kProducers};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::size_t i = p; i < events.size(); i += kProducers) {
+        svc.Submit(events[i]);
+      }
+      producing.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  // Barrier and epoch commands contend for the same two cells.
+  std::atomic<std::uint64_t> drains{0};
+  std::atomic<std::uint64_t> last_forced{0};
+  threads.emplace_back([&] {
+    while (producing.load(std::memory_order_acquire) > 0) {
+      svc.Drain();
+      drains.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  threads.emplace_back([&] {
+    while (producing.load(std::memory_order_acquire) > 0) {
+      const std::uint64_t id = svc.ForceEpoch();
+      EXPECT_GT(id, last_forced.load(std::memory_order_relaxed));
+      EXPECT_GE(svc.PublishedEpochId(), id);
+      last_forced.store(id, std::memory_order_relaxed);
+    }
+  });
+  for (auto& t : threads) t.join();
+  svc.Drain();
+  const std::uint64_t final_id = svc.ForceEpoch();
+
+  EXPECT_GT(drains.load(), 0u);
+  EXPECT_GT(final_id, last_forced.load());
+  const auto stats = svc.Stats();
+  EXPECT_EQ(stats.events_submitted, events.size());
+  EXPECT_EQ(stats.events_ingested, events.size());
+  EXPECT_EQ(stats.epochs_published, final_id);
+  EXPECT_EQ(*svc.CurrentEpoch()->graph, s.log.BuildAugmentedGraph());
+}
+
+TEST(AdmissionServiceRace, StopReleasesParkedProducers) {
+  const AddOnlyStream s = MakeAddOnlyStream();
+  const auto events = s.log.Events();
+  Watchdog watchdog(kDeadline, "StopReleasesParkedProducers");
+  serve::AdmissionService svc(
+      graph::GraphBuilder(s.log.NumNodes()).BuildAugmented(), s.seeds,
+      TightConfig(s));
+
+  enum Outcome : int { kRunning, kFinished, kStopped, kOther };
+  std::vector<std::atomic<int>> outcome(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      try {
+        for (std::size_t i = p; i < events.size(); i += kProducers) {
+          svc.Submit(events[i]);
+        }
+        outcome[p] = kFinished;
+      } catch (const std::logic_error&) {
+        outcome[p] = kStopped;
+      } catch (...) {
+        outcome[p] = kOther;
+      }
+    });
+  }
+  // Barrier and epoch callers race the stop: each returns (Drain) or throws
+  // std::logic_error (ForceEpoch), even when its command lands behind the
+  // stop command and is never popped.
+  std::atomic<bool> stop_returned{false};
+  std::thread drainer([&] {
+    while (!stop_returned.load(std::memory_order_acquire)) svc.Drain();
+  });
+  std::thread forcer([&] {
+    try {
+      for (;;) svc.ForceEpoch();
+    } catch (const std::logic_error&) {
+    }
+  });
+  // Four producers against two cells and a detector that holds the writer
+  // every 16 events: by a quarter of the stream, producers are parked.
+  while (svc.Stats().events_submitted < events.size() / 4) {
+    std::this_thread::yield();
+  }
+  svc.Stop();
+  stop_returned.store(true, std::memory_order_release);
+  for (auto& t : producers) t.join();
+  drainer.join();
+  forcer.join();
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_TRUE(outcome[p] == kFinished || outcome[p] == kStopped)
+        << "producer " << p << " outcome " << outcome[p].load();
+  }
+
+  // A stopped service refuses every command at once.
+  EXPECT_THROW(svc.Submit(events[0]), std::logic_error);
+  EXPECT_THROW(svc.ForceEpoch(), std::logic_error);
+  svc.Drain();
+  EXPECT_LE(svc.Stats().events_ingested, svc.Stats().events_submitted);
 }
 
 }  // namespace

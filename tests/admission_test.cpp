@@ -9,8 +9,10 @@
 // build of the event log. Decisions are pure functions of (epoch, sender),
 // so the differential conditions on the epoch id rather than on scheduling.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -89,6 +91,24 @@ TEST(MpscQueue, ConcurrentProducersDeliverEverySumOnce) {
   EXPECT_EQ(sum, total * (total + 1) / 2);
   std::uint64_t v = 0;
   EXPECT_FALSE(q.TryPop(v));
+}
+
+// Counts constructions, so a refused capacity can be shown to allocate no
+// cell.
+struct CountedCell {
+  CountedCell() { ++constructed; }
+  static inline std::size_t constructed = 0;
+};
+
+TEST(MpscQueue, RefusesOversizedCapacityBeforeAllocating) {
+  constexpr std::size_t kMax = serve::MpscQueue<char>::kMaxCapacity;
+  // SIZE_MAX used to round up forever: the doubling wrapped to 0.
+  EXPECT_THROW(serve::MpscQueue<CountedCell>(SIZE_MAX), std::invalid_argument);
+  EXPECT_THROW(serve::MpscQueue<CountedCell>(kMax + 1), std::invalid_argument);
+  EXPECT_EQ(CountedCell::constructed, 0u);
+  // The edge itself, and a non-power of two just below it, are accepted.
+  EXPECT_EQ(serve::MpscQueue<char>(kMax).Capacity(), kMax);
+  EXPECT_EQ(serve::MpscQueue<char>(kMax - 1).Capacity(), kMax);
 }
 
 // ---------- policy chain ----------
@@ -380,6 +400,69 @@ TEST(AdmissionService, StatsAndDrainAccounting) {
   EXPECT_EQ(svc.Stats().published_events, w.log.NumEvents());
   svc.Stop();
   EXPECT_FALSE(svc.TrySubmit({stream::EventType::kAddFriend, 0, 1}));
+}
+
+TEST(AdmissionService, RefusesOversizedConfigBeforeStarting) {
+  const auto make = [](const AdmissionConfig& cfg) {
+    return std::make_unique<AdmissionService>(
+        graph::GraphBuilder(4).BuildAugmented(), detect::Seeds{}, cfg);
+  };
+  // A refusal after a thread started would terminate the binary: the
+  // half-built service's std::thread members would still be joinable.
+  AdmissionConfig cfg;
+  cfg.epoch.events_per_epoch = 0;
+  cfg.queue_capacity = SIZE_MAX;
+  EXPECT_THROW(make(cfg), std::invalid_argument);
+  cfg.queue_capacity = serve::MpscQueue<char>::kMaxCapacity + 1;
+  EXPECT_THROW(make(cfg), std::invalid_argument);
+  cfg.queue_capacity = 2;
+  cfg.max_readers = serve::RcuPtr<PublishedEpoch>::kMaxSlots + 1;
+  EXPECT_THROW(make(cfg), std::invalid_argument);
+  cfg.max_readers = SIZE_MAX;
+  EXPECT_THROW(make(cfg), std::invalid_argument);
+  cfg.max_readers = 1;
+  cfg.max_pending_epochs = 0;
+  EXPECT_THROW(make(cfg), std::invalid_argument);
+
+  // The largest slot pool serves.
+  cfg.max_pending_epochs = 1;
+  cfg.max_readers = serve::RcuPtr<PublishedEpoch>::kMaxSlots;
+  const auto svc = make(cfg);
+  auto reader = svc->CreateReader();
+  EXPECT_EQ(reader.Decide(1, 0).verdict, Verdict::kAdmit);
+}
+
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+// Every thread of an idle service sleeps: the writer on its empty ring, the
+// detection thread on its job queue, the pool on its task queue.
+TEST(AdmissionService, IdleServiceSleeps) {
+  const Workload w = MakeWorkload(4);
+  AdmissionConfig cfg;
+  cfg.epoch = ServiceEpochConfig(w);
+  cfg.epoch.detect.maar.num_threads = 2;  // a pool too
+  AdmissionService svc(
+      graph::GraphBuilder(w.log.NumNodes()).BuildAugmented(), w.seeds, cfg);
+  for (const stream::Event& e : w.log.Events()) svc.Submit(e);
+  svc.ForceEpoch();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = ProcessCpuSeconds() - cpu0;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(cpu, 0.25 * wall) << "cpu " << cpu << " s over " << wall
+                              << " s idle";
 }
 
 TEST(AdmissionService, RejectsSelfEdgeAtSubmission) {
