@@ -1,33 +1,12 @@
 #include "detect/extended_kl.h"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include "detect/extended_kl_impl.h"
 
 namespace rejecto::detect {
-namespace {
-
-constexpr double kGainEps = 1e-7;
-
-// Largest possible |gain| of any single switch: every friend edge and every
-// rejection arc incident to the node can contribute at most 1 and k, so
-// max_F + k·max_R over the graph's cached degree maxima dominates
-// max_v (deg(v) + k·rejdeg(v)). O(1) per call — the MAAR sweep invokes KL
-// dozens of times per solve, and the maxima are precomputed when the
-// (possibly compacted) AugmentedGraph is built. The looser bound never
-// changes results: no actual gain reaches either bound, so bucket indices
-// (round(gain × resolution), clamp untriggered) are identical.
-double GainBound(const graph::GraphSource& src, double k) {
-  const double b = static_cast<double>(src.MaxFriendshipDegree()) +
-                   k * static_cast<double>(src.MaxRejectionDegree());
-  return std::max(1.0, b);
-}
-
-}  // namespace
 
 void ReserveKlScratch(const graph::GraphSource& src, double k,
                       const KlConfig& config, KlScratch& scratch) {
-  scratch.bucket.Reset(src.NumNodes(), GainBound(src, k),
+  scratch.bucket.Reset(src.NumNodes(), kl_detail::GainBound(src, k),
                        config.gain_resolution);
   scratch.checkpoint.counters.reserve(src.NumNodes());
 }
@@ -36,79 +15,7 @@ KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,
                     KlScratch* scratch) {
-  const graph::NodeId n = src.NumNodes();
-  if (!(config.k > 0.0)) {  // NaN too: a NaN gain has no bucket
-    throw std::invalid_argument("ExtendedKl: k must be positive");
-  }
-  if (!locked.empty() && locked.size() != n) {
-    throw std::invalid_argument("ExtendedKl: locked mask size mismatch");
-  }
-  auto is_locked = [&](graph::NodeId v) {
-    return !locked.empty() && locked[v] != 0;
-  };
-
-  KlScratch local;
-  KlScratch& ws = scratch != nullptr ? *scratch : local;
-  ws.partition.Reset(src, init_in_u);
-  Partition& p = ws.partition;
-
-  const double k = config.k;
-  const double gain_bound = GainBound(src, k);
-
-  KlStats stats;
-  ws.seq.reserve(n);
-  // One switch touches at most deg(v) + rejdeg(v) neighbors; reserving once
-  // here keeps SwitchFused's push_backs allocation-free for the whole call.
-  ws.touched.reserve(static_cast<std::size_t>(src.MaxFriendshipDegree() +
-                                              src.MaxRejectionDegree()));
-
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    ++stats.passes;
-    p.Mark(ws.checkpoint);
-    ws.bucket.Reset(n, gain_bound, config.gain_resolution);
-    BucketList& bl = ws.bucket;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (!is_locked(v)) bl.Insert(v, -p.DeltaObjective(v, k));
-    }
-
-    ws.seq.clear();
-    double cum = 0.0;
-    double best_cum = 0.0;
-    std::size_t best_prefix = 0;  // number of leading switches to keep
-
-    while (!bl.Empty()) {
-      const graph::NodeId v = bl.PopMax();
-      const double gain = -p.DeltaObjective(v, k);
-      p.SwitchFused(v, k, bl, ws.touched);
-      ws.seq.push_back(v);
-      cum += gain;
-      if (cum > best_cum + kGainEps) {
-        best_cum = cum;
-        best_prefix = ws.seq.size();
-      }
-    }
-
-    // Keep only the best prefix (nothing, if no positive prefix exists):
-    // rewind to the pass start and replay the prefix. Kept prefixes are
-    // short (14% of the switches on the 44,000-node benchmark attack), so
-    // this beats undoing the suffix switch by switch, and the aggregates,
-    // being integer functions of the mask, come out identical either way.
-    // The bucket list is drained, so the plain (bucket-free) Switch
-    // suffices.
-    if (best_prefix < ws.seq.size()) {
-      p.Rewind(ws.checkpoint, ws.seq.data(), ws.seq.size());
-      for (std::size_t i = 0; i < best_prefix; ++i) p.Switch(ws.seq[i]);
-    }
-    stats.switches_applied += best_prefix;
-    if (best_prefix == 0) break;  // converged: no improving prefix
-  }
-
-  KlResult result;
-  result.cut = p.Quantities();
-  stats.final_objective = p.Objective(k);
-  result.stats = stats;
-  result.in_u = p.Mask();
-  return result;
+  return BasicExtendedKl(src, init_in_u, locked, config, scratch);
 }
 
 }  // namespace rejecto::detect

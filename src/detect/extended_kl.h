@@ -20,6 +20,10 @@
 // callers may reuse across invocations; the steady-state pass loop then
 // performs no heap allocation at all (the only allocation per call is the
 // result mask copy).
+//
+// Like Partition, BasicExtendedKl and BasicKlScratch are templates on the
+// row source (definitions in detect/extended_kl_impl.h); ExtendedKl and
+// KlScratch are the graph::GraphSource ones.
 #pragma once
 
 #include <cstdint>
@@ -58,19 +62,28 @@ struct KlResult {
 // one vector). Cache-line aligned so no two threads' scratches share a
 // line: every switch writes `touched`, `seq` and the partition totals,
 // which would otherwise falsely share with the next scratch's header.
-struct alignas(64) KlScratch {
-  Partition partition;
-  Partition::Checkpoint checkpoint;  // the partition at this pass's start
+template <class Source>
+struct alignas(64) BasicKlScratch {
+  BasicPartition<Source> partition;
+  typename BasicPartition<Source>::Checkpoint checkpoint;  // at pass start
   BucketList bucket;
   util::AlignedVector<graph::NodeId> seq;   // this pass's switch sequence
   util::AlignedVector<graph::NodeId> touched;  // neighbors hit per switch
 };
+using KlScratch = BasicKlScratch<graph::GraphSource>;
 
 // `locked` may be empty (nothing pinned); otherwise size must equal
 // src.NumNodes(). init_in_u must already respect the lock placement. When
 // `scratch` is null a call-local workspace is used; results are identical
 // either way, and identical whatever graph the scratch last served.
-// AugmentedGraph call sites convert to `src` implicitly.
+template <class Source>
+KlResult BasicExtendedKl(const Source& src, const std::vector<char>& init_in_u,
+                         const std::vector<char>& locked,
+                         const KlConfig& config,
+                         BasicKlScratch<Source>* scratch = nullptr);
+
+// The in-memory kernel. AugmentedGraph call sites convert to `src`
+// implicitly.
 KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,

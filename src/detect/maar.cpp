@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "util/timer.h"
 
@@ -37,25 +38,24 @@ bool Beats(const ScoredRun& s, double best_ratio,
                       s.r.cut.rejections_into_u > best_rejections));
 }
 
-KlResult RunExtendedKl(const graph::AugmentedGraph& graph,
-                       const std::vector<char>& init,
-                       const std::vector<char>& locked, const KlConfig& kl,
-                       KlScratch* scratch) {
-  return ExtendedKl(graph, init, locked, kl, scratch);
-}
-
 }  // namespace
 
 int EffectiveThreads(int num_threads) {
+  if (num_threads > util::kMaxThreads) {
+    throw std::invalid_argument(
+        "num_threads " + std::to_string(num_threads) + " exceeds " +
+        std::to_string(util::kMaxThreads));
+  }
   if (num_threads == 0) {
-    return static_cast<int>(util::HardwareThreads());
+    return std::min(static_cast<int>(util::HardwareThreads()),
+                    util::kMaxThreads);
   }
   return std::max(1, num_threads);
 }
 
 MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
                        MaarConfig config)
-    : MaarSolver(g, std::move(seeds), std::move(config), RunExtendedKl) {}
+    : MaarSolver(g, std::move(seeds), std::move(config), ExtendedKl) {}
 
 MaarSolver::MaarSolver(const graph::AugmentedGraph& g, Seeds seeds,
                        MaarConfig config, KlRunner kl_runner)
@@ -76,7 +76,7 @@ MaarSolver::MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
       g_(owned_.get()),
       seeds_(std::move(seeds)),
       config_(std::move(config)),
-      kl_runner_(RunExtendedKl) {
+      kl_runner_(ExtendedKl) {
   ValidateConfig();
 }
 

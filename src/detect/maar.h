@@ -48,8 +48,9 @@
 
 namespace rejecto::detect {
 
-// Resolves a num_threads config value: 0 → util::HardwareThreads(),
-// anything below 1 clamps to 1.
+// Resolves a num_threads config value: 0 → util::HardwareThreads() capped
+// at util::kMaxThreads, anything below 1 clamps to 1, and anything above
+// util::kMaxThreads throws std::invalid_argument.
 int EffectiveThreads(int num_threads);
 
 struct MaarConfig {
@@ -90,9 +91,11 @@ struct MaarConfig {
 
   std::uint64_t seed = 1;
 
-  // Worker threads for the sweep: 0 = util::HardwareThreads(),
-  // values < 0 clamp to 1. Any setting yields bit-identical cuts (see the
-  // header comment); threads only change wall-clock time.
+  // Worker threads for the sweep: 0 = util::HardwareThreads() (at most
+  // util::kMaxThreads), values < 0 clamp to 1, values above
+  // util::kMaxThreads are refused (see EffectiveThreads). Any setting
+  // yields bit-identical cuts (see the header comment); threads only change
+  // wall-clock time.
   int num_threads = 0;
 
   // After the grid cells at k_i are reduced, re-run KL once at k_{i+1}
@@ -131,8 +134,9 @@ struct MaarCut {
 class MaarSolver {
  public:
   // Pluggable inner solver: the serial detect::ExtendedKl by default; the
-  // distributed engine injects engine::DistributedKl (same signature, same
-  // bit-exact results) so the whole k-sweep runs on the cluster substrate.
+  // distributed engine injects engine::DistributedKl (ExtendedKl's kernel
+  // over the sharded store, so bit-exact results) so the whole k-sweep
+  // runs on the cluster substrate.
   // The KlScratch* is a per-thread reusable workspace owned by the solver
   // (one per sweep worker, so no locking); runners that keep their own
   // state may ignore it. It may be null. With a pool the runner may also be

@@ -18,6 +18,14 @@
 // taken back wholesale: Mark saves the three mutable counters and the
 // totals into a Checkpoint, and Rewind restores them after flipping the
 // switched nodes' mask bytes back, with no adjacency read at all.
+//
+// The class is a template on its row source (definitions in
+// detect/partition_impl.h): `Partition` is the graph::GraphSource one, and
+// engine/dist_kl.cpp instantiates it over the sharded store. A Source has
+// NumNodes(), MaxFriendshipDegree(), MaxRejectionDegree(), RejInDegree(v),
+// the rows Friends/Rejectors/Rejectees(v), which a switch reads back to
+// back for one v, and ForEachRow(fn), which calls fn(v, friends,
+// rejectors, rejectees) once per node, possibly from several threads.
 #pragma once
 
 #include <cstddef>
@@ -33,22 +41,23 @@ namespace rejecto::detect {
 
 class BucketList;
 
-class Partition {
+template <class Source>
+class BasicPartition {
  public:
   // An empty shell; call Reset before use. Lets a KL scratch workspace keep
   // one Partition alive across passes and graphs.
-  Partition() = default;
+  BasicPartition() = default;
 
   // in_u[v] != 0 places v in the suspicious region U.
   // The source's graph must outlive the partition; AugmentedGraph call
   // sites convert implicitly.
-  Partition(const graph::GraphSource& src, std::vector<char> in_u);
+  BasicPartition(const Source& src, const std::vector<char>& in_u);
 
   // Re-seeds the partition for (a possibly different) source and mask,
   // reusing the aggregate arrays' capacity. Equivalent to constructing
-  // Partition(src, in_u) but without fresh allocations once the workspace
-  // has seen a graph at least as large.
-  void Reset(const graph::GraphSource& src, const std::vector<char>& in_u);
+  // BasicPartition(src, in_u) but without fresh allocations once the
+  // workspace has seen a graph at least as large.
+  void Reset(const Source& src, const std::vector<char>& in_u);
 
   graph::NodeId NumNodes() const noexcept {
     return static_cast<graph::NodeId>(in_u_.size());
@@ -150,7 +159,12 @@ class Partition {
   // src_ and in_u_ (which must already be set and size-consistent).
   void InitAggregates();
 
-  graph::GraphSource src_;
+  // The switch itself, shared by Switch and SwitchFused: moves v to the
+  // other side and applies every aggregate delta, reading v's three rows
+  // once. Appends the rows to `touched` when it is non-null.
+  void Flip(graph::NodeId v, util::AlignedVector<graph::NodeId>* touched);
+
+  Source src_;
   // Normalized to strict 0/1 bytes by InitAggregates, so side comparisons
   // and the SIMD zero-byte counts agree for any caller-supplied mask.
   std::vector<char> in_u_;
@@ -164,5 +178,8 @@ class Partition {
   std::uint64_t cross_friendships_ = 0;  // |F(Ū,U)|
   std::uint64_t rejections_into_u_ = 0;  // |R⃗(Ū,U)|
 };
+
+extern template class BasicPartition<graph::GraphSource>;
+using Partition = BasicPartition<graph::GraphSource>;
 
 }  // namespace rejecto::detect

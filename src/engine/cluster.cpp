@@ -17,9 +17,12 @@ std::string At(int line) {
 // Runs before the thread pool spins up: a zero-worker pool must never be
 // constructed, so validation cannot live in the constructor body.
 ClusterConfig Validated(ClusterConfig config) {
-  if (config.num_workers == 0) {
+  if (config.num_workers == 0 ||
+      config.num_workers > static_cast<std::uint32_t>(util::kMaxThreads)) {
     throw std::invalid_argument(
-        At(__LINE__) + "ClusterConfig::num_workers must be >= 1");
+        At(__LINE__) + "ClusterConfig::num_workers must be in [1, " +
+        std::to_string(util::kMaxThreads) + "]; got " +
+        std::to_string(config.num_workers));
   }
   if (config.prefetch_batch == 0 ||
       config.prefetch_batch > config.buffer_capacity) {

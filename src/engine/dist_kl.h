@@ -1,19 +1,19 @@
 // Distributed extended Kernighan–Lin (paper §V).
 //
-// The same algorithm as detect::ExtendedKl with the prototype's Spark data
-// layout: node status (side, cross-friend / rejection aggregates, switch
-// gains, bucket list) lives on the master; adjacency lives on the workers
-// in a ShardedGraphStore and is pulled on demand through a PrefetchBuffer
-// whose prefetch candidates are the bucket list's current top-gain nodes.
-// Aggregate initialization runs shard-parallel, like the prototype's RDD
-// transformations. The result is bit-identical to detect::ExtendedKl (an
-// equivalence the tests assert); what differs is the metered I/O.
+// detect::ExtendedKl's own kernel over a row source backed by a
+// ShardedGraphStore, in the prototype's Spark data layout: node status
+// (aggregates, gains, bucket list) lives on the master, adjacency on the
+// workers. Aggregate init reads each shard's rows on its own worker, like
+// the prototype's RDD transformations. Each switch pulls its row through a
+// PrefetchBuffer whose candidates are the bucket list's top-gain nodes, and
+// each pass rewinds to its checkpoint and replays the kept prefix,
+// refetching those rows. The result is bit-identical to detect::ExtendedKl
+// (the tests assert it); what differs is the metered I/O.
 #pragma once
 
 #include "detect/extended_kl.h"
 #include "engine/cluster.h"
 #include "engine/shard_store.h"
-#include "graph/augmented_graph.h"
 
 namespace rejecto::engine {
 
@@ -23,8 +23,8 @@ struct DistKlResult {
   std::uint32_t num_shards = 0;
 };
 
-// The store must be built over the same graph `g` (g is only used for the
-// node count and final cut audit; adjacency flows through the store).
+// Same contract as detect::ExtendedKl, with the store as the graph; the
+// prefetch buffer is sized by the cluster's config.
 DistKlResult DistributedKl(const ShardedGraphStore& store,
                            std::vector<char> init_in_u,
                            const std::vector<char>& locked,

@@ -19,10 +19,10 @@ DistMaarResult SolveMaarDistributed(const graph::AugmentedGraph& g,
     result.io.Accumulate(r.io);
     return std::move(r.kl);
   };
-  // The sweep must stay serial here: DistributedKl drives the cluster's
-  // shared prefetch buffer and the runner above accumulates IoStats without
-  // locking. Determinism of the sweep makes the cut identical either way —
-  // on this substrate the parallelism is the simulated workers'.
+  // The sweep must stay serial here: DistributedKl fetches through the
+  // store (master-thread only) and the runner above accumulates IoStats
+  // without locking. Determinism of the sweep makes the cut identical
+  // either way — on this substrate the parallelism is the simulated workers'.
   detect::MaarConfig serial_config = config;
   serial_config.num_threads = 1;
   detect::MaarSolver solver(g, seeds, serial_config, runner);

@@ -2,9 +2,9 @@
 // with engine::DistributedKl as the inner partitioner, so the full Rejecto
 // cut search runs against the cluster substrate (sharded adjacency, master
 // bucket list, prefetch). Produces the exact cut the serial solver would
-// (DistributedKl is bit-identical to ExtendedKl) plus accumulated I/O
-// statistics for every KL invocation of the sweep — this is what Table II
-// times.
+// (DistributedKl runs ExtendedKl's own kernel over the sharded store) plus
+// accumulated I/O statistics for every KL invocation of the sweep — this
+// is what Table II times.
 #pragma once
 
 #include "detect/maar.h"

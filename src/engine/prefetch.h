@@ -3,8 +3,9 @@
 // Fetching one node's adjacency per switch would cost a master<->worker
 // round trip per step; the prototype instead prefetches the nodes most
 // likely to be switched next — those with the highest potential gains in
-// the bucket list — in batches, and evicts with LRU. The candidate supplier
-// is injected so DistributedKl can hand in "current top-gain nodes".
+// the bucket list — in batches, and evicts with LRU. The caller supplies
+// the candidates; DistributedKl's row source hands in the live bucket
+// list's top-gain nodes.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@ class PrefetchBuffer {
   const NodeAdjacency& Get(graph::NodeId v);
 
   const IoStats& Stats() const noexcept { return stats_; }
-  std::size_t CachedNodes() const noexcept { return cache_.size(); }
 
  private:
   void InsertEvicting(graph::NodeId v, NodeAdjacency adj);

@@ -71,10 +71,16 @@ void FetchPolicy::Validate(const std::string& who) const {
 ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
                                      Cluster& cluster)
     : num_nodes_(g.NumNodes()),
+      rej_in_(g.NumNodes()),
+      max_friendship_degree_(g.MaxFriendshipDegree()),
+      max_rejection_degree_(g.MaxRejectionDegree()),
       source_(&g),
       cluster_(&cluster),
       store_id_(cluster.NextStoreId()),
       policy_(cluster.Config().fetch) {
+  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
+    rej_in_[v] = g.Rejections().InDegree(v);
+  }
   const auto num_shards = static_cast<std::uint32_t>(cluster.Pool().size());
   shards_.resize(num_shards);
   replica_.assign(num_shards, 0);

@@ -135,6 +135,16 @@ class ShardedGraphStore {
     return v % NumShards();
   }
 
+  // Master-side degree state, computed once at construction (the maxima
+  // are AugmentedGraph's); reading it never fetches.
+  std::uint32_t RejInDegree(graph::NodeId v) const { return rej_in_[v]; }
+  std::uint64_t MaxFriendshipDegree() const noexcept {
+    return max_friendship_degree_;
+  }
+  std::uint64_t MaxRejectionDegree() const noexcept {
+    return max_rejection_degree_;
+  }
+
   // Pulls the adjacency of each requested node, grouping the request by
   // shard: one kFetchRequest frame per live shard touched, retried/failed
   // over per FetchPolicy. `stats` is charged one fetch_request and the
@@ -167,9 +177,6 @@ class ShardedGraphStore {
 
   // Wire traffic of the construction-time shard publish.
   const IoStats& PublishIo() const noexcept { return publish_io_; }
-
-  // Store generation on the wire.
-  std::uint64_t StoreId() const noexcept { return store_id_; }
 
  private:
   struct Shard {
@@ -209,6 +216,9 @@ class ShardedGraphStore {
   void PublishShard(std::uint32_t s);
 
   graph::NodeId num_nodes_ = 0;
+  std::vector<std::uint32_t> rej_in_;
+  std::uint64_t max_friendship_degree_ = 0;
+  std::uint64_t max_rejection_degree_ = 0;
   const graph::AugmentedGraph* source_;  // lineage for failover rebuilds
   // Failure handling mutates shard state from const FetchBatch; all of it
   // runs on the master thread (FetchBatch is not itself thread-safe).

@@ -1,10 +1,11 @@
 // Row-span view of an AugmentedGraph for the detection kernels.
 //
-// Partition and ExtendedKl only ever consume per-node degrees and sorted
-// row spans; GraphSource is that contract as a value type (one pointer), so
-// the hot loops read the CSRs with no indirection beyond the graph's own,
-// and the AugmentedGraph call sites keep working through the implicit
-// conversion. Spans live as long as the graph.
+// Partition and ExtendedKl are templates on their row source (see
+// detect/partition.h for the contract); GraphSource is the in-memory one, a
+// value type holding one pointer, so the hot loops read the CSRs with no
+// indirection beyond the graph's own, and the AugmentedGraph call sites
+// keep working through the implicit conversion. Spans live as long as the
+// graph.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +33,6 @@ class GraphSource {
   }
   std::uint64_t MaxRejectionDegree() const { return g_->MaxRejectionDegree(); }
 
-  std::uint32_t FriendDegree(NodeId u) const {
-    return g_->Friendships().Degree(u);
-  }
-  std::uint32_t RejOutDegree(NodeId u) const {
-    return g_->Rejections().OutDegree(u);
-  }
   std::uint32_t RejInDegree(NodeId u) const {
     return g_->Rejections().InDegree(u);
   }
@@ -50,6 +45,16 @@ class GraphSource {
   }
   std::span<const NodeId> Rejectors(NodeId u) const {
     return g_->Rejections().Rejectors(u);
+  }
+
+  // Calls fn(v, Friends(v), Rejectors(v), Rejectees(v)) for every node, in
+  // id order on the calling thread.
+  template <class Fn>
+  void ForEachRow(Fn&& fn) const {
+    const NodeId n = NumNodes();
+    for (NodeId v = 0; v < n; ++v) {
+      fn(v, Friends(v), Rejectors(v), Rejectees(v));
+    }
   }
 
  private:

@@ -1,9 +1,10 @@
 #include "util/flags.h"
 
 #include <charconv>
-#include <climits>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "util/thread_pool.h"
 
 namespace rejecto::util {
 
@@ -57,8 +58,8 @@ std::uint64_t ExperimentSeed() {
 }
 
 int ThreadCount() {
-  return static_cast<int>(
-      GetEnvInt("REJECTO_THREADS", 0, INT_MAX, "a non-negative integer"));
+  return static_cast<int>(GetEnvInt("REJECTO_THREADS", 0, kMaxThreads,
+                                    "an integer in [0, 256]"));
 }
 
 std::optional<std::string> CsvDir() { return GetEnvString("REJECTO_CSV_DIR"); }

@@ -22,6 +22,11 @@ namespace rejecto::util {
 // it to return 0 when the count is unknowable).
 std::size_t HardwareThreads() noexcept;
 
+// The most threads any configured pool may ask for: REJECTO_THREADS,
+// detect::EffectiveThreads and ClusterConfig::num_workers refuse larger
+// values before a thread starts.
+inline constexpr int kMaxThreads = 256;
+
 class ThreadPool {
  public:
   // Precondition: num_threads > 0.

@@ -402,6 +402,18 @@ TEST(AdmissionService, StatsAndDrainAccounting) {
   EXPECT_FALSE(svc.TrySubmit({stream::EventType::kAddFriend, 0, 1}));
 }
 
+TEST(AdmissionService, RefusesTooManyDetectionThreadsBeforeStarting) {
+  AdmissionConfig cfg;
+  cfg.epoch.detect.maar.num_threads = 257;
+  EXPECT_THROW(AdmissionService(graph::GraphBuilder(4).BuildAugmented(),
+                                detect::Seeds{}, cfg),
+               std::invalid_argument);
+  engine::EpochConfig ecfg;
+  ecfg.detect.maar.num_threads = 257;
+  EXPECT_THROW(engine::EpochDetector(4, detect::Seeds{}, ecfg),
+               std::invalid_argument);
+}
+
 TEST(AdmissionService, RefusesOversizedConfigBeforeStarting) {
   const auto make = [](const AdmissionConfig& cfg) {
     return std::make_unique<AdmissionService>(

@@ -384,6 +384,24 @@ TEST(ParallelMaarTest, EffectiveThreadsResolvesAndClamps) {
   EXPECT_EQ(EffectiveThreads(-3), 1);
 }
 
+// Every sweep and pipeline pool size comes from EffectiveThreads, so a
+// thread count past util::kMaxThreads is refused there, before a pool
+// starts.
+TEST(ParallelMaarTest, RefusesMoreThanTheThreadLimit) {
+  EXPECT_LE(EffectiveThreads(0), util::kMaxThreads);
+  EXPECT_THROW(EffectiveThreads(257), std::invalid_argument);
+
+  const auto scenario = PlantedScenario();
+  MaarConfig maar;
+  maar.num_threads = 257;
+  EXPECT_THROW(MaarSolver(scenario.graph, {}, maar).Solve(),
+               std::invalid_argument);
+  IterativeConfig cfg;
+  cfg.maar.num_threads = 257;
+  EXPECT_THROW(DetectFriendSpammers(scenario.graph, {}, cfg),
+               std::invalid_argument);
+}
+
 TEST(ParallelMaarTest, GainBoundMaximaMatchBruteForce) {
   // The cached degree maxima GainBound relies on (computed at graph build /
   // compaction) must agree with a direct scan.

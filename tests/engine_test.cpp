@@ -40,6 +40,10 @@ TEST(ClusterTest, InvalidPrefetchConfigThrows) {
       std::invalid_argument);
 }
 
+TEST(ClusterTest, RefusesMoreWorkersThanTheThreadLimit) {
+  EXPECT_THROW(Cluster({.num_workers = 257}), std::invalid_argument);
+}
+
 // ---------- ShardedGraphStore ----------
 
 TEST(ShardStoreTest, LocalMatchesGraph) {
@@ -255,6 +259,32 @@ TEST(DistKlTest, PrefetchingReducesFetchRequests) {
 
   EXPECT_EQ(a.kl.in_u, b.kl.in_u);  // prefetching never changes the result
   EXPECT_LT(b.io.fetch_requests, a.io.fetch_requests);
+}
+
+// A pass switches each unlocked node at most once and then replays the
+// prefix it keeps, so one KL run reads at most passes × |V| +
+// switches_applied rows through the prefetch buffer. Undoing the rejected
+// suffix switch by switch instead reads past that bound; a one-row buffer
+// with no prefetch makes every read a Get and every miss a one-node fetch.
+TEST(DistKlTest, RowReadsBoundedByPassesAndKeptPrefixes) {
+  util::Rng rng(42);
+  const auto g = SmallAugmented(rng, 120);
+  std::vector<char> init(g.NumNodes(), 0);
+  for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
+    init[v] = g.Rejections().InDegree(v) > 0 ? 1 : 0;
+  }
+  for (const double k : {0.25, 1.0, 4.0}) {
+    Cluster cluster(
+        {.num_workers = 2, .prefetch_batch = 1, .buffer_capacity = 1});
+    const ShardedGraphStore store(g, cluster);
+    const auto r =
+        DistributedKl(store, init, {}, detect::KlConfig{.k = k}, cluster);
+    const std::uint64_t bound =
+        static_cast<std::uint64_t>(r.kl.stats.passes) * g.NumNodes() +
+        r.kl.stats.switches_applied;
+    EXPECT_LE(r.io.cache_hits + r.io.cache_misses, bound) << "k=" << k;
+    EXPECT_LE(r.io.nodes_fetched, bound) << "k=" << k;
+  }
 }
 
 TEST(DistMaarTest, MatchesSerialMaarSolver) {

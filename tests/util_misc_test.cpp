@@ -276,6 +276,11 @@ TEST(FlagsTest, MalformedValuesThrowNamingTheVariable) {
   }
 }
 
+TEST(FlagsTest, ThreadCountRefusesMoreThanTheThreadLimit) {
+  ScopedEnv threads("REJECTO_THREADS", "257");
+  EXPECT_THROW(ThreadCount(), std::invalid_argument);
+}
+
 TEST(FlagsTest, ExperimentSeedDefaultsTo42) {
   ::unsetenv("REJECTO_SEED");
   EXPECT_EQ(ExperimentSeed(), 42u);
