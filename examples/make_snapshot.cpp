@@ -2,29 +2,29 @@
 //
 // Usage:
 //   make_snapshot <friendships.txt> <rejections.txt> <out.snap>
-//                 [--format=rjsnap01|rjsnap02] [--compress-block-rows=N]
+//                 [--compress-block-rows=N]
 //
 // Parses the text edge lists once (the slow path) and writes the
-// checksummed snapshot under the dense text-intern ids. The default format
-// stays RJSNAP01 (plain CSR, so existing goldens and scripts are
-// untouched); --format=rjsnap02 writes the delta+varint compressed format,
-// which CompressedGraphView opens off the mmap and Materialize expands for
-// detection (DetectFriendSpammersCompressed).
-// --compress-block-rows sets the v2 block span (64-256 rows, default 128;
-// ignored for v1). Later runs load the snapshot in milliseconds instead of
-// re-parsing the text.
+// checksummed RJSNAP02 snapshot (delta+varint compressed adjacency) under
+// the dense text-intern ids; CompressedGraphView opens it off the mmap and
+// Materialize expands it for detection (DetectFriendSpammersCompressed).
+// --compress-block-rows sets the block span (an integer in [64, 256],
+// default 128; anything else exits 2 naming the flag). Later runs load the
+// snapshot in milliseconds instead of re-parsing the text.
 //
 // With no arguments, runs a self-checking demo: generates a small scenario,
 // saves it to a temp file, reloads, and verifies the round-trip is exact.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "gen/holme_kim.h"
 #include "graph/io.h"
 #include "graph/snapshot.h"
 #include "sim/scenario.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: %s <friendships.txt> <rejections.txt> <out.snap> "
-                 "[--format=rjsnap01|rjsnap02] [--compress-block-rows=N]\n",
+                 "[--compress-block-rows=N]\n",
                  argv[0]);
     return 2;
   }
@@ -74,29 +74,24 @@ int main(int argc, char** argv) {
   graph::SnapshotOptions options;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
-    const std::string format_prefix = "--format=";
     const std::string rows_prefix = "--compress-block-rows=";
-    if (arg.rfind(format_prefix, 0) == 0) {
-      const std::string value = arg.substr(format_prefix.size());
-      if (value == "rjsnap01") {
-        options.format = graph::SnapshotFormat::kRjsnap01;
-      } else if (value == "rjsnap02") {
-        options.format = graph::SnapshotFormat::kRjsnap02;
-      } else {
-        std::fprintf(stderr, "unknown snapshot format: %s\n", value.c_str());
-        return 2;
-      }
-    } else if (arg.rfind(rows_prefix, 0) == 0) {
-      const long rows = std::atol(arg.substr(rows_prefix.size()).c_str());
-      if (rows < 64 || rows > 256) {
-        std::fprintf(stderr, "--compress-block-rows must be in [64, 256]\n");
-        return 2;
-      }
-      options.block_rows = static_cast<std::uint32_t>(rows);
-    } else {
+    if (arg.rfind(rows_prefix, 0) != 0) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
+    std::uint64_t rows = 0;
+    try {
+      rows = util::ParseU64Checked(arg.substr(rows_prefix.size()),
+                                   "--compress-block-rows");
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+    if (rows < 64 || rows > 256) {
+      std::fprintf(stderr, "--compress-block-rows must be in [64, 256]\n");
+      return 2;
+    }
+    options.block_rows = static_cast<std::uint32_t>(rows);
   }
 
   try {
@@ -128,13 +123,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr,
-                 "wrote %s (format=%s) in %.3fs; verified reload in %.3fs "
+                 "wrote %s in %.3fs; verified reload in %.3fs "
                  "(%.1fx faster than the text parse)\n",
-                 argv[3],
-                 options.format == graph::SnapshotFormat::kRjsnap02
-                     ? "rjsnap02"
-                     : "rjsnap01",
-                 save_s, reload_s,
+                 argv[3], save_s, reload_s,
                  load_s / (reload_s > 0 ? reload_s : 1e-9));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -106,7 +106,6 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
   result.kl = detect::BasicExtendedKl(StoreSource(store, rows), init_in_u,
                                       locked, kl_config, &scratch);
   result.io = rows.buffer.Stats();
-  result.num_shards = store.NumShards();
   return result;
 }
 

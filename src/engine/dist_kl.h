@@ -20,7 +20,6 @@ namespace rejecto::engine {
 struct DistKlResult {
   detect::KlResult kl;
   IoStats io;
-  std::uint32_t num_shards = 0;
 };
 
 // Same contract as detect::ExtendedKl, with the store as the graph; the

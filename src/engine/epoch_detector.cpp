@@ -225,8 +225,8 @@ detect::IncrementalScore EpochDetector::ScoreSenderIncremental(
 }
 
 namespace {
-// Version tag for the detector's extra-state section inside the checkpoint
-// payload (the file-level format is versioned separately by its magic).
+// Version tag for the detector's state section inside the checkpoint
+// snapshot (the file-level format is versioned separately by its magic).
 constexpr std::uint32_t kEpochStateVersion = 1;
 }  // namespace
 
@@ -236,43 +236,49 @@ void EpochDetector::SaveCheckpoint(const std::string& path) {
   delta_.Compact();
   const graph::AugmentedGraph& g = delta_.Graph();
 
-  stream::ByteWriter extra;
-  extra.PutU32(kEpochStateVersion);
-  extra.PutU64(total_events_ingested_);
-  extra.PutU64(epoch_base_ + history_.size());
-  extra.PutU8(has_prev_ ? 1 : 0);
+  stream::ByteWriter state;
+  state.PutU32(kEpochStateVersion);
+  state.PutU64(total_events_ingested_);
+  state.PutU64(epoch_base_ + history_.size());
+  state.PutU8(has_prev_ ? 1 : 0);
   if (has_prev_) {
-    extra.PutF64(prev_k_);
+    state.PutF64(prev_k_);
     // The mask is indexed by graph id; size it to the snapshot so restore
     // never has to guess (ids never remap across the stream).
     std::vector<char> mask = prev_mask_;
     mask.resize(g.NumNodes(), 0);
-    extra.PutU64(mask.size());
-    extra.PutBytes(mask.data(), mask.size());
+    state.PutU64(mask.size());
+    state.PutBytes(mask.data(), mask.size());
   }
-  stream::SaveCheckpointFile(path, g, &extra);
+  graph::SaveSnapshot(path, g, graph::Layout{}, graph::SnapshotOptions{},
+                      state.buf);
 }
 
 std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
     const std::string& path, detect::Seeds seeds, EpochConfig config) {
-  std::vector<unsigned char> raw;
-  graph::AugmentedGraph g = stream::LoadCheckpointFile(path, &raw);
+  graph::Snapshot snap = graph::LoadSnapshot(path);
+  if (snap.state.empty()) {
+    throw std::runtime_error("checkpoint " + path +
+                             ": no state section (a plain snapshot, not an "
+                             "epoch detector checkpoint)");
+  }
+  graph::AugmentedGraph g = std::move(snap.graph);
 
-  stream::ByteReader extra(raw.data(), raw.size());
-  const std::uint32_t version = extra.GetU32();
+  stream::ByteReader state(snap.state.data(), snap.state.size());
+  const std::uint32_t version = state.GetU32();
   if (version != kEpochStateVersion) {
     throw std::runtime_error("checkpoint " + path +
                              ": unsupported epoch-state version " +
                              std::to_string(version));
   }
-  const std::uint64_t events = extra.GetU64();
-  const std::uint64_t epochs = extra.GetU64();
-  const bool has_prev = extra.GetU8() != 0;
+  const std::uint64_t events = state.GetU64();
+  const std::uint64_t epochs = state.GetU64();
+  const bool has_prev = state.GetU8() != 0;
   double prev_k = 0.0;
   std::vector<char> mask;
   if (has_prev) {
-    prev_k = extra.GetF64();
-    const std::uint64_t mask_len = extra.GetU64();
+    prev_k = state.GetF64();
+    const std::uint64_t mask_len = state.GetU64();
     if (mask_len != g.NumNodes()) {
       throw std::runtime_error("checkpoint " + path +
                                ": warm-start mask length " +
@@ -281,9 +287,9 @@ std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
                                std::to_string(g.NumNodes()));
     }
     mask.resize(mask_len);
-    extra.GetBytes(mask.data(), mask.size());
+    state.GetBytes(mask.data(), mask.size());
   }
-  if (extra.Remaining() != 0) {
+  if (state.Remaining() != 0) {
     throw std::runtime_error("checkpoint " + path +
                              ": trailing bytes in epoch state");
   }

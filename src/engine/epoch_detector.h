@@ -139,10 +139,13 @@ class EpochDetector {
   const EpochStats& RunEpoch();
 
   // Durability (docs/ROBUSTNESS.md): compacts the overlay and atomically
-  // writes a CRC-guarded snapshot — the CSR graph plus warm-start state,
-  // the epoch counter, and the total event count. Crash recovery is
-  // RestoreCheckpoint + replaying the WAL tail past EventsIngested():
-  // bit-identical to a detector that never crashed.
+  // writes an RJSNAP02 snapshot (graph/snapshot.h) of the graph whose
+  // state section carries the warm-start state, the epoch counter and the
+  // total event count. Crash recovery is RestoreCheckpoint + replaying the
+  // WAL tail past EventsIngested(): bit-identical to a detector that never
+  // crashed. RestoreCheckpoint throws std::runtime_error naming the path
+  // on a missing, torn or corrupt file and on a snapshot without a state
+  // section.
   void SaveCheckpoint(const std::string& path);
   static std::unique_ptr<EpochDetector> RestoreCheckpoint(
       const std::string& path, detect::Seeds seeds, EpochConfig config);

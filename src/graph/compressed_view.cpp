@@ -164,6 +164,9 @@ CompressedGraphView CompressedGraphView::Open(const std::string& path) {
     }
     view.layout_.old_of_new = std::move(old_of_new);
   }
+  if (const snapfmt::SectionEntry* se = img.by_kind[snapfmt::kState]) {
+    view.state_ = {data + se->offset, static_cast<std::size_t>(se->length)};
+  }
   return view;
 }
 
@@ -289,6 +292,7 @@ Snapshot CompressedGraphView::Materialize(util::ThreadPool* pool) const {
       RejectionGraph::FromCsr(n_, std::move(offs[1]), std::move(adjs[1]),
                               std::move(offs[2]), std::move(adjs[2])));
   snap.layout = layout_;
+  snap.state.assign(state_.begin(), state_.end());
   return snap;
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "graph/snapshot.h"
@@ -95,9 +96,9 @@ class CompressedGraphView {
 
   const snapfmt::FileBytes& Bytes() const noexcept { return *file_; }
 
-  // Full in-RAM expansion (LoadSnapshot's v2 path). Decodes blocks in
-  // parallel when a pool is supplied (each writes a disjoint slice of the
-  // target CSR), serially otherwise.
+  // Full in-RAM expansion (LoadSnapshot's v2 path), state section
+  // included. Decodes blocks in parallel when a pool is supplied (each
+  // writes a disjoint slice of the target CSR), serially otherwise.
   Snapshot Materialize(util::ThreadPool* pool = nullptr) const;
 
  private:
@@ -127,6 +128,7 @@ class CompressedGraphView {
   std::uint64_t max_friendship_degree_ = 0;
   std::uint64_t max_rejection_degree_ = 0;
   Layout layout_;
+  std::span<const unsigned char> state_;  // state section, in the mapping
   CsrView csr_[3];
 };
 

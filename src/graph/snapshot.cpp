@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -11,89 +10,11 @@
 #include "graph/snapshot_format.h"
 #include "graph/snapshot_writer.h"
 #include "util/buffer.h"
-#include "util/crc32c.h"
 
 namespace rejecto::graph {
 namespace {
 
 using snapfmt::SectionEntry;
-
-// Offsets are rebuilt from the public degree accessors (the CSR offset
-// arrays are private to the graph classes) directly into their on-disk u64
-// representation; adjacency is contiguous behind the row spans, so row 0's
-// data pointer is the whole array.
-std::vector<std::uint64_t> OffsetsU64(
-    NodeId n, const std::function<std::uint32_t(NodeId)>& degree) {
-  std::vector<std::uint64_t> off(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId u = 0; u < n; ++u) off[u + 1] = off[u] + degree(u);
-  return off;
-}
-
-void AddCsr(snapfmt::ImageBuilder& image, std::uint32_t offsets_kind,
-            std::uint32_t adj_kind, const std::vector<std::uint64_t>& off,
-            const NodeId* adj_base) {
-  image.AddSection(offsets_kind, off.data(),
-                   off.size() * sizeof(std::uint64_t));
-  image.AddSection(adj_kind, adj_base, off.back() * sizeof(NodeId));
-}
-
-void SaveSnapshotV1(const std::string& path, const AugmentedGraph& g,
-                    const Layout& layout) {
-  const NodeId n = g.NumNodes();
-  const SocialGraph& fr = g.Friendships();
-  const RejectionGraph& rej = g.Rejections();
-  const auto fr_off = OffsetsU64(n, [&](NodeId u) { return fr.Degree(u); });
-  const auto out_off =
-      OffsetsU64(n, [&](NodeId u) { return rej.OutDegree(u); });
-  const auto in_off = OffsetsU64(n, [&](NodeId u) { return rej.InDegree(u); });
-
-  std::uint64_t meta[4] = {n, g.Friendships().NumEdges(),
-                           g.Rejections().NumArcs(),
-                           layout.IsIdentity() ? 0 : snapfmt::kFlagHasLayout};
-  std::uint64_t meta_le[4];
-  for (int i = 0; i < 4; ++i) {
-    snapfmt::PutU64Le(reinterpret_cast<unsigned char*>(&meta_le[i]), meta[i]);
-  }
-
-  snapfmt::ImageBuilder image;
-  image.AddSection(snapfmt::kMeta, meta_le, sizeof(meta_le));
-  AddCsr(image, snapfmt::kFrOffsets, snapfmt::kFrAdj, fr_off,
-         n > 0 ? fr.Neighbors(0).data() : nullptr);
-  AddCsr(image, snapfmt::kOutOffsets, snapfmt::kOutAdj, out_off,
-         n > 0 ? rej.Rejectees(0).data() : nullptr);
-  AddCsr(image, snapfmt::kInOffsets, snapfmt::kInAdj, in_off,
-         n > 0 ? rej.Rejectors(0).data() : nullptr);
-  if (!layout.IsIdentity()) {
-    if constexpr (std::endian::native == std::endian::little) {
-      image.AddSection(snapfmt::kLayout, layout.old_of_new.data(),
-                       static_cast<std::uint64_t>(n) * sizeof(NodeId));
-    } else {
-      std::vector<unsigned char> le(static_cast<std::size_t>(n) * 4);
-      for (NodeId i = 0; i < n; ++i) {
-        snapfmt::PutU32Le(le.data() + static_cast<std::size_t>(i) * 4,
-                          layout.old_of_new[i]);
-      }
-      image.AddSection(snapfmt::kLayout, le.data(), le.size());
-    }
-  }
-  snapfmt::WriteImageAtomically(path, image.Finish(snapfmt::kMagicV1));
-}
-
-void SaveSnapshotV2(const std::string& path, const AugmentedGraph& g,
-                    const Layout& layout, const SnapshotOptions& options) {
-  const NodeId n = g.NumNodes();
-  CompressedSnapshotWriter::Options wopts;
-  wopts.block_rows = options.block_rows;
-  CompressedSnapshotWriter writer(path, n, wopts, layout);
-  const SocialGraph& fr = g.Friendships();
-  const RejectionGraph& rej = g.Rejections();
-  for (NodeId u = 0; u < n; ++u) writer.AppendFriendRow(fr.Neighbors(u));
-  for (NodeId u = 0; u < n; ++u) {
-    writer.AppendRejectionOutRow(rej.Rejectees(u));
-  }
-  for (NodeId u = 0; u < n; ++u) writer.AppendRejectionInRow(rej.Rejectors(u));
-  writer.Finish();
-}
 
 // ---------- v1 load helpers ----------
 
@@ -235,15 +156,19 @@ Snapshot LoadSnapshotV1(const std::string& path) {
 }  // namespace
 
 void SaveSnapshot(const std::string& path, const AugmentedGraph& g,
-                  const Layout& layout, const SnapshotOptions& options) {
-  if (!layout.IsIdentity() && layout.old_of_new.size() != g.NumNodes()) {
-    throw std::invalid_argument("SaveSnapshot: layout size mismatch");
+                  const Layout& layout, const SnapshotOptions& options,
+                  std::span<const unsigned char> state) {
+  const NodeId n = g.NumNodes();
+  CompressedSnapshotWriter writer(path, n, {.block_rows = options.block_rows},
+                                  layout, state);
+  const SocialGraph& fr = g.Friendships();
+  const RejectionGraph& rej = g.Rejections();
+  for (NodeId u = 0; u < n; ++u) writer.AppendFriendRow(fr.Neighbors(u));
+  for (NodeId u = 0; u < n; ++u) {
+    writer.AppendRejectionOutRow(rej.Rejectees(u));
   }
-  if (options.format == SnapshotFormat::kRjsnap02) {
-    SaveSnapshotV2(path, g, layout, options);
-  } else {
-    SaveSnapshotV1(path, g, layout);
-  }
+  for (NodeId u = 0; u < n; ++u) writer.AppendRejectionInRow(rej.Rejectors(u));
+  writer.Finish();
 }
 
 Layout LayoutFromPermutation(std::vector<NodeId> new_of_old) {

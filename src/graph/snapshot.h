@@ -2,36 +2,41 @@
 //
 // Text edge lists are the interchange format; they are also two orders of
 // magnitude slower to load than the graph is to *use* (parse, intern,
-// dedup, sort, mirror). Snapshots are the other end of the trade, in two
-// on-disk flavors behind one save/load API:
+// dedup, sort, mirror). Snapshots are the other end of the trade. The tree
+// writes one format and reads two:
 //
-//   RJSNAP01 (default) — the three CSRs exactly as they sit in memory:
-//   little-endian u64 offset arrays and u32 adjacency arrays behind a
-//   sectioned, checksummed container, so a load is mmap + validate + one
-//   bulk memcpy per section. No parsing, no per-edge work.
-//
-//   RJSNAP02 — the same graph with delta+varint compressed adjacency in
-//   fixed-span blocks (64–256 rows) behind a per-CSR block index, each
-//   block carrying its own CRC32C. About 45–60% of the RJSNAP01 adjacency
-//   bytes on the attack scenarios (generator ids or shuffled ids).
+//   RJSNAP02 (written) — delta+varint compressed adjacency in fixed-span
+//   blocks (64–256 rows) behind a per-CSR block index, each block carrying
+//   its own CRC32C. About 45–60% of the raw u32 adjacency bytes on the
+//   attack scenarios (generator ids or shuffled ids).
 //   graph/compressed_view.h opens it in place and decodes it block by
 //   block (CompressedGraphView::Materialize, in parallel); LoadSnapshot on
 //   a v2 file is that decode.
+//
+//   RJSNAP01 (read only) — the three CSRs exactly as they sat in memory:
+//   little-endian u64 offset arrays and u32 adjacency arrays. Files written
+//   by earlier builds still load; nothing writes them any more.
 //
 // Shared container layout (graph/snapshot_format.h): magic, section count,
 // table CRC32C, a 24-byte-per-entry section table, then 64-byte-aligned
 // sections each carrying a CRC32C — except the v2 compressed blob sections,
 // whose integrity lives per block in the index so opening never pages the
-// adjacency in. The loader distinguishes a *truncated* file (section runs
-// past EOF) from *corrupt bytes* (CRC mismatch) and names the offending
-// section in either case.
+// adjacency in. The zero padding between sections is checked too, and no
+// byte may follow the last section, so every byte of a file is covered by
+// a check. The loader distinguishes a *truncated* file (section runs past
+// EOF) from *corrupt bytes* (CRC mismatch) and names the offending section
+// in either case.
 //
-// Durability mirrors the stream/wal checkpoints: both writers produce
-// `path + ".tmp"`, fsync, then rename — a crash leaves either the old
-// snapshot or the new one, never a torn file. Failpoint sites:
-// "snapshot/write" and "snapshot/rename" on save; "snapshot/open" (open
-// fails) and "snapshot/map" (mmap fails, exercising the std::ifstream
-// fallback) on load.
+// Durability: the writer produces `path + ".tmp"`, fsyncs, then renames —
+// a crash leaves either the old snapshot or the new one, never a torn
+// file. Failpoint sites: "snapshot/write" and "snapshot/rename" on save;
+// "snapshot/open" (open fails) and "snapshot/map" (mmap fails, exercising
+// the std::ifstream fallback) on load.
+//
+// Optional state section: a caller may pass opaque bytes to SaveSnapshot,
+// stored under their own CRC and handed back in Snapshot::state. The
+// epoch detector's checkpoints are snapshots with a state section
+// (engine/epoch_detector.h); plain snapshots carry none.
 //
 // Optional permutation section: a caller that stored the CSRs under
 // relabelled ids may pass the permutation to SaveSnapshot, and the loaders
@@ -41,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,33 +73,40 @@ Layout LayoutFromPermutation(std::vector<NodeId> new_of_old);
 
 // A loaded snapshot: the graph in its stored id space plus the layout
 // mapping those ids back to original ids. A snapshot without a permutation
-// section loads with the empty (identity) Layout.
+// section loads with the empty (identity) Layout; one without a state
+// section (every RJSNAP01 file) loads with an empty state.
 struct Snapshot {
   AugmentedGraph graph;
   Layout layout;
+  // `= {}` keeps two-field aggregate init ({graph, layout}) warning-free.
+  std::vector<unsigned char> state = {};
 
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
+// One value: RJSNAP02 is the only written format. The enum and
+// SnapshotOptions::format remain only because the end-to-end benchmark
+// sources set them; both go with the next change to that benchmark.
 enum class SnapshotFormat {
-  kRjsnap01,  // raw CSR sections (zero-copy load)
   kRjsnap02,  // block-compressed adjacency, per-block CRCs
 };
 
 struct SnapshotOptions {
-  SnapshotFormat format = SnapshotFormat::kRjsnap01;
-  // RJSNAP02 only: rows per compressed block, clamped to [64, 256].
+  SnapshotFormat format = SnapshotFormat::kRjsnap02;
+  // Rows per compressed block, clamped to [64, 256].
   std::uint32_t block_rows = 128;
 };
 
 // Writes g (already in `layout`'s stored id space — pass the
 // default-constructed identity Layout to write no permutation) to `path`
-// atomically via tmp + rename, in the format `options` selects. Throws
-// std::runtime_error on any IO failure, leaving no partial file behind.
+// as RJSNAP02, atomically via tmp + rename. A non-empty `state` is stored
+// in a state section; an empty one writes none. Throws std::runtime_error
+// on any IO failure, leaving no partial file behind.
 // Precondition: layout is empty or sized to g.NumNodes().
 void SaveSnapshot(const std::string& path, const AugmentedGraph& g,
                   const Layout& layout = Layout{},
-                  const SnapshotOptions& options = SnapshotOptions{});
+                  const SnapshotOptions& options = SnapshotOptions{},
+                  std::span<const unsigned char> state = {});
 
 // Reads a snapshot of either version back into RAM, dispatching on the
 // magic (RJSNAP02 files decode every block via graph/compressed_view.h;

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -32,6 +31,7 @@ const char* SectionName(std::uint32_t kind) {
     case kOutIndex: return "rejection-out-block-index";
     case kInBlocks: return "rejection-in-blocks";
     case kInIndex: return "rejection-in-block-index";
+    case kState: return "state";
     default: return "unknown";
   }
 }
@@ -60,74 +60,6 @@ void Fail(const std::string& path, std::uint64_t offset,
           const std::string& what) {
   throw std::runtime_error("snapshot: " + path + " at offset " +
                            std::to_string(offset) + ": " + what);
-}
-
-// ---------- save side ----------
-
-void ImageBuilder::AddSection(std::uint32_t kind, const void* data,
-                              std::uint64_t length) {
-  while (bytes_.size() % kSectionAlign != 0) bytes_.push_back(0);
-  SectionEntry e;
-  e.kind = kind;
-  e.crc = util::Crc32c(data, static_cast<std::size_t>(length));
-  e.offset = bytes_.size();  // relative to section area; fixed up in Finish
-  e.length = length;
-  if (length > 0) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    bytes_.insert(bytes_.end(), p, p + length);
-  }
-  entries_.push_back(e);
-}
-
-std::vector<unsigned char> ImageBuilder::Finish(const char magic[8]) {
-  const std::size_t table_bytes = entries_.size() * kEntryBytes;
-  std::size_t base = kHeaderBytes + table_bytes;
-  while (base % kSectionAlign != 0) ++base;
-
-  std::vector<unsigned char> table(table_bytes);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    unsigned char* p = table.data() + i * kEntryBytes;
-    PutU32Le(p, entries_[i].kind);
-    PutU32Le(p + 4, entries_[i].crc);
-    PutU64Le(p + 8, entries_[i].offset + base);
-    PutU64Le(p + 16, entries_[i].length);
-  }
-
-  std::vector<unsigned char> out(base + bytes_.size(), 0);
-  std::memcpy(out.data(), magic, 8);
-  PutU32Le(out.data() + 8, static_cast<std::uint32_t>(entries_.size()));
-  PutU32Le(out.data() + 12, util::Crc32c(table.data(), table.size()));
-  std::memcpy(out.data() + kHeaderBytes, table.data(), table.size());
-  if (!bytes_.empty()) {
-    std::memcpy(out.data() + base, bytes_.data(), bytes_.size());
-  }
-  return out;
-}
-
-void WriteImageAtomically(const std::string& path,
-                          const std::vector<unsigned char>& image) {
-  const std::string tmp = path + ".tmp";
-  if (util::Failpoints::Instance().ShouldFail("snapshot/write")) {
-    throw std::runtime_error("snapshot: injected write failure on " + tmp);
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("snapshot: cannot open " + tmp);
-  }
-  bool ok = std::fwrite(image.data(), 1, image.size(), f) == image.size();
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("snapshot: write failure on " + tmp);
-  }
-  // Atomic publish, exactly like the WAL checkpoints: a crash before the
-  // rename leaves the previous snapshot (if any) intact.
-  if (util::Failpoints::Instance().ShouldFail("snapshot/rename") ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("snapshot: cannot publish " + path);
-  }
 }
 
 // ---------- load side ----------
@@ -247,6 +179,28 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
       }
       img.by_kind[e.kind] = &e;
     }
+  }
+
+  // Every byte the CRCs do not cover must still be accounted for: the gaps
+  // the 64-byte alignment leaves (after the table, between sections) are
+  // zero, and the file ends with its last section. Walking the sections in
+  // offset order, `end` is the first byte not yet covered.
+  const SectionEntry* order[kMaxSections];
+  for (std::uint32_t i = 0; i < img.count; ++i) order[i] = &img.entries[i];
+  std::sort(order, order + img.count,
+            [](const SectionEntry* a, const SectionEntry* b) {
+              return a->offset < b->offset;
+            });
+  std::uint64_t end = kHeaderBytes + table_bytes;
+  for (std::uint32_t i = 0; i < img.count; ++i) {
+    for (; end < order[i]->offset; ++end) {
+      if (data[end] != 0) Fail(path, end, "non-zero byte in section padding");
+    }
+    end = std::max(end, order[i]->offset + order[i]->length);
+  }
+  if (end != size) {
+    Fail(path, end,
+         std::to_string(size - end) + " trailing bytes after the last section");
   }
   return img;
 }

@@ -1,25 +1,29 @@
-// Shared container internals of the RJSNAP01/RJSNAP02 snapshot formats.
+// Container internals of the RJSNAP snapshot format.
 //
 // Internal header (not part of the public graph API): graph/snapshot.cpp
-// (the v1 writer + the version-dispatching loader), graph/snapshot_writer.cpp
-// (the streaming v2 writer) and graph/compressed_view.cpp (the mmap v2
-// reader) all speak the same header + section-table container, so its
-// constants, little-endian codecs, file mapping and validation live here
-// once.
+// (the version-dispatching loader and its read-only RJSNAP01 path),
+// graph/snapshot_writer.cpp (the RJSNAP02 writer, the only one in the tree)
+// and graph/compressed_view.cpp (the mmap RJSNAP02 reader) all speak the
+// same header + section-table container, so its constants, little-endian
+// codecs, file mapping and validation live here once.
 //
 // Both versions share the layout:
-//   [0,  8)  magic "RJSNAP01" or "RJSNAP02"
+//   [0,  8)  magic "RJSNAP01" (read only) or "RJSNAP02"
 //   [8, 12)  u32 section count
 //   [12,16)  u32 CRC32C of the section-table bytes
 //   [16, ..) section table, 24 bytes per entry:
 //              u32 kind, u32 crc32c(section bytes), u64 offset, u64 length
-//   sections, each at a 64-byte-aligned offset
+//   sections, each at a 64-byte-aligned offset; every byte between them
+//   (and between the table and the first section) is zero, and the file
+//   ends where the last section ends
 //
-// v2 adds the compressed-adjacency kinds 8–13 and widens the meta section;
-// its BLOB kinds (8/10/12) carry entry.crc == 0 and are excluded from the
-// load-time whole-section CRC sweep — each compressed block carries its own
-// CRC32C in the block index, verified at decode time, so opening a 100M+
-// edge snapshot never pages the adjacency bytes in.
+// v2 adds the compressed-adjacency kinds 8–13, widens the meta section and
+// may carry a state section (kind 14: opaque caller bytes, the epoch
+// detector's checkpoint state). Its BLOB kinds (8/10/12) carry entry.crc ==
+// 0 and are excluded from the load-time whole-section CRC sweep — each
+// compressed block carries its own CRC32C in the block index, verified at
+// decode time, so opening a 100M+ edge snapshot never pages the adjacency
+// bytes in.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +35,7 @@
 
 namespace rejecto::graph::snapfmt {
 
+// RJSNAP01 is read only: no writer in the tree produces it any more.
 inline constexpr char kMagicV1[8] = {'R', 'J', 'S', 'N', 'A', 'P', '0', '1'};
 inline constexpr char kMagicV2[8] = {'R', 'J', 'S', 'N', 'A', 'P', '0', '2'};
 
@@ -49,6 +54,7 @@ enum SectionKind : std::uint32_t {
   kOutIndex = 11,
   kInBlocks = 12,   // v2: compressed rejection in-adjacency blocks
   kInIndex = 13,
+  kState = 14,      // v2: opaque caller state (checkpoints only)
 };
 
 inline constexpr std::uint64_t kFlagHasLayout = 1;
@@ -101,26 +107,6 @@ std::uint64_t GetU64Le(const unsigned char* p);
 [[noreturn]] void Fail(const std::string& path, std::uint64_t offset,
                        const std::string& what);
 
-// ---------- save side ----------
-
-// Assembles header + section table + aligned section payloads in memory
-// (the v1 writer; v2 streams instead — see graph/snapshot_writer.h).
-class ImageBuilder {
- public:
-  // Appends a section at the next 64-byte-aligned offset, CRC included.
-  void AddSection(std::uint32_t kind, const void* data, std::uint64_t length);
-  std::vector<unsigned char> Finish(const char magic[8]);
-
- private:
-  std::vector<SectionEntry> entries_;
-  std::vector<unsigned char> bytes_;
-};
-
-// tmp + fwrite + fsync + rename, with failpoints "snapshot/write" and
-// "snapshot/rename". Throws on failure, leaving no partial file behind.
-void WriteImageAtomically(const std::string& path,
-                          const std::vector<unsigned char>& image);
-
 // ---------- load side ----------
 
 // Owns the loaded bytes: an mmap'd region, or a heap buffer when mapping is
@@ -159,8 +145,10 @@ struct ParsedImage {
 
 // Validates the container: magic, section count, table CRC, and for every
 // entry bounds (distinguishing a TRUNCATED file from corrupt bytes), content
-// CRC (skipped for v2 blob kinds), 64-byte alignment and kind uniqueness.
-// Every failure throws via Fail() naming the section and its offset.
+// CRC (skipped for v2 blob kinds), 64-byte alignment and kind uniqueness;
+// then that every byte outside the header, the table and the sections is a
+// zero pad byte and that nothing follows the last section. Every failure
+// throws via Fail() naming the section (or the stray byte) and its offset.
 ParsedImage ParseImage(const std::string& path, const unsigned char* data,
                        std::size_t size);
 

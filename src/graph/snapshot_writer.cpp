@@ -21,10 +21,9 @@ constexpr std::uint32_t kCsrIndexKind[3] = {
     snapfmt::kFrIndex, snapfmt::kOutIndex, snapfmt::kInIndex};
 }  // namespace
 
-CompressedSnapshotWriter::CompressedSnapshotWriter(std::string path,
-                                                  NodeId num_nodes,
-                                                  Options options,
-                                                  Layout layout)
+CompressedSnapshotWriter::CompressedSnapshotWriter(
+    std::string path, NodeId num_nodes, Options options, Layout layout,
+    std::span<const unsigned char> state)
     : path_(std::move(path)),
       tmp_(path_ + ".tmp"),
       n_(num_nodes),
@@ -41,14 +40,25 @@ CompressedSnapshotWriter::CompressedSnapshotWriter(std::string path,
   if (file_ == nullptr) {
     throw std::runtime_error("snapshot: cannot open " + tmp_);
   }
-  const std::uint32_t sections = 7 + (layout_.IsIdentity() ? 0 : 1);
+  const std::uint32_t sections =
+      7 + (layout_.IsIdentity() ? 0 : 1) + (state.empty() ? 0 : 1);
   section_base_ = snapfmt::kHeaderBytes +
                   static_cast<std::uint64_t>(sections) * snapfmt::kEntryBytes;
   while (section_base_ % snapfmt::kSectionAlign != 0) ++section_base_;
   // Header + table placeholder; patched by Finish() once every section
-  // offset and CRC is known.
-  const std::vector<unsigned char> zeros(section_base_, 0);
-  WriteBytes(zeros.data(), zeros.size());
+  // offset and CRC is known. A constructor that throws runs no destructor,
+  // so a failed write aborts the tmp here.
+  try {
+    const std::vector<unsigned char> zeros(section_base_, 0);
+    WriteBytes(zeros.data(), zeros.size());
+    if (!state.empty()) {
+      WriteSection(snapfmt::kState, state.data(), state.size());
+      PadToAlignment();
+    }
+  } catch (...) {
+    Abort();
+    throw;
+  }
   csr_[0].section_offset = file_offset_;
 }
 

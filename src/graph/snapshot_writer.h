@@ -1,10 +1,10 @@
 // Streaming RJSNAP02 writer: emits a compressed snapshot row by row,
 // without ever materializing the graph.
 //
-// SaveSnapshot's v2 path feeds it from an in-RAM AugmentedGraph, and the
-// 100M-edge synthetic generator (gen/synthetic_stream.h) feeds it straight
-// from its row generator — both produce byte-identical files for identical
-// rows, so there is exactly one v2 encoder in the tree.
+// SaveSnapshot feeds it from an in-RAM AugmentedGraph, and the 100M-edge
+// synthetic generator (gen/synthetic_stream.h) feeds it straight from its
+// row generator — both produce byte-identical files for identical rows, so
+// there is exactly one snapshot encoder in the tree.
 //
 // Protocol: construct with the node count, then append all n friendship
 // rows, all n rejection out-rows, and all n rejection in-rows, in that
@@ -16,7 +16,7 @@
 // section must carry), and publishes atomically via rename in Finish() —
 // peak writer RSS is O(n) small constants, independent of edge count.
 // Failpoints: "snapshot/write" (construction) and "snapshot/rename"
-// (Finish), same sites as the v1 writer.
+// (Finish).
 //
 // Destruction before Finish() aborts the file: the tmp is removed and
 // `path` is left untouched.
@@ -42,9 +42,11 @@ class CompressedSnapshotWriter {
   };
 
   // `layout` follows SaveSnapshot's contract: empty (identity) or sized to
-  // n, with rows arriving already in the stored id space.
+  // n, with rows arriving already in the stored id space. A non-empty
+  // `state` is written at once as the file's state section.
   CompressedSnapshotWriter(std::string path, NodeId num_nodes, Options options,
-                           Layout layout = Layout{});
+                           Layout layout = Layout{},
+                           std::span<const unsigned char> state = {});
   ~CompressedSnapshotWriter();
 
   CompressedSnapshotWriter(const CompressedSnapshotWriter&) = delete;
@@ -61,7 +63,7 @@ class CompressedSnapshotWriter {
   void Finish();
 
   // Total encoded blob bytes across the three adjacency streams so far
-  // (the number the ≤ 0.5× v1-adjacency compression criterion is about).
+  // (the number the ≤ 0.5× raw-adjacency compression criterion is about).
   std::uint64_t AdjacencyBlobBytes() const noexcept;
 
  private:

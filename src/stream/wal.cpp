@@ -5,10 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <functional>
-#include <span>
 #include <stdexcept>
 
+#include "graph/snapshot.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 
@@ -17,7 +16,6 @@ namespace rejecto::stream {
 namespace {
 
 constexpr char kWalMagic[8] = {'R', 'J', 'W', 'A', 'L', '0', '0', '1'};
-constexpr char kCkptMagic[8] = {'R', 'J', 'C', 'K', 'P', '0', '0', '1'};
 constexpr std::uint32_t kPayloadLen = 9;   // tag + u + v
 constexpr std::uint32_t kRecordLen = 17;   // len + crc + payload
 constexpr std::uint32_t kMaxPayloadLen = 1u << 20;  // length sanity bound
@@ -336,147 +334,13 @@ MutationLog WalRecoverResult::BuildLog() const {
 
 // ---------- Checkpoints ----------
 
-namespace {
-
-void EncodeCsr(ByteWriter& w, graph::NodeId n,
-               const std::function<std::span<const graph::NodeId>(
-                   graph::NodeId)>& row) {
-  std::uint64_t total = 0;
-  for (graph::NodeId u = 0; u < n; ++u) total += row(u).size();
-  w.PutU64(total);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    w.PutU32(static_cast<std::uint32_t>(row(u).size()));
-  }
-  for (graph::NodeId u = 0; u < n; ++u) {
-    for (graph::NodeId v : row(u)) w.PutU32(v);
-  }
-}
-
-void DecodeCsr(ByteReader& r, graph::NodeId n,
-               std::vector<std::size_t>& offsets,
-               std::vector<graph::NodeId>& adj) {
-  const std::uint64_t total = r.GetU64();
-  offsets.assign(n + 1, 0);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    offsets[u + 1] = offsets[u] + r.GetU32();
-  }
-  if (offsets[n] != total) {
-    throw std::runtime_error("checkpoint: CSR degree sum mismatch");
-  }
-  adj.resize(total);
-  for (std::uint64_t i = 0; i < total; ++i) adj[i] = r.GetU32();
-}
-
-}  // namespace
-
-void SaveCheckpointFile(const std::string& path,
-                        const graph::AugmentedGraph& g,
-                        const ByteWriter* extra) {
-  const graph::NodeId n = g.NumNodes();
-  ByteWriter w;
-  w.PutU32(n);
-  EncodeCsr(w, n, [&](graph::NodeId u) { return g.Friendships().Neighbors(u); });
-  EncodeCsr(w, n, [&](graph::NodeId u) { return g.Rejections().Rejectees(u); });
-  EncodeCsr(w, n, [&](graph::NodeId u) { return g.Rejections().Rejectors(u); });
-  w.PutU64(extra == nullptr ? 0 : extra->buf.size());
-  if (extra != nullptr) w.PutBytes(extra->buf.data(), extra->buf.size());
-
-  const std::string tmp = path + ".tmp";
-  if (util::Failpoints::Instance().ShouldFail("checkpoint/write")) {
-    throw std::runtime_error("checkpoint: injected write failure on " + tmp);
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("checkpoint: cannot open " + tmp);
-  }
-  bool ok = std::fwrite(kCkptMagic, 1, sizeof(kCkptMagic), f) ==
-            sizeof(kCkptMagic);
-  unsigned char len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = (static_cast<std::uint64_t>(w.buf.size()) >> (8 * i)) & 0xff;
-  }
-  ok = ok && std::fwrite(len_bytes, 1, 8, f) == 8;
-  ok = ok && std::fwrite(w.buf.data(), 1, w.buf.size(), f) == w.buf.size();
-  unsigned char crc_bytes[4];
-  WriteU32Le(crc_bytes, util::Crc32c(w.buf.data(), w.buf.size()));
-  ok = ok && std::fwrite(crc_bytes, 1, 4, f) == 4;
-  if (ok) {
-    try {
-      FsyncFile(f, tmp, "wal/sync");
-    } catch (...) {
-      ok = false;
-    }
-  }
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: write failure on " + tmp);
-  }
-  // Atomic publish: a crash before the rename leaves the previous
-  // checkpoint (if any) intact; a crash after leaves the new one.
-  if (util::Failpoints::Instance().ShouldFail("checkpoint/rename") ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: cannot publish " + path);
-  }
-}
-
-graph::AugmentedGraph LoadCheckpointFile(const std::string& path,
-                                         std::vector<unsigned char>* extra) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::runtime_error("checkpoint: cannot open " + path);
-  }
-  const std::uint64_t size = FileSize(f);
-  unsigned char head[16];
-  bool ok = std::fread(head, 1, sizeof(head), f) == sizeof(head) &&
-            std::memcmp(head, kCkptMagic, sizeof(kCkptMagic)) == 0;
-  std::uint64_t payload_len = 0;
-  if (ok) {
-    for (int i = 0; i < 8; ++i) {
-      payload_len |= static_cast<std::uint64_t>(head[8 + i]) << (8 * i);
-    }
-    ok = size >= sizeof(head) + 4 && payload_len == size - sizeof(head) - 4;
-  }
-  std::vector<unsigned char> payload(payload_len);
-  unsigned char crc_bytes[4];
-  ok = ok && std::fread(payload.data(), 1, payload_len, f) == payload_len &&
-       std::fread(crc_bytes, 1, 4, f) == 4;
-  std::fclose(f);
-  if (!ok || util::Crc32c(payload.data(), payload.size()) !=
-                 ReadU32Le(crc_bytes)) {
-    throw std::runtime_error("checkpoint: " + path +
-                             " is truncated or corrupt");
-  }
-
-  ByteReader r(payload.data(), payload.size());
-  const graph::NodeId n = r.GetU32();
-  std::vector<std::size_t> fr_off, out_off, in_off;
-  std::vector<graph::NodeId> fr_adj, out_adj, in_adj;
-  DecodeCsr(r, n, fr_off, fr_adj);
-  DecodeCsr(r, n, out_off, out_adj);
-  DecodeCsr(r, n, in_off, in_adj);
-  const std::uint64_t extra_len = r.GetU64();
-  if (extra_len != r.Remaining()) {
-    throw std::runtime_error("checkpoint: extra-section length mismatch");
-  }
-  if (extra != nullptr) {
-    extra->resize(extra_len);
-    r.GetBytes(extra->data(), extra_len);
-  }
-  return graph::AugmentedGraph(
-      graph::SocialGraph::FromCsr(n, std::move(fr_off), std::move(fr_adj)),
-      graph::RejectionGraph::FromCsr(n, std::move(out_off), std::move(out_adj),
-                                     std::move(in_off), std::move(in_adj)));
-}
-
 void CheckpointDeltaGraph(DeltaGraph& d, const std::string& path) {
   d.Compact();
-  SaveCheckpointFile(path, d.Graph());
+  graph::SaveSnapshot(path, d.Graph());
 }
 
 DeltaGraph RestoreDeltaGraph(const std::string& path, DeltaConfig config) {
-  return DeltaGraph(LoadCheckpointFile(path), config);
+  return DeltaGraph(std::move(graph::LoadSnapshot(path).graph), config);
 }
 
 }  // namespace rejecto::stream

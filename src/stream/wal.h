@@ -26,14 +26,16 @@
 //     pre-crash graph bit-identically.
 //
 // Checkpoints bound replay: CheckpointDeltaGraph / EpochDetector::
-// SaveCheckpoint write a CRC-guarded binary CSR snapshot (atomically, via
-// tmp + rename), and recovery = restore checkpoint + replay the WAL tail
-// beyond the checkpoint's event count. Corrupt checkpoints throw — the
-// operator falls back to an older checkpoint or a full WAL replay.
+// SaveCheckpoint write an RJSNAP02 snapshot (graph/snapshot.h: CRC-guarded,
+// atomic via tmp + rename; the detector adds its state section), and
+// recovery = restore checkpoint + replay the WAL tail beyond the
+// checkpoint's event count. Corrupt checkpoints throw — the operator falls
+// back to an older checkpoint or a full WAL replay.
 //
 // Failpoint sites (see util/failpoint.h): "wal/open", "wal/append_write"
-// (tears the record mid-write then fails, simulating a crash),
-// "wal/sync", "checkpoint/write", "checkpoint/rename".
+// (tears the record mid-write then fails, simulating a crash), "wal/sync";
+// checkpoints fire the snapshot writer's "snapshot/write" and
+// "snapshot/rename".
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/augmented_graph.h"
 #include "graph/types.h"
 #include "stream/delta_graph.h"
 #include "stream/mutation_log.h"
@@ -114,9 +115,8 @@ WalRecoverResult RecoverWal(const std::string& base_path);
 // Recovers a single segment file (the property-test entry point).
 WalRecoverResult RecoverWalSegment(const std::string& segment_path);
 
-// Little-endian bounds-checked byte codec shared by the WAL record and
-// checkpoint formats. EpochDetector serializes its warm-start state
-// through it into the checkpoint's extra section.
+// Little-endian bounds-checked byte codec. EpochDetector serializes its
+// warm-start state through it into the checkpoint's state section.
 struct ByteWriter {
   std::vector<unsigned char> buf;
 
@@ -151,20 +151,11 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// Compacts the overlay and atomically writes the base CSR snapshot.
+// Compacts the overlay and atomically writes the base graph as a snapshot.
 void CheckpointDeltaGraph(DeltaGraph& d, const std::string& path);
 
 // Restores a checkpointed graph into a fresh DeltaGraph. Throws
 // std::runtime_error on missing, truncated, or corrupt checkpoints.
 DeltaGraph RestoreDeltaGraph(const std::string& path, DeltaConfig config = {});
-
-// Raw checkpoint file codec (magic + length + CRC32C-guarded payload,
-// written to a tmp file and renamed into place): the CSR snapshot plus an
-// opaque extra section for the caller's own state.
-void SaveCheckpointFile(const std::string& path,
-                        const graph::AugmentedGraph& g,
-                        const ByteWriter* extra = nullptr);
-graph::AugmentedGraph LoadCheckpointFile(
-    const std::string& path, std::vector<unsigned char>* extra = nullptr);
 
 }  // namespace rejecto::stream

@@ -319,15 +319,11 @@ TEST_F(CompressedDetectTest, DamagedBlockThrowsCrcMismatchBeforeDetection) {
 // ---------- engine dispatch ----------
 
 TEST_F(CompressedDetectTest, EpochDetectorFromV2SnapshotMatchesV1) {
-  const auto scenario = MakeAttackScenario(29, 500, 50);
-  const AugmentedGraph& g = scenario.graph;
-  const std::string v1 = Path("g.snap");
+  // FromSnapshot must build the same detector from either format: the
+  // committed RJSNAP01 golden and an RJSNAP02 save of the same graph.
+  const std::string v1 = std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
   const std::string v2 = Path("g.snap2");
-  // FromSnapshot must build the same detector from either format.
-  graph::SaveSnapshot(v1, g);
-  graph::SnapshotOptions opts;
-  opts.format = graph::SnapshotFormat::kRjsnap02;
-  graph::SaveSnapshot(v2, g, graph::Layout{}, opts);
+  graph::SaveSnapshot(v2, graph::LoadSnapshot(v1).graph);
 
   detect::Seeds seeds;
   seeds.legit = {0, 1};

@@ -119,21 +119,37 @@ bool FindSection(const std::vector<unsigned char>& b, std::uint32_t kind,
 
 // ---------- exactness ----------
 
+// The deterministic graph behind tests/golden/graph.snap2 (and the
+// read-only RJSNAP01 goldens graph.snap and graph_perm.snap). Touch only
+// together with a regenerated graph.snap2 (REJECTO_REGEN_GOLDEN=1).
+AugmentedGraph GoldenGraph() {
+  graph::GraphBuilder b(9);
+  b.AddFriendship(0, 1);
+  b.AddFriendship(0, 2);
+  b.AddFriendship(1, 2);
+  b.AddFriendship(3, 4);
+  b.AddFriendship(4, 5);
+  b.AddFriendship(6, 0);
+  b.AddRejection(7, 0);
+  b.AddRejection(7, 3);
+  b.AddRejection(5, 7);
+  b.AddRejection(8, 7);
+  return b.BuildAugmented();
+}
+
 TEST_F(CompressedViewTest, V2LoadMatchesV1LoadExactly) {
-  const AugmentedGraph g = RandomScenarioGraph(31);
-  const std::string v1 = Path("g.snap");
+  // The committed RJSNAP01 file stores GoldenGraph() under a hand-built
+  // non-identity permutation (id reversal), so both readers' permutation
+  // decode is compared too.
+  const std::string v1 = std::string(REJECTO_GOLDEN_DIR) + "/graph_perm.snap";
   const std::string v2 = Path("g.snap2");
-  // A hand-built non-identity permutation (id reversal), so both readers'
-  // permutation-section decode is compared too.
-  std::vector<NodeId> new_of_old(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    new_of_old[v] = g.NumNodes() - 1 - v;
-  }
+  std::vector<NodeId> new_of_old(9);
+  for (NodeId v = 0; v < 9; ++v) new_of_old[v] = 8 - v;
   const graph::Layout layout = graph::LayoutFromPermutation(new_of_old);
-  graph::SaveSnapshot(v1, g, layout);
-  graph::SaveSnapshot(v2, g, layout, V2Options());
+  graph::SaveSnapshot(v2, GoldenGraph(), layout, V2Options());
   const Snapshot s1 = LoadSnapshot(v1);
   const Snapshot s2 = LoadSnapshot(v2);
+  EXPECT_EQ(s1.graph, GoldenGraph());
   EXPECT_EQ(s1.graph, s2.graph);
   EXPECT_EQ(s1.layout, layout);
   EXPECT_EQ(s1.layout, s2.layout);
@@ -282,23 +298,6 @@ TEST_F(CompressedViewTest, StreamedGeneratorMatchesInRamEncoderByteForByte) {
 }
 
 // ---------- golden pin ----------
-
-// The deterministic graph behind tests/golden/graph.snap2. Touch only
-// together with a regenerated golden (REJECTO_REGEN_GOLDEN=1).
-AugmentedGraph GoldenGraph() {
-  graph::GraphBuilder b(9);
-  b.AddFriendship(0, 1);
-  b.AddFriendship(0, 2);
-  b.AddFriendship(1, 2);
-  b.AddFriendship(3, 4);
-  b.AddFriendship(4, 5);
-  b.AddFriendship(6, 0);
-  b.AddRejection(7, 0);
-  b.AddRejection(7, 3);
-  b.AddRejection(5, 7);
-  b.AddRejection(8, 7);
-  return b.BuildAugmented();
-}
 
 TEST_F(CompressedViewTest, GoldenV2PinReloadsEqualAndByteIdentical) {
   const std::string golden =

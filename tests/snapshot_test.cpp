@@ -1,7 +1,7 @@
-// graph/snapshot.h: round-trip exactness, byte determinism, the golden
-// format pin, and the corruption model — every torn or bit-flipped file
-// must be rejected with a clean path+offset error, never undefined
-// behavior.
+// graph/snapshot.h: round-trip exactness, byte determinism, the read-only
+// RJSNAP01 goldens, and the corruption model — every torn or bit-flipped
+// file (every byte of it, checkpoints included) must be rejected with a
+// clean path+offset error, never undefined behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "graph/snapshot.h"
 #include "sim/scenario.h"
 #include "util/failpoint.h"
-#include "util/flags.h"
 #include "util/rng.h"
 
 namespace rejecto {
@@ -136,6 +135,17 @@ std::vector<SectionEntry> ParseTable(const std::vector<unsigned char>& b) {
   return entries;
 }
 
+// The committed RJSNAP01 files. Nothing in the tree writes RJSNAP01 any
+// more, so these are the v1 reader's only inputs: graph.snap holds
+// GoldenGraph(), graph_perm.snap holds GoldenGraph() stored with
+// ReversedLayout(9) (tests/golden/README.md records both).
+std::string GoldenV1() {
+  return std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
+}
+std::string GoldenV1Perm() {
+  return std::string(REJECTO_GOLDEN_DIR) + "/graph_perm.snap";
+}
+
 // ---------- round trips ----------
 
 TEST_F(SnapshotTest, IdentityRoundTripIsExact) {
@@ -154,6 +164,27 @@ TEST_F(SnapshotTest, PermutationSectionRoundTripsExactly) {
   const std::string path = Path("g.snap");
   SaveSnapshot(path, g, layout);
   EXPECT_EQ(LoadSnapshot(path), (Snapshot{g, layout}));
+  // The v1 reader's permutation decode, on committed bytes.
+  EXPECT_EQ(LoadSnapshot(GoldenV1Perm()),
+            (Snapshot{GoldenGraph(), ReversedLayout(9)}));
+}
+
+TEST_F(SnapshotTest, StateSectionRoundTripsAndPlainSnapshotsCarryNone) {
+  const AugmentedGraph g = RandomScenarioGraph(37, 120);
+  const std::vector<unsigned char> state = {7, 0, 255, 42, 1};
+  SaveSnapshot(Path("state.snap"), g, Layout{}, graph::SnapshotOptions{},
+               state);
+  EXPECT_EQ(LoadSnapshot(Path("state.snap")), (Snapshot{g, Layout{}, state}));
+
+  // An empty state writes no section: the file is byte-identical to a
+  // plain save, so snapshots without state are unchanged by the feature.
+  SaveSnapshot(Path("plain.snap"), g);
+  SaveSnapshot(Path("empty_state.snap"), g, Layout{}, graph::SnapshotOptions{},
+               {});
+  EXPECT_EQ(ReadFileBytes(Path("plain.snap")),
+            ReadFileBytes(Path("empty_state.snap")));
+  EXPECT_TRUE(LoadSnapshot(Path("plain.snap")).state.empty());
+  EXPECT_TRUE(LoadSnapshot(GoldenV1()).state.empty());
 }
 
 TEST_F(SnapshotTest, PreservesIsolatedNodesAndEmptyGraphs) {
@@ -197,35 +228,24 @@ TEST_F(SnapshotTest, WritesAreByteDeterministic) {
 
 // ---------- golden pin ----------
 
-TEST_F(SnapshotTest, GoldenPinReloadsEqualAndByteIdentical) {
-  const std::string golden = std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
-  if (util::RegenGolden()) {
-    SaveSnapshot(golden, GoldenGraph());
-    GTEST_SKIP() << "golden snapshot regenerated at " << golden;
-  }
-  const Snapshot snap = LoadSnapshot(golden);
-  EXPECT_EQ(snap, (Snapshot{GoldenGraph(), Layout{}}))
-      << "golden snapshot no longer decodes to the pinned graph";
-
-  // Byte-identity both ways pins the FORMAT, not just the decode: a writer
-  // change that still round-trips would silently orphan old snapshots. If
-  // the format legitimately evolves, bump the magic and regenerate with
-  // REJECTO_REGEN_GOLDEN=1 (see tests/golden/README.md).
-  SaveSnapshot(Path("regen.snap"), GoldenGraph());
-  EXPECT_EQ(ReadFileBytes(Path("regen.snap")), ReadFileBytes(golden));
+// graph.snap is a read-only fixture: old RJSNAP01 files must keep decoding
+// to the graph they were written from. The written format's byte pin is
+// graph.snap2 (compressed_view_test).
+TEST_F(SnapshotTest, GoldenV1PinReloadsEqual) {
+  EXPECT_EQ(LoadSnapshot(GoldenV1()), (Snapshot{GoldenGraph(), Layout{}}))
+      << "golden RJSNAP01 snapshot no longer decodes to the pinned graph";
 }
 
 // ---------- corruption model ----------
 
-TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
-  const AugmentedGraph g = RandomScenarioGraph(17, 120);
-  const std::string path = Path("g.snap");
-  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
+// Cuts `path` at every header/table/section boundary and each section's
+// midpoint; every cut must be rejected with a path+offset error.
+void ExpectEveryTruncationRejected(const std::string& path,
+                                   const std::string& torn) {
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
-  ASSERT_EQ(table.size(), 8u);  // meta, 3x(offsets+adjacency), layout
+  ASSERT_EQ(table.size(), 8u) << path;  // meta, 6 CSR sections, layout
 
-  // Every header/table/section boundary plus each section's midpoint.
   std::vector<std::size_t> cuts = {0, 4, 8, 12, 16};
   for (std::size_t i = 0; i < table.size(); ++i) {
     cuts.push_back(16 + 24 * (i + 1));  // after table entry i
@@ -233,7 +253,6 @@ TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
     cuts.push_back(table[i].offset + table[i].length / 2);
     cuts.push_back(table[i].offset + table[i].length);
   }
-  const std::string torn = Path("torn.snap");
   for (std::size_t cut : cuts) {
     if (cut >= bytes.size()) continue;
     WriteFileBytes(
@@ -242,7 +261,7 @@ TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
                                              static_cast<std::ptrdiff_t>(cut)));
     try {
       LoadSnapshot(torn);
-      FAIL() << "truncation at byte " << cut << " was accepted";
+      FAIL() << path << ": truncation at byte " << cut << " was accepted";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("snapshot: "), std::string::npos)
           << "cut=" << cut << " what=" << e.what();
@@ -252,52 +271,61 @@ TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
   }
 }
 
-TEST_F(SnapshotTest, BitFlipsAnywhereAreRejected) {
-  const AugmentedGraph g = RandomScenarioGraph(19, 60);
+TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
+  const AugmentedGraph g = RandomScenarioGraph(17, 120);
   const std::string path = Path("g.snap");
   SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
+  ExpectEveryTruncationRejected(path, Path("torn.snap"));
+  ExpectEveryTruncationRejected(GoldenV1Perm(), Path("torn_v1.snap"));
+}
+
+// One flip in the magic, the count, the table CRC, each table entry, and
+// the middle of every section of `path`.
+void ExpectSectionBitFlipsRejected(const std::string& path,
+                                   const std::string& evil) {
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
-
-  // One flip in the magic, the count, the table CRC, each table entry, and
-  // the middle of every section.
   std::vector<std::size_t> targets = {0, 9, 13};
   for (std::size_t i = 0; i < table.size(); ++i) {
     targets.push_back(16 + 24 * i + 4);  // the entry's stored section CRC
     targets.push_back(table[i].offset + table[i].length / 2);
   }
-  const std::string evil = Path("flipped.snap");
   for (std::size_t at : targets) {
     ASSERT_LT(at, bytes.size());
     auto mutated = bytes;
     mutated[at] ^= 0x40;
     WriteFileBytes(evil, mutated);
     EXPECT_THROW(LoadSnapshot(evil), std::runtime_error)
-        << "bit flip at byte " << at << " was accepted";
+        << path << ": bit flip at byte " << at << " was accepted";
   }
 }
 
-TEST_F(SnapshotTest, TruncationAndCorruptionAreDistinctErrors) {
-  // An operator reading the error must be able to tell a torn copy (the
-  // tail is missing) from bit rot (the bytes are there but wrong): the
-  // loader names the section and says "truncated" for one, "CRC mismatch"
-  // for the other — never both.
-  const AugmentedGraph g = RandomScenarioGraph(31, 120);
+TEST_F(SnapshotTest, BitFlipsAnywhereAreRejected) {
+  const AugmentedGraph g = RandomScenarioGraph(19, 60);
   const std::string path = Path("g.snap");
-  SaveSnapshot(path, g);
+  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
+  ExpectSectionBitFlipsRejected(path, Path("flipped.snap"));
+  ExpectSectionBitFlipsRejected(GoldenV1Perm(), Path("flipped_v1.snap"));
+}
+
+// An operator reading the error must be able to tell a torn copy (the
+// tail is missing) from bit rot (the bytes are there but wrong): the
+// loader names the section and says "truncated" for one, "CRC mismatch"
+// for the other — never both.
+void ExpectTruncationAndCorruptionDistinct(const std::string& path,
+                                           const std::string& scratch) {
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
   ASSERT_FALSE(table.empty());
   const SectionEntry& last = table.back();
 
-  const std::string torn = Path("torn.snap");
-  WriteFileBytes(torn, std::vector<unsigned char>(
-                           bytes.begin(),
-                           bytes.begin() + static_cast<std::ptrdiff_t>(
-                                               last.offset + last.length / 2)));
+  WriteFileBytes(scratch, std::vector<unsigned char>(
+                              bytes.begin(),
+                              bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                  last.offset + last.length / 2)));
   try {
-    LoadSnapshot(torn);
-    FAIL() << "torn section accepted";
+    LoadSnapshot(scratch);
+    FAIL() << path << ": torn section accepted";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
@@ -307,17 +335,102 @@ TEST_F(SnapshotTest, TruncationAndCorruptionAreDistinctErrors) {
 
   auto flipped = bytes;
   flipped[last.offset + last.length / 2] ^= 0x20;
-  const std::string evil = Path("flipped.snap");
-  WriteFileBytes(evil, flipped);
+  WriteFileBytes(scratch, flipped);
   try {
-    LoadSnapshot(evil);
-    FAIL() << "corrupt section accepted";
+    LoadSnapshot(scratch);
+    FAIL() << path << ": corrupt section accepted";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
     EXPECT_NE(what.find("section"), std::string::npos) << what;
     EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
   }
+}
+
+TEST_F(SnapshotTest, TruncationAndCorruptionAreDistinctErrors) {
+  const AugmentedGraph g = RandomScenarioGraph(31, 120);
+  const std::string path = Path("g.snap");
+  SaveSnapshot(path, g);
+  ExpectTruncationAndCorruptionDistinct(path, Path("bad.snap"));
+  ExpectTruncationAndCorruptionDistinct(GoldenV1(), Path("bad_v1.snap"));
+}
+
+// Every byte of a snapshot is covered by a check: a CRC (table, section or
+// compressed block), the magic, or the rule that alignment padding is zero
+// and nothing follows the last section. Flipping any single byte of the
+// RJSNAP01 golden, of a fresh RJSNAP02 save with a permutation section, or
+// of an epoch detector checkpoint must therefore be rejected.
+TEST_F(SnapshotTest, EveryByteOfASnapshotIsChecked) {
+  auto expect_every_flip_rejected = [&](const std::string& path,
+                                        const auto& load) {
+    const auto bytes = ReadFileBytes(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    const std::string evil = Path("flipped_every.snap");
+    std::size_t accepted = 0;
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      auto mutated = bytes;
+      mutated[at] ^= 0x40;
+      WriteFileBytes(evil, mutated);
+      try {
+        load(evil);
+        ++accepted;
+        ADD_FAILURE() << path << ": bit flip at byte " << at
+                      << " was accepted";
+      } catch (const std::runtime_error&) {
+      }
+    }
+    EXPECT_EQ(accepted, 0u) << path << " (" << bytes.size() << " bytes)";
+  };
+  auto load = [](const std::string& p) { LoadSnapshot(p); };
+
+  expect_every_flip_rejected(GoldenV1(), load);
+
+  const std::string fresh = Path("fresh.snap");
+  SaveSnapshot(fresh, GoldenGraph(), ReversedLayout(9));
+  expect_every_flip_rejected(fresh, load);
+
+  const AugmentedGraph g = RandomScenarioGraph(41, 60);
+  detect::Seeds seeds;
+  seeds.legit = {0, 1};
+  engine::EpochConfig cfg;
+  cfg.detect.target_detections = 6;
+  cfg.detect.maar.seed = 5;
+  cfg.warm_start = true;
+  const std::string ckpt = Path("epoch.ckpt");
+  {
+    engine::EpochDetector detector(g, seeds, cfg);
+    detector.RunEpoch();  // so the state carries a warm-start mask
+    detector.SaveCheckpoint(ckpt);
+  }
+  expect_every_flip_rejected(ckpt, [&](const std::string& p) {
+    engine::EpochDetector::RestoreCheckpoint(p, seeds, cfg);
+  });
+}
+
+// A checkpoint is a snapshot with a state section. RestoreCheckpoint
+// refuses both a file in the retired RJCKP001 checkpoint format and a
+// plain snapshot, naming the path either way.
+TEST_F(SnapshotTest, RestoreCheckpointRefusesOldFormatAndPlainSnapshots) {
+  auto expect_refused = [](const std::string& path) {
+    try {
+      engine::EpochDetector::RestoreCheckpoint(path, detect::Seeds{},
+                                               engine::EpochConfig{});
+      FAIL() << path << " restored as a checkpoint";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+
+  std::vector<unsigned char> old_format = {'R', 'J', 'C', 'K',
+                                           'P', '0', '0', '1'};
+  old_format.resize(64, 0);
+  WriteFileBytes(Path("old.ckpt"), old_format);
+  expect_refused(Path("old.ckpt"));
+
+  SaveSnapshot(Path("plain.snap"), GoldenGraph());
+  expect_refused(Path("plain.snap"));
+  expect_refused(GoldenV1());
 }
 
 TEST_F(SnapshotTest, MissingFileAndGarbageAreRejected) {

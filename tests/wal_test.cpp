@@ -349,12 +349,12 @@ TEST(CheckpointTest, FailedSaveLeavesPreviousCheckpointIntact) {
 
   d.Apply({EventType::kAddFriend, 2, 3});
   {
-    util::ScopedFailpoint fail("checkpoint/write",
+    util::ScopedFailpoint fail("snapshot/write",
                                util::FailpointPolicy::OnNth(1));
     EXPECT_THROW(CheckpointDeltaGraph(d, path), std::runtime_error);
   }
   {
-    util::ScopedFailpoint fail("checkpoint/rename",
+    util::ScopedFailpoint fail("snapshot/rename",
                                util::FailpointPolicy::OnNth(1));
     EXPECT_THROW(CheckpointDeltaGraph(d, path), std::runtime_error);
   }
