@@ -17,12 +17,23 @@
 // agreement on sampled senders. Serving layers use it as the cheap
 // admission tier (§VI-D defense in depth): classify a brand-new requester
 // immediately, let the next epoch confirm.
+//
+// Against one immutable (graph, mask, k) the score is a pure function of s,
+// so a server that answers many requests per epoch scores every sender
+// once: ScoreAllSenders fills the whole table in one sweep of the three
+// CSRs (8 B per node), and a decision becomes one load
+// (serve/published_epoch.h). ScoreSenderIncremental stays the per-sender
+// walk, and the oracle the table is tested against.
 #pragma once
 
 #include <vector>
 
 #include "graph/augmented_graph.h"
 #include "graph/types.h"
+
+namespace rejecto::util {
+class ThreadPool;
+}  // namespace rejecto::util
 
 namespace rejecto::detect {
 
@@ -40,5 +51,15 @@ struct IncrementalScore {
 IncrementalScore ScoreSenderIncremental(const graph::AugmentedGraph& g,
                                         const std::vector<char>& in_u,
                                         double k, graph::NodeId s);
+
+// gain[s] == ScoreSenderIncremental(g, in_u, k, s).gain, bit for bit, for
+// every s < g.NumNodes(); the sender is suspicious iff in_u[s] != 0 or
+// gain[s] < 0. Runs on `pool` (one contiguous id range per worker) when
+// given one, serially otherwise; the table does not depend on which.
+// Preconditions as above (throws std::invalid_argument on a mismatched
+// mask or k <= 0).
+std::vector<double> ScoreAllSenders(const graph::AugmentedGraph& g,
+                                    const std::vector<char>& in_u, double k,
+                                    util::ThreadPool* pool = nullptr);
 
 }  // namespace rejecto::detect

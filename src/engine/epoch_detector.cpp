@@ -15,17 +15,26 @@
 
 namespace rejecto::engine {
 
+std::shared_ptr<util::ThreadPool> EpochDetector::PoolFor(
+    const EpochConfig& config) {
+  const int threads = detect::EffectiveThreads(config.detect.maar.num_threads);
+  if (threads <= 1) return nullptr;
+  return std::make_shared<util::ThreadPool>(static_cast<std::size_t>(threads));
+}
+
 EpochDetector::EpochDetector(graph::AugmentedGraph base, detect::Seeds seeds,
                              EpochConfig config)
+    : EpochDetector(std::move(base), std::move(seeds), config,
+                    PoolFor(config)) {}
+
+EpochDetector::EpochDetector(graph::AugmentedGraph base, detect::Seeds seeds,
+                             EpochConfig config,
+                             std::shared_ptr<util::ThreadPool> pool)
     : delta_(std::move(base), config.delta),
       seeds_(std::move(seeds)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      pool_(std::move(pool)) {
   seeds_.Validate(delta_.NumNodes());
-  const int threads = detect::EffectiveThreads(config_.detect.maar.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_shared<util::ThreadPool>(
-        static_cast<std::size_t>(threads));
-  }
   delta_.SetPool(pool_.get());
 }
 
@@ -256,7 +265,8 @@ void EpochDetector::SaveCheckpoint(const std::string& path) {
 
 std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
     const std::string& path, detect::Seeds seeds, EpochConfig config) {
-  graph::Snapshot snap = graph::LoadSnapshot(path);
+  std::shared_ptr<util::ThreadPool> pool = PoolFor(config);
+  graph::Snapshot snap = graph::LoadSnapshot(path, pool.get());
   if (snap.state.empty()) {
     throw std::runtime_error("checkpoint " + path +
                              ": no state section (a plain snapshot, not an "
@@ -294,8 +304,9 @@ std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
                              ": trailing bytes in epoch state");
   }
 
-  auto detector = std::unique_ptr<EpochDetector>(new EpochDetector(
-      std::move(g), std::move(seeds), std::move(config)));
+  auto detector = std::unique_ptr<EpochDetector>(
+      new EpochDetector(std::move(g), std::move(seeds), std::move(config),
+                        std::move(pool)));
   detector->total_events_ingested_ = events;
   detector->epoch_base_ = epochs;
   detector->has_prev_ = has_prev;
@@ -306,15 +317,17 @@ std::unique_ptr<EpochDetector> EpochDetector::RestoreCheckpoint(
 
 std::unique_ptr<EpochDetector> EpochDetector::FromSnapshot(
     const std::string& path, detect::Seeds seeds, EpochConfig config) {
-  graph::Snapshot snap = graph::LoadSnapshot(path);
+  std::shared_ptr<util::ThreadPool> pool = PoolFor(config);
+  graph::Snapshot snap = graph::LoadSnapshot(path, pool.get());
   // Stream ids never remap: seeds and events index the stored CSRs.
   if (!snap.layout.IsIdentity()) {
     throw std::invalid_argument(
         "EpochDetector::FromSnapshot: " + path +
         " carries a vertex permutation; stream ids must be original ids");
   }
-  return std::make_unique<EpochDetector>(std::move(snap.graph),
-                                         std::move(seeds), std::move(config));
+  return std::unique_ptr<EpochDetector>(
+      new EpochDetector(std::move(snap.graph), std::move(seeds),
+                        std::move(config), std::move(pool)));
 }
 
 }  // namespace rejecto::engine

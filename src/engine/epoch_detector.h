@@ -145,7 +145,8 @@ class EpochDetector {
   // WAL tail past EventsIngested(): bit-identical to a detector that never
   // crashed. RestoreCheckpoint throws std::runtime_error naming the path
   // on a missing, torn or corrupt file and on a snapshot without a state
-  // section.
+  // section. It decodes the snapshot on the detector's own pool (sized by
+  // config.detect.maar.num_threads), as FromSnapshot does.
   void SaveCheckpoint(const std::string& path);
   static std::unique_ptr<EpochDetector> RestoreCheckpoint(
       const std::string& path, detect::Seeds seeds, EpochConfig config);
@@ -196,6 +197,14 @@ class EpochDetector {
   const std::vector<EpochStats>& History() const noexcept { return history_; }
 
  private:
+  // The restore paths build the pool first, decode the snapshot on it, and
+  // hand it to the detector they construct.
+  EpochDetector(graph::AugmentedGraph base, detect::Seeds seeds,
+                EpochConfig config, std::shared_ptr<util::ThreadPool> pool);
+  // The shared pool `config` asks for; null below two threads. Throws
+  // std::invalid_argument for a thread count past util::kMaxThreads.
+  static std::shared_ptr<util::ThreadPool> PoolFor(const EpochConfig& config);
+
   stream::DeltaGraph delta_;
   detect::Seeds seeds_;
   EpochConfig config_;

@@ -187,7 +187,7 @@ Layout LayoutFromPermutation(std::vector<NodeId> new_of_old) {
   return layout;
 }
 
-Snapshot LoadSnapshot(const std::string& path) {
+Snapshot LoadSnapshot(const std::string& path, util::ThreadPool* pool) {
   // Dispatch on the magic with a plain 8-byte peek (no failpoints, no map):
   // each branch then opens the file exactly once, so fault-injection
   // counters on "snapshot/open"/"snapshot/map" see one evaluation per load
@@ -199,7 +199,7 @@ Snapshot LoadSnapshot(const std::string& path) {
     in.read(magic, sizeof(magic));
   }
   if (std::memcmp(magic, snapfmt::kMagicV2, sizeof(magic)) == 0) {
-    return CompressedGraphView::Open(path).Materialize();
+    return CompressedGraphView::Open(path).Materialize(pool);
   }
   return LoadSnapshotV1(path);
 }

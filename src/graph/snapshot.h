@@ -10,8 +10,9 @@
 //   its own CRC32C. About 45–60% of the raw u32 adjacency bytes on the
 //   attack scenarios (generator ids or shuffled ids).
 //   graph/compressed_view.h opens it in place and decodes it block by
-//   block (CompressedGraphView::Materialize, in parallel); LoadSnapshot on
-//   a v2 file is that decode.
+//   block (CompressedGraphView::Materialize); LoadSnapshot on a v2 file is
+//   that decode, in parallel when the caller passes a pool and on the
+//   calling thread otherwise.
 //
 //   RJSNAP01 (read only) — the three CSRs exactly as they sat in memory:
 //   little-endian u64 offset arrays and u32 adjacency arrays. Files written
@@ -52,6 +53,10 @@
 
 #include "graph/augmented_graph.h"
 #include "graph/types.h"
+
+namespace rejecto::util {
+class ThreadPool;
+}  // namespace rejecto::util
 
 namespace rejecto::graph {
 
@@ -109,11 +114,13 @@ void SaveSnapshot(const std::string& path, const AugmentedGraph& g,
                   std::span<const unsigned char> state = {});
 
 // Reads a snapshot of either version back into RAM, dispatching on the
-// magic (RJSNAP02 files decode every block via graph/compressed_view.h;
-// use CompressedGraphView directly to stay out of core). Every validation
+// magic (RJSNAP02 files decode every block via graph/compressed_view.h,
+// on `pool` when one is given; use CompressedGraphView directly to stay out
+// of core). The result does not depend on the pool. Every validation
 // error — bad magic, truncation, CRC mismatch, inconsistent section
 // lengths, non-bijective permutation — throws std::runtime_error naming
 // the file, the section and the byte offset of the problem.
-Snapshot LoadSnapshot(const std::string& path);
+Snapshot LoadSnapshot(const std::string& path,
+                      util::ThreadPool* pool = nullptr);
 
 }  // namespace rejecto::graph

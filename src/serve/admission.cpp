@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "detect/incremental.h"
 #include "detect/iterative.h"
 #include "util/dcheck.h"
 #include "util/thread_pool.h"
@@ -316,6 +317,9 @@ void AdmissionService::DetectLoop() {
       // the same extension the warm mask applies.
       pe->mask.resize(job.graph->NumNodes(), 0);
       pe->k = warm.k;
+      // Score every sender once here, so a decision is one table load.
+      pe->gain = detect::ScoreAllSenders(*job.graph, pe->mask, pe->k,
+                                         pool_.get());
     }
     pe->detected = std::move(out.result.detected);
     pe->detect_seconds = timer.Seconds();

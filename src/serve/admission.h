@@ -29,14 +29,15 @@
 //   EpochWarmState exactly like EpochDetector::RunEpoch chains prev_mask_/
 //   prev_k_ — so epoch contents are bit-identical to a serial EpochDetector
 //   replay of the same event sequence, which is what the differential test
-//   pins. Each result is frozen into an immutable refcounted PublishedEpoch
-//   and swapped in through RcuPtr (hazard-pointer reclamation — see
-//   serve/rcu.h).
+//   pins. Each result is frozen into an immutable refcounted PublishedEpoch,
+//   with every sender's incremental score computed once into its gain table
+//   (detect::ScoreAllSenders, on the detection pool), and swapped in through
+//   RcuPtr (hazard-pointer reclamation — see serve/rcu.h).
 // * READERS never lock: one acquire-load (plus the hazard handshake) pins
-//   the current epoch, the O(deg) incremental score runs against its
-//   immutable mask, and the pluggable policy chain (serve/policy.h) may
-//   escalate. A Decision is a pure function of (published epoch, sender) —
-//   given the same epoch id, concurrent and serial runs decide identically.
+//   the current epoch, the sender's score is one load from its gain table,
+//   and the pluggable policy chain (serve/policy.h) may escalate. A
+//   Decision is a pure function of (published epoch, sender) — given the
+//   same epoch id, concurrent and serial runs decide identically.
 //
 // Backpressure: at most max_pending_epochs snapshot jobs may be in flight;
 // past that the writer stalls (metered) rather than queueing unboundedly —
@@ -51,7 +52,8 @@
 // acks (a service-owned counter bumped after each ack) and ForceEpoch on
 // published_id_. Each Reader and each hazard slot fills cache lines of its
 // own, so a pin and its bookkeeping never write to a line another reader
-// writes (a policy may still share: the token bucket's per-sender words).
+// writes (a policy may still share: the token bucket's per-sender words,
+// which it writes only when the sender's state changes).
 #pragma once
 
 #include <atomic>

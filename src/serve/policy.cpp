@@ -1,6 +1,7 @@
 #include "serve/policy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -23,9 +24,12 @@ TokenBucketPolicy::TokenBucketPolicy(const TokenBucketConfig& config)
     throw std::invalid_argument(
         "TokenBucketPolicy: capacity must be in [1, 65535]");
   }
-  if (!(config_.refill_per_tick >= 0.0)) {
+  // An infinite rate would refill a same-tick request by 0 × inf = NaN,
+  // and std::min(capacity, NaN) is capacity: a limiter that never limits.
+  if (!(config_.refill_per_tick >= 0.0) ||
+      !std::isfinite(config_.refill_per_tick)) {
     throw std::invalid_argument(
-        "TokenBucketPolicy: refill_per_tick must be >= 0");
+        "TokenBucketPolicy: refill_per_tick must be finite and >= 0");
   }
   const std::uint64_t full = PackState(0, config_.capacity);
   for (auto& s : state_) s.store(full, std::memory_order_relaxed);
@@ -56,8 +60,12 @@ Verdict TokenBucketPolicy::Evaluate(const PolicyInput& in, Verdict incoming) {
         tokens + static_cast<double>(elapsed) * config_.refill_per_tick);
     limited = refilled < 1.0;
     if (!limited) refilled -= 1.0;
-    if (slot.compare_exchange_weak(cur, PackState(next_last, refilled),
-                                   std::memory_order_acq_rel,
+    const std::uint64_t next = PackState(next_last, refilled);
+    // A sender already limited within this tick (or replayed out of order)
+    // leaves its state as it was: skip the write, so repeat requests from a
+    // flooding sender only read its line.
+    if (next == cur) break;
+    if (slot.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
                                    std::memory_order_relaxed)) {
       break;
     }

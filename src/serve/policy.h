@@ -54,7 +54,7 @@ class AdmissionPolicy {
 // spammer exhausts its bucket long before an epoch confirms it.
 struct TokenBucketConfig {
   double capacity = 20.0;        // burst budget, tokens (max 65535)
-  double refill_per_tick = 1.0;  // tokens per logical-time tick
+  double refill_per_tick = 1.0;  // tokens per logical-time tick, finite
   Verdict on_limit = Verdict::kGrey;
   // Size of the per-sender state table; senders with ids past it pass
   // through unlimited (size it to the id space, which never remaps).
@@ -63,6 +63,8 @@ struct TokenBucketConfig {
 
 class TokenBucketPolicy final : public AdmissionPolicy {
  public:
+  // Throws std::invalid_argument for a capacity outside [1, 65535] or a
+  // refill_per_tick that is negative, NaN or infinite.
   explicit TokenBucketPolicy(const TokenBucketConfig& config);
 
   const char* Name() const noexcept override { return "token_bucket"; }
@@ -76,7 +78,10 @@ class TokenBucketPolicy final : public AdmissionPolicy {
   // Packed per-sender state: (last_tick:u32 << 32) | tokens in 16.16 fixed
   // point — one CAS word, so concurrent readers serving DIFFERENT senders
   // never touch the same cache line's worth of mutex, and queries for the
-  // same sender linearize through the CAS. Logical time is truncated to
+  // same sender linearize through the CAS. A request that would write back
+  // the word it read (a sender already limited within its tick) skips the
+  // CAS, so a flooding sender's line is only read, not bounced between
+  // readers. Logical time is truncated to
   // u32; refill deltas use wrapping u32 arithmetic, so runs shorter than
   // 2^31 ticks between a sender's consecutive requests are exact.
   std::vector<std::atomic<std::uint64_t>> state_;

@@ -5,12 +5,13 @@
 // snapshot and publishes the outcome as one refcounted, never-mutated
 // PublishedEpoch: the graph the epoch was detected on, the round-0 cut mask
 // and weight k that the O(deg) incremental score runs against
-// (detect/incremental.h), and the epoch's final flagged set. Readers resolve
-// the current epoch through serve::RcuPtr and score against it without
-// locks; because the struct is immutable, a decision is a pure function of
-// (epoch_id, sender) — the property the concurrent-vs-serial differential
-// test pins, and the reason decisions carry the epoch id they were scored
-// against.
+// (detect/incremental.h), every sender's score against them (the gain
+// table, filled once before publication), and the epoch's final flagged
+// set. Readers resolve the current epoch through serve::RcuPtr and look the
+// sender's score up without locks; because the struct is immutable, a
+// decision is a pure function of (epoch_id, sender) — the property the
+// concurrent-vs-serial differential test pins, and the reason decisions
+// carry the epoch id they were scored against.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +56,14 @@ struct PublishedEpoch {
   std::vector<char> mask;
   double k = 0.0;
 
+  // The score of every sender the graph holds, computed once when the epoch
+  // is built: gain[s] == detect::ScoreSenderIncremental(*graph, mask, k,
+  // s).gain (detect::ScoreAllSenders). 8 B per node. The admission service
+  // fills it for every epoch with a baseline; it is empty for the bootstrap
+  // epoch and for epochs built by hand (test oracles, benchmarks), which
+  // DecideAgainst scores by walking the sender's rows instead.
+  std::vector<double> gain;
+
   // The epoch's final flagged accounts (post-trim), for operators; the
   // decision path uses `mask` (the scoring baseline), not this.
   std::vector<graph::NodeId> detected;
@@ -75,11 +84,14 @@ struct Decision {
 };
 
 // The score half of a decision: a pure function of (epoch, sender), shared
-// by the reader hot path and the differential test's oracle. Senders the
-// epoch graph has never seen (ids past NumNodes(), created by events after
-// the snapshot) score 0 with mask-membership 0 — exactly what the next
-// epoch's warm mask assumes about them. A score below zero rejects; a
-// non-negative score below grey_margin greys; anything else admits.
+// by the reader hot path and the differential test's oracle. A sender in
+// the epoch's gain table costs one load from it (plus its mask byte);
+// without a table the sender's rows are walked (detect/incremental.h), to
+// the same score. Senders the epoch graph has never seen (ids past
+// NumNodes(), created by events after the snapshot) score 0 with
+// mask-membership 0 — exactly what the next epoch's warm mask assumes about
+// them. A score below zero rejects; a non-negative score below grey_margin
+// greys; anything else admits.
 inline Decision DecideAgainst(const PublishedEpoch& epoch,
                               graph::NodeId sender, double grey_margin) {
   Decision d;
@@ -89,7 +101,10 @@ inline Decision DecideAgainst(const PublishedEpoch& epoch,
   }
   double gain = 0.0;
   bool suspicious = false;
-  if (sender < epoch.graph->NumNodes()) {
+  if (sender < epoch.gain.size()) {
+    gain = epoch.gain[sender];
+    suspicious = epoch.mask[sender] != 0 || gain < 0.0;
+  } else if (sender < epoch.graph->NumNodes()) {
     const detect::IncrementalScore s =
         detect::ScoreSenderIncremental(*epoch.graph, epoch.mask, epoch.k,
                                        sender);

@@ -8,7 +8,8 @@
 // pin is released.
 // Wake-up tests: producers, Drain/ForceEpoch callers and Stop on a two-cell
 // ring, under a watchdog that fails the binary instead of letting a lost
-// wake-up hang it.
+// wake-up hang it. Token-bucket test: threads racing on one sender's word
+// admit exactly its capacity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "serve/admission.h"
+#include "serve/policy.h"
 #include "serve/rcu.h"
 #include "stream/mutation_log.h"
 #include "sim/scenario.h"
@@ -180,6 +182,49 @@ TEST(ServeLayout, ReadersNeverShareACacheLine) {
   readers.push_back(svc.CreateReader());
   EXPECT_LT(last_line(&readers[0], sizeof(readers[0])),
             first_line(&readers[1]));
+}
+
+// Four threads hammer one sender's bucket at one logical tick. Each token
+// is taken by exactly one successful CAS, and the many limited requests
+// after the bucket runs dry write nothing: together the threads admit
+// exactly floor(capacity).
+TEST(TokenBucketRace, OneSenderOneTickAdmitsExactlyTheCapacity) {
+  serve::TokenBucketConfig cfg;
+  cfg.capacity = 1000.5;
+  cfg.refill_per_tick = 1.0;
+  cfg.num_senders = 3;
+  serve::TokenBucketPolicy bucket(cfg);
+  const serve::PublishedEpoch epoch;
+  const serve::Decision base;
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 10'000;
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> admitted(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      std::uint64_t mine = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        const serve::PolicyInput in{1, 7, epoch, base};
+        if (bucket.Evaluate(in, serve::Verdict::kAdmit) ==
+            serve::Verdict::kAdmit) {
+          ++mine;
+        }
+      }
+      admitted[t] = mine;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::uint64_t total = 0;
+  for (const std::uint64_t a : admitted) total += a;
+  EXPECT_EQ(total, 1000u);
+  EXPECT_EQ(bucket.Tokens(1), 0.5);
+  EXPECT_EQ(bucket.Tokens(0), cfg.capacity);  // untouched
 }
 
 TEST(RcuPtr, SlotPoolExhaustsAndRecycles) {

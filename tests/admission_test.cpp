@@ -11,15 +11,18 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "detect/incremental.h"
 #include "detect/iterative.h"
 #include "engine/epoch_detector.h"
 #include "gen/erdos_renyi.h"
@@ -145,6 +148,113 @@ TEST(TokenBucketPolicy, BurstsExhaustAndRefill) {
   // Escalation only: a kReject incoming verdict is never downgraded.
   EXPECT_EQ(bucket.Evaluate({0, 2000, epoch, base}, Verdict::kReject),
             Verdict::kReject);
+}
+
+// The bucket in plain double arithmetic: no packing, no fixed point, no
+// atomics. Rates and capacities below are multiples of 2^-16, so 16.16 fixed
+// point holds every value the model reaches exactly.
+struct ReferenceBucket {
+  double capacity = 0.0;
+  double refill = 0.0;
+  std::vector<std::uint64_t> last;
+  std::vector<double> tokens;
+
+  ReferenceBucket(double cap, double rate, std::size_t senders)
+      : capacity(cap), refill(rate), last(senders, 0),
+        tokens(senders, cap) {}
+
+  // True when the request is limited.
+  bool Request(graph::NodeId s, std::uint64_t now) {
+    // An earlier tick than the last one seen refills nothing and leaves
+    // the last tick where it was.
+    if (now > last[s]) {
+      tokens[s] = std::min(
+          capacity, tokens[s] + static_cast<double>(now - last[s]) * refill);
+      last[s] = now;
+    }
+    if (tokens[s] < 1.0) return true;
+    tokens[s] -= 1.0;
+    return false;
+  }
+};
+
+TEST(TokenBucketPolicy, MatchesAReferenceModel) {
+  constexpr graph::NodeId kSenders = 6;
+  const PublishedEpoch epoch;
+  const Decision base;
+  util::Rng rng(77);
+  std::uint64_t limited_seen = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const double capacity = 1.0 + static_cast<double>(rng.NextUInt(8)) +
+                            (trial % 2 == 0 ? 0.5 : 0.0);
+    const double rates[] = {0.0, 0.25, 0.5, 1.0, 3.0};
+    const double rate = rates[rng.NextUInt(5)];
+    serve::TokenBucketConfig cfg;
+    cfg.capacity = capacity;
+    cfg.refill_per_tick = rate;
+    cfg.on_limit = Verdict::kGrey;
+    cfg.num_senders = kSenders;
+    serve::TokenBucketPolicy bucket(cfg);
+    ReferenceBucket model(capacity, rate, kSenders);
+
+    std::uint64_t now = 0;
+    for (int step = 0; step < 400; ++step) {
+      // Mostly same-tick repeats and small steps forward, sometimes a
+      // jump back in time (out of order) or a long gap.
+      const double roll = rng.NextDouble();
+      std::uint64_t t = now;
+      if (roll < 0.15) {
+        t = now - std::min<std::uint64_t>(now, rng.NextUInt(6));
+      } else if (roll < 0.45) {
+        t = now + rng.NextUInt(3);
+      } else if (roll < 0.5) {
+        t = now + 10 + rng.NextUInt(50);
+      }
+      now = std::max(now, t);
+      const auto s = static_cast<graph::NodeId>(rng.NextUInt(kSenders));
+      const bool limited = model.Request(s, t);
+      limited_seen += limited ? 1 : 0;
+      ASSERT_EQ(bucket.Evaluate({s, t, epoch, base}, Verdict::kAdmit),
+                limited ? Verdict::kGrey : Verdict::kAdmit)
+          << "trial " << trial << " step " << step;
+      for (graph::NodeId q = 0; q < kSenders; ++q) {
+        ASSERT_EQ(bucket.Tokens(q), model.tokens[q])
+            << "trial " << trial << " step " << step << " sender " << q;
+      }
+    }
+  }
+  EXPECT_GT(limited_seen, 0u);
+}
+
+// An infinite rate used to be accepted: a same-tick request refilled by
+// 0 × inf = NaN, std::min(capacity, NaN) returned capacity, and the bucket
+// never limited.
+TEST(TokenBucketPolicy, RefusesNonFiniteOrNegativeRefill) {
+  serve::TokenBucketConfig cfg;
+  cfg.num_senders = 2;
+  for (const double bad :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    cfg.refill_per_tick = bad;
+    EXPECT_THROW(serve::TokenBucketPolicy{cfg}, std::invalid_argument)
+        << bad;
+  }
+  cfg.refill_per_tick = std::numeric_limits<double>::max();
+  serve::TokenBucketPolicy huge(cfg);
+  const PublishedEpoch epoch;
+  const Decision base;
+  // The largest finite rate refills to capacity after one tick, and still
+  // limits within a tick.
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(huge.Evaluate({0, 0, epoch, base}, Verdict::kAdmit),
+              Verdict::kAdmit);
+  }
+  EXPECT_EQ(huge.Evaluate({0, 0, epoch, base}, Verdict::kAdmit),
+            Verdict::kGrey);
+  EXPECT_EQ(huge.Evaluate({0, 1, epoch, base}, Verdict::kAdmit),
+            Verdict::kAdmit);
+  EXPECT_EQ(huge.Tokens(0), 19.0);
 }
 
 TEST(StaticListPolicy, EscalatesFlaggedOnly) {
@@ -378,6 +488,52 @@ TEST(AdmissionService, BootstrapAdmitsEverythingAndChainEscalates) {
   EXPECT_EQ(reader.Rejected(), 1u);
   EXPECT_EQ(reader.Escalated(), 2u);
   EXPECT_EQ(reader.Latency().Count(), 3u);
+}
+
+// Every epoch the service publishes with a baseline carries the gain table
+// (one entry per node of its graph, each equal to the walk), and the
+// bootstrap epoch carries none. Detection runs on a two-worker pool, so the
+// table is built there too.
+TEST(AdmissionService, BaselineEpochsCarryTheGainTable) {
+  const Workload w = MakeWorkload(5);
+  engine::EpochConfig ecfg = ServiceEpochConfig(w);
+  ecfg.events_per_epoch = 0;
+  ecfg.detect.maar.num_threads = 2;
+  AdmissionConfig cfg;
+  cfg.epoch = ecfg;
+  AdmissionService svc(
+      graph::GraphBuilder(w.log.NumNodes()).BuildAugmented(), w.seeds, cfg);
+
+  const auto boot = svc.CurrentEpoch();
+  ASSERT_NE(boot, nullptr);
+  EXPECT_EQ(boot->epoch_id, 0u);
+  EXPECT_FALSE(boot->has_baseline);
+  EXPECT_TRUE(boot->gain.empty());
+
+  const auto events = w.log.Events();
+  constexpr std::size_t kEpochs = 4;
+  int with_baseline = 0;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    const std::size_t from = events.size() * e / kEpochs;
+    const std::size_t to = events.size() * (e + 1) / kEpochs;
+    for (std::size_t i = from; i < to; ++i) svc.Submit(events[i]);
+    const std::uint64_t id = svc.ForceEpoch();
+    const auto epoch = svc.CurrentEpoch();
+    ASSERT_EQ(epoch->epoch_id, id);
+    if (!epoch->has_baseline) {
+      EXPECT_TRUE(epoch->gain.empty()) << "epoch " << id;
+      continue;
+    }
+    ++with_baseline;
+    const graph::NodeId n = epoch->graph->NumNodes();
+    ASSERT_EQ(epoch->gain.size(), n) << "epoch " << id;
+    for (graph::NodeId s = 0; s < n; ++s) {
+      const detect::IncrementalScore walk = detect::ScoreSenderIncremental(
+          *epoch->graph, epoch->mask, epoch->k, s);
+      ASSERT_EQ(epoch->gain[s], walk.gain) << "epoch " << id << " s " << s;
+    }
+  }
+  EXPECT_GT(with_baseline, 0);
 }
 
 TEST(AdmissionService, StatsAndDrainAccounting) {

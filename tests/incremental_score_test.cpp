@@ -4,11 +4,15 @@
 // detector variant must match the compacted-CSR variant with events still
 // in the overlay, and — the acceptance bar — the incremental classification
 // must agree with a full re-detection's round-0 membership on at least 95%
-// of clearly-shaped new senders.
+// of clearly-shaped new senders. The whole-epoch table the admission
+// service serves from (ScoreAllSenders) must equal the per-sender walk bit
+// for bit at every pool width.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -16,10 +20,12 @@
 #include "detect/iterative.h"
 #include "engine/epoch_detector.h"
 #include "gen/erdos_renyi.h"
+#include "graph/builder.h"
 #include "sim/scenario.h"
 #include "stream/delta_graph.h"
 #include "stream/mutation_log.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rejecto {
 namespace {
@@ -88,6 +94,86 @@ TEST(IncrementalScoreTest, RejectsInvalidArguments) {
   std::vector<char> short_mask(g.NumNodes() - 1, 0);
   EXPECT_THROW(detect::ScoreSenderIncremental(g, short_mask, 1.0, 0),
                std::invalid_argument);
+  EXPECT_THROW(detect::ScoreAllSenders(g, short_mask, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(detect::ScoreAllSenders(g, in_u, 0.0), std::invalid_argument);
+  EXPECT_THROW(detect::ScoreAllSenders(g, in_u, std::nan("")),
+               std::invalid_argument);
+}
+
+// ---------- the whole-epoch table ----------
+
+// A random augmented graph in which about half the ids carry no edge at
+// all (isolated accounts), with friendships and rejections drawn over the
+// rest.
+graph::AugmentedGraph RandomSparseGraph(util::Rng& rng) {
+  const auto n = static_cast<graph::NodeId>(rng.NextUInt(300));
+  graph::GraphBuilder b(n);
+  if (n >= 2) {
+    const auto active = static_cast<graph::NodeId>(n / 2 + 1);
+    const std::uint64_t edges = rng.NextUInt(4 * active);
+    for (std::uint64_t e = 0; e < edges; ++e) {
+      const auto u = static_cast<graph::NodeId>(rng.NextUInt(active));
+      const auto v = static_cast<graph::NodeId>(rng.NextUInt(active));
+      if (u == v) continue;
+      if (rng.NextBool(0.6)) {
+        b.AddFriendship(u, v);
+      } else {
+        b.AddRejection(u, v);
+      }
+    }
+  }
+  return b.BuildAugmented();
+}
+
+// ScoreAllSenders(g, mask, k, pool)[s] is ScoreSenderIncremental(g, mask,
+// k, s).gain bit for bit, for every sender of 120 random graphs (attack
+// scenarios and sparse graphs with isolated nodes, empty, full and random
+// masks, four weights k), with no pool and on pools of 1, 2 and 8 workers.
+TEST(IncrementalScoreTest, ScoreAllSendersEqualsTheWalkForEverySender) {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (std::size_t width : {1u, 2u, 8u}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(width));
+  }
+  constexpr double kWeights[] = {0.25, 1.0, 2.5, 7.3};
+  util::Rng rng(4242);
+  std::size_t scored = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const graph::AugmentedGraph g =
+        trial % 4 == 0 ? SmallScenario(100 + trial).graph
+                       : RandomSparseGraph(rng);
+    const graph::NodeId n = g.NumNodes();
+    std::vector<char> mask(n, 0);
+    switch (trial % 3) {
+      case 0:
+        break;  // empty mask
+      case 1:
+        mask.assign(n, 1);  // full mask
+        break;
+      default: {
+        const double density = rng.NextDouble(0.05, 0.6);
+        for (char& m : mask) m = rng.NextBool(density) ? 1 : 0;
+      }
+    }
+    const double k = kWeights[(trial / 3) % 4];
+    for (const auto& pool : pools) {
+      const std::vector<double> table =
+          detect::ScoreAllSenders(g, mask, k, pool.get());
+      ASSERT_EQ(table.size(), n);
+      for (graph::NodeId s = 0; s < n; ++s) {
+        const detect::IncrementalScore walk =
+            detect::ScoreSenderIncremental(g, mask, k, s);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table[s]),
+                  std::bit_cast<std::uint64_t>(walk.gain))
+            << "trial " << trial << " sender " << s << " k " << k
+            << " pool " << (pool ? pool->size() : 0);
+        ASSERT_EQ(mask[s] != 0 || table[s] < 0.0, walk.suspicious);
+      }
+      scored += n;
+    }
+  }
+  EXPECT_GT(scored, 0u);
 }
 
 // ---------- the overlay-aware detector variant ----------

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "sim/scenario.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rejecto {
 namespace {
@@ -505,6 +507,57 @@ TEST_F(SnapshotTest, EpochDetectorFromSnapshotMatchesDirectConstruction) {
   EXPECT_EQ(from_snap->LastResult().detected, direct.LastResult().detected);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.round_ratios, b.round_ratios);
+}
+
+// The restore paths decode on the detector's own pool. A checkpoint
+// restored at 1, 2 and 8 threads must give the same detector: the same
+// graph, warm-start state and event cursor, and the same next epoch.
+TEST_F(SnapshotTest, CheckpointRestoresIdenticallyAtAnyThreadCount) {
+  const AugmentedGraph g = RandomScenarioGraph(31, 3000);
+  detect::Seeds seeds;
+  seeds.legit = {0, 1, 2};
+  engine::EpochConfig cfg;
+  cfg.detect.target_detections = 300;
+  cfg.detect.maar.seed = 5;
+  cfg.detect.maar.num_threads = 1;
+  cfg.warm_start = true;
+  cfg.events_per_epoch = 0;
+  const std::string ckpt = Path("threads.ckpt");
+  {
+    engine::EpochDetector detector(g, seeds, cfg);
+    detector.RunEpoch();
+    detector.Ingest({stream::EventType::kAddFriend, 3, 2999});
+    detector.SaveCheckpoint(ckpt);
+  }
+  const AugmentedGraph serial = LoadSnapshot(ckpt).graph;
+
+  std::vector<std::unique_ptr<engine::EpochDetector>> restored;
+  for (const int threads : {1, 2, 8}) {
+    cfg.detect.maar.num_threads = threads;
+    restored.push_back(
+        engine::EpochDetector::RestoreCheckpoint(ckpt, seeds, cfg));
+    util::ThreadPool pool(static_cast<std::size_t>(threads));
+    EXPECT_EQ(LoadSnapshot(ckpt, &pool).graph, serial) << threads;
+    EXPECT_EQ(
+        engine::EpochDetector::FromSnapshot(ckpt, seeds, cfg)->Graph().Graph(),
+        serial)
+        << threads;
+  }
+  const engine::EpochDetector& first = *restored.front();
+  ASSERT_TRUE(first.HasIncrementalBaseline());
+  EXPECT_EQ(first.Graph().Graph(), serial);
+  const engine::EpochStats base = restored.front()->RunEpoch();
+  for (std::size_t i = 1; i < restored.size(); ++i) {
+    engine::EpochDetector& d = *restored[i];
+    EXPECT_EQ(d.Graph().Graph(), serial) << i;
+    EXPECT_EQ(d.EventsIngested(), first.EventsIngested()) << i;
+    EXPECT_EQ(d.IncrementalK(), first.IncrementalK()) << i;
+    const engine::EpochStats& next = d.RunEpoch();
+    EXPECT_EQ(next.epoch, base.epoch) << i;
+    EXPECT_EQ(next.round_ratios, base.round_ratios) << i;
+    EXPECT_EQ(d.LastResult().detected, first.LastResult().detected) << i;
+    EXPECT_EQ(d.IncrementalMask(), first.IncrementalMask()) << i;
+  }
 }
 
 TEST_F(SnapshotTest, EpochDetectorFromPermutedSnapshotThrowsNamingThePath) {
