@@ -130,9 +130,14 @@ int main() {
               static_cast<unsigned long long>(final_epoch));
   std::printf("  live decisions while ingesting: %llu\n",
               static_cast<unsigned long long>(live_decisions.load()));
-  std::printf("  audit p50/p99 decision latency: %llu / %llu ns\n",
-              static_cast<unsigned long long>(auditor.Latency().P50()),
-              static_cast<unsigned long long>(auditor.Latency().P99()));
+  std::printf(
+      "  audit p50/p99 decision latency: %llu / %llu ns (1-in-%llu sample, "
+      "%llu decisions timed)\n",
+      static_cast<unsigned long long>(auditor.Latency().P50()),
+      static_cast<unsigned long long>(auditor.Latency().P99()),
+      static_cast<unsigned long long>(
+          serve::AdmissionService::Reader::kLatencySampleEvery),
+      static_cast<unsigned long long>(auditor.Latency().Count()));
   std::printf("  fake senders blocked: %.1f%%  legit admitted: %.1f%%\n",
               100.0 * fake_block_rate, 100.0 * legit_admit_rate);
 

@@ -14,7 +14,7 @@
 namespace rejecto::detect {
 namespace {
 
-// Caps on the sweep ValidateConfig accepts. They refuse only sweeps that
+// Caps on the sweep ValidateMaarSweep accepts. They refuse only sweeps that
 // could never finish (k_scale = 1 + 1e-12 would ask for ~5.5e12 k values).
 constexpr double kMaxSweepKs = 4096;
 constexpr double kMaxSweepCells = 65536;
@@ -80,15 +80,13 @@ MaarSolver::MaarSolver(const graph::CompressedGraphView& view, Seeds seeds,
   ValidateConfig();
 }
 
-void MaarSolver::ValidateConfig() {
-  const graph::NodeId n = g_->NumNodes();
-  seeds_.Validate(n);
+void ValidateMaarSweep(const MaarConfig& config, bool with_extra_init) {
   // isfinite also rules out NaN, which passes every comparison below: a NaN
   // k_min would sweep no k, a NaN k_scale one k, and an infinite k_max
   // would never end the sweep.
-  if (!std::isfinite(config_.k_min) || !std::isfinite(config_.k_max) ||
-      !std::isfinite(config_.k_scale) || config_.k_min <= 0 ||
-      config_.k_max < config_.k_min || config_.k_scale <= 1.0) {
+  if (!std::isfinite(config.k_min) || !std::isfinite(config.k_max) ||
+      !std::isfinite(config.k_scale) || config.k_min <= 0 ||
+      config.k_max < config.k_min || config.k_scale <= 1.0) {
     throw std::invalid_argument("MaarSolver: invalid k sweep");
   }
   // The sweep's length (to within the one k SweepKs's rounding may add),
@@ -96,14 +94,20 @@ void MaarSolver::ValidateConfig() {
   // huge k_max / k_min overflows to infinity, which the caps refuse like
   // any other oversized sweep.
   const double num_ks =
-      std::floor(std::log(config_.k_max / config_.k_min) /
-                 std::log(config_.k_scale)) +
+      std::floor(std::log(config.k_max / config.k_min) /
+                 std::log(config.k_scale)) +
       1;
-  const double num_inits = 1.0 + std::max(0, config_.num_random_inits) +
-                           (config_.extra_init.empty() ? 0 : 1);
+  const double num_inits = 1.0 + std::max(0, config.num_random_inits) +
+                           (with_extra_init ? 1 : 0);
   if (num_ks > kMaxSweepKs || num_ks * num_inits > kMaxSweepCells) {
     throw std::invalid_argument("MaarSolver: k sweep too long");
   }
+}
+
+void MaarSolver::ValidateConfig() {
+  const graph::NodeId n = g_->NumNodes();
+  seeds_.Validate(n);
+  ValidateMaarSweep(config_, !config_.extra_init.empty());
   if (!config_.extra_init.empty() && config_.extra_init.size() != n) {
     throw std::invalid_argument("MaarSolver: extra_init size mismatch");
   }

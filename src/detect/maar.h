@@ -107,6 +107,14 @@ struct MaarConfig {
   bool warm_start = true;
 };
 
+// The graph-independent half of MaarSolver's config check: throws
+// std::invalid_argument unless k_min, k_max and k_scale are finite with
+// k_min > 0, k_max >= k_min and k_scale > 1, and the sweep stays within
+// 4,096 k values and 65,536 (k × init) cells. A sweep's inits are the
+// heuristic, max(0, num_random_inits) random masks and, when
+// `with_extra_init`, one more (MaarSolver passes !extra_init.empty()).
+void ValidateMaarSweep(const MaarConfig& config, bool with_extra_init);
+
 struct MaarCut {
   bool valid = false;
   std::vector<char> in_u;       // suspicious region

@@ -15,8 +15,39 @@
 
 namespace rejecto::engine {
 
+namespace {
+// Bounds the halo loop in RunEpochDetection. A halo of 4,096 steps already
+// spans more than the longest sweep the solver's caps admit, so a wider one
+// would sweep nothing more.
+constexpr int kMaxWarmKHalo = 4096;
+}  // namespace
+
+void ValidateEpochConfig(const EpochConfig& config) {
+  detect::ValidateMaarSweep(config.detect.maar, /*with_extra_init=*/false);
+  if (config.warm_k_halo < 0 || config.warm_k_halo > kMaxWarmKHalo) {
+    throw std::invalid_argument(
+        "EpochConfig: warm_k_halo " + std::to_string(config.warm_k_halo) +
+        " outside [0, " + std::to_string(kMaxWarmKHalo) + "]");
+  }
+  if (config.warm_random_inits < 0) {
+    throw std::invalid_argument("EpochConfig: warm_random_inits " +
+                                std::to_string(config.warm_random_inits) +
+                                " is negative");
+  }
+  detect::MaarConfig warm = config.detect.maar;
+  warm.num_random_inits = config.warm_random_inits;
+  try {
+    detect::ValidateMaarSweep(warm, /*with_extra_init=*/true);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("EpochConfig: warm round-0 sweep with " +
+                                std::to_string(config.warm_random_inits) +
+                                " warm_random_inits: " + e.what());
+  }
+}
+
 std::shared_ptr<util::ThreadPool> EpochDetector::PoolFor(
     const EpochConfig& config) {
+  ValidateEpochConfig(config);
   const int threads = detect::EffectiveThreads(config.detect.maar.num_threads);
   if (threads <= 1) return nullptr;
   return std::make_shared<util::ThreadPool>(static_cast<std::size_t>(threads));
@@ -46,9 +77,8 @@ EpochDetector::EpochDetector(graph::NodeId num_nodes, detect::Seeds seeds,
 EpochDetector::~EpochDetector() = default;
 
 const EpochStats* EpochDetector::Ingest(const stream::Event& e) {
-  util::WallTimer timer;
+  if (pending_events_ == 0) pending_timer_.Reset();
   delta_.Apply(e);
-  pending_ingest_seconds_ += timer.Seconds();
   ++pending_events_;
   ++total_events_ingested_;
   if (config_.events_per_epoch > 0 &&
@@ -129,7 +159,7 @@ const EpochStats& EpochDetector::RunEpoch() {
   EpochStats stats;
   stats.epoch = static_cast<int>(epoch_base_ + history_.size());
   stats.events_absorbed = pending_events_;
-  stats.ingest_seconds = pending_ingest_seconds_;
+  stats.ingest_seconds = pending_events_ > 0 ? pending_timer_.Seconds() : 0.0;
   stats.events_noop = delta_.Stats().events_noop - noop_at_last_epoch_;
 
   // Detection consumes the immutable CSR base, so fold the overlay first.
@@ -170,7 +200,6 @@ const EpochStats& EpochDetector::RunEpoch() {
 
   last_ = std::move(result);
   pending_events_ = 0;
-  pending_ingest_seconds_ = 0.0;
   noop_at_last_epoch_ = delta_.Stats().events_noop;
   compactions_at_last_epoch_ = delta_.Stats().compactions;
   history_.push_back(std::move(stats));

@@ -34,6 +34,7 @@
 #include "graph/augmented_graph.h"
 #include "stream/delta_graph.h"
 #include "stream/mutation_log.h"
+#include "util/timer.h"
 
 namespace rejecto::util {
 class ThreadPool;
@@ -53,11 +54,24 @@ struct EpochConfig {
   // Overlay compaction policy between epochs (see stream::DeltaConfig).
   stream::DeltaConfig delta;
 
-  // Warm-start policy (see header comment).
+  // Warm-start policy (see header comment). warm_k_halo must lie in
+  // [0, 4096] and warm_random_inits must be >= 0 (ValidateEpochConfig).
   bool warm_start = true;
   int warm_k_halo = 1;        // sweep steps kept on each side of the prev k
   int warm_random_inits = 0;  // random inits in a warm round-0 sweep
 };
+
+// Throws std::invalid_argument for a config whose epochs' MAAR solves would
+// throw, so that a service or detector refuses it at construction instead
+// of failing on a later epoch: detect.maar's k sweep (detect::
+// ValidateMaarSweep), a warm_k_halo outside [0, 4096], a negative
+// warm_random_inits, or a warm round-0 sweep past the solver's caps. A
+// warm sweep is at most as long as the cold one (it falls back to the whole
+// grid when the previous k lies outside it) and runs warm_random_inits
+// random inits plus the heuristic and the warm mask, so that is the sweep
+// checked. Graph-dependent checks (seeds, extra_init's size) stay with
+// MaarSolver.
+void ValidateEpochConfig(const EpochConfig& config);
 
 // The warm-start baton passed from one epoch's detection to the next: the
 // round-0 pre-trim cut mask (graph ids) and the ratio weight k that
@@ -99,6 +113,9 @@ struct EpochStats {
   std::uint64_t events_absorbed = 0;  // events ingested (applied + no-op)
   std::uint64_t events_noop = 0;      // duplicates / already-absent removals
   std::uint64_t compactions = 0;      // auto + the forced pre-detect compact
+  // Wall time from this epoch's first ingested event to its cut (the
+  // start of RunEpoch), so it includes the caller's time between events; 0
+  // when no event was ingested since the previous epoch.
   double ingest_seconds = 0.0;
   double compact_seconds = 0.0;       // the forced pre-detect compaction
 
@@ -201,8 +218,10 @@ class EpochDetector {
   // hand it to the detector they construct.
   EpochDetector(graph::AugmentedGraph base, detect::Seeds seeds,
                 EpochConfig config, std::shared_ptr<util::ThreadPool> pool);
-  // The shared pool `config` asks for; null below two threads. Throws
-  // std::invalid_argument for a thread count past util::kMaxThreads.
+  // The shared pool `config` asks for; null below two threads. Every
+  // constructor and restore path calls it first, so it is also where a
+  // config is checked: throws std::invalid_argument for a config
+  // ValidateEpochConfig refuses or a thread count past util::kMaxThreads.
   static std::shared_ptr<util::ThreadPool> PoolFor(const EpochConfig& config);
 
   stream::DeltaGraph delta_;
@@ -215,9 +234,10 @@ class EpochDetector {
   double prev_k_ = 0.0;
   bool has_prev_ = false;
 
-  // Ingest accumulators since the last epoch.
+  // Ingest accumulators since the last epoch. The timer restarts at the
+  // epoch's first event.
   std::uint64_t pending_events_ = 0;
-  double pending_ingest_seconds_ = 0.0;
+  util::WallTimer pending_timer_;
   std::uint64_t noop_at_last_epoch_ = 0;
   std::uint64_t compactions_at_last_epoch_ = 0;
 

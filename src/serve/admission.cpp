@@ -29,6 +29,9 @@ AdmissionConfig AdmissionService::Validated(AdmissionConfig config) {
     throw std::invalid_argument(
         "AdmissionService: max_pending_epochs must be >= 1");
   }
+  // The detection thread would otherwise meet a bad config only when its
+  // first MaarSolver throws, and nothing there can catch it.
+  engine::ValidateEpochConfig(config.epoch);
   return config;
 }
 
@@ -396,7 +399,9 @@ Decision AdmissionService::Reader::Decide(graph::NodeId sender,
                                           std::uint64_t logical_time) {
   REJECTO_DCHECK(service_ != nullptr,
                  "Reader::Decide on a moved-from Reader");
-  const auto t0 = std::chrono::steady_clock::now();
+  const bool timed = decisions_ % kLatencySampleEvery == 0;
+  std::chrono::steady_clock::time_point t0;
+  if (timed) t0 = std::chrono::steady_clock::now();
   const RcuPtr<PublishedEpoch>::Pin pin = service_->rcu_.Acquire(slot_);
   // The bootstrap epoch publishes before any reader can exist.
   REJECTO_DCHECK(pin, "no published epoch");
@@ -407,10 +412,12 @@ Decision AdmissionService::Reader::Decide(graph::NodeId sender,
   }
   d.escalated = v != d.verdict;
   d.verdict = v;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  hist_.Record(static_cast<std::uint64_t>(ns));
+  if (timed) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    hist_.Record(static_cast<std::uint64_t>(ns));
+  }
   ++decisions_;
   ++verdicts_[static_cast<int>(d.verdict)];
   escalated_ += d.escalated ? 1 : 0;

@@ -37,7 +37,10 @@
 //   the current epoch, the sender's score is one load from its gain table,
 //   and the pluggable policy chain (serve/policy.h) may escalate. A
 //   Decision is a pure function of (published epoch, sender) — given the
-//   same epoch id, concurrent and serial runs decide identically.
+//   same epoch id, concurrent and serial runs decide identically. Each
+//   Reader counts every decision but times only one in
+//   Reader::kLatencySampleEvery (64): a clock read costs as much as the
+//   rest of a decision.
 //
 // Backpressure: at most max_pending_epochs snapshot jobs may be in flight;
 // past that the writer stalls (metered) rather than queueing unboundedly —
@@ -130,7 +133,9 @@ class AdmissionService {
   // epoch 0 (no baseline: every sender admits) so readers never observe an
   // unpublished state. Seeds are graph ids and never remap. Throws
   // std::invalid_argument for an oversized queue_capacity or max_readers,
-  // or a zero max_pending_epochs, before allocating or starting a thread.
+  // a zero max_pending_epochs, or a detection config whose epochs' MAAR
+  // solves would throw (engine::ValidateEpochConfig), before allocating or
+  // starting a thread.
   AdmissionService(graph::AugmentedGraph base, detect::Seeds seeds,
                    AdmissionConfig config);
   ~AdmissionService();
@@ -164,12 +169,18 @@ class AdmissionService {
   // --- query (reader threads) ---
 
   // A reader thread's handle: its RCU slot, latency histogram, and verdict
-  // counters. Movable; must be destroyed before the service. One Reader
+  // counters. Movable (a moved-to Reader keeps the counters, so it keeps
+  // its sampling phase); must be destroyed before the service. One Reader
   // per thread — Decide is not reentrant on the same Reader. Line-aligned,
   // so the per-decision counters of adjacent Readers (in a vector, say)
   // never share a cache line.
   class alignas(64) Reader {
    public:
+    // Decide times decision i of this Reader (counting from 0) only when
+    // i % kLatencySampleEvery == 0: two clock reads cost more than the rest
+    // of a decision.
+    static constexpr std::uint64_t kLatencySampleEvery = 64;
+
     Reader() = default;
     Reader(Reader&& o) noexcept;
     Reader& operator=(Reader&& o) noexcept;
@@ -178,10 +189,16 @@ class AdmissionService {
     ~Reader();
 
     // The lock-free decision path: pin the current epoch, score, run the
-    // policy chain, record latency. logical_time is the caller's clock for
-    // rate-limiting policies (event index / request counter).
+    // policy chain, count the verdict, and time one decision in
+    // kLatencySampleEvery. logical_time is the caller's clock for
+    // rate-limiting policies (event index / request counter). The sample
+    // changes only the bookkeeping, never the Decision.
     Decision Decide(graph::NodeId sender, std::uint64_t logical_time);
 
+    // A 1-in-kLatencySampleEvery sample of Decide's latency, in ns:
+    // ceil(Decisions() / kLatencySampleEvery) values, so a Reader that has
+    // decided at least once has a non-empty histogram. The counters below
+    // count every decision.
     const util::LatencyHistogram& Latency() const noexcept { return hist_; }
     std::uint64_t Decisions() const noexcept { return decisions_; }
     std::uint64_t Admitted() const noexcept { return verdicts_[0]; }

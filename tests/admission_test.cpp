@@ -487,7 +487,52 @@ TEST(AdmissionService, BootstrapAdmitsEverythingAndChainEscalates) {
   EXPECT_EQ(reader.Greyed(), 1u);
   EXPECT_EQ(reader.Rejected(), 1u);
   EXPECT_EQ(reader.Escalated(), 2u);
-  EXPECT_EQ(reader.Latency().Count(), 3u);
+  // Only the first of the three decisions is timed.
+  EXPECT_EQ(reader.Latency().Count(), 1u);
+}
+
+// Decide times decision i only when i % 64 == 0, so the histogram holds
+// ceil(Decisions() / 64) values while the counters count every decision;
+// a moved Reader carries its counters and so its phase.
+TEST(AdmissionService, ReaderLatencySamplesEveryKthDecision) {
+  static_assert(AdmissionService::Reader::kLatencySampleEvery == 64);
+  AdmissionConfig cfg;
+  cfg.epoch.events_per_epoch = 0;
+  AdmissionService svc(graph::GraphBuilder(16).BuildAugmented(),
+                       detect::Seeds{}, cfg);
+  const auto expect_sampled = [](const AdmissionService::Reader& r) {
+    EXPECT_EQ(r.Latency().Count(), (r.Decisions() + 63) / 64)
+        << "after " << r.Decisions() << " decisions";
+  };
+  auto reader = svc.CreateReader();
+  std::uint64_t made = 0;
+  for (const std::uint64_t upto : {0, 1, 63, 64, 65, 1000}) {
+    for (; made < upto; ++made) {
+      reader.Decide(static_cast<graph::NodeId>(made % 16), made);
+    }
+    ASSERT_EQ(reader.Decisions(), upto);
+    EXPECT_EQ(reader.Admitted(), upto);
+    expect_sampled(reader);
+  }
+
+  // 1,000 decisions: the next timed one is decision 1,024.
+  AdmissionService::Reader moved(std::move(reader));
+  expect_sampled(moved);
+  for (; made < 1024; ++made) moved.Decide(0, made);
+  EXPECT_EQ(moved.Latency().Count(), 16u);
+  moved.Decide(0, made++);
+  EXPECT_EQ(moved.Latency().Count(), 17u);
+
+  auto assigned = svc.CreateReader();
+  assigned.Decide(0, 0);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Decisions(), 1025u);
+  expect_sampled(assigned);
+  for (; made < 1088; ++made) assigned.Decide(0, made);
+  EXPECT_EQ(assigned.Latency().Count(), 17u);
+  assigned.Decide(0, made++);
+  EXPECT_EQ(assigned.Latency().Count(), 18u);
+  expect_sampled(assigned);
 }
 
 // Every epoch the service publishes with a baseline carries the gain table
@@ -598,6 +643,99 @@ TEST(AdmissionService, RefusesOversizedConfigBeforeStarting) {
   const auto svc = make(cfg);
   auto reader = svc->CreateReader();
   EXPECT_EQ(reader.Decide(1, 0).verdict, Verdict::kAdmit);
+}
+
+// Detection configs that no epoch's MaarSolver accepts. At construction
+// they must throw; a service that took one would meet the solver's throw on
+// its detection thread, where it terminates the process, and a halo of
+// INT_MAX would spin RunEpochDetection's halo loop ~2^31 times an epoch.
+std::vector<engine::EpochConfig> ConfigsTheSolverRefuses() {
+  std::vector<engine::EpochConfig> bad;
+  engine::EpochConfig base;
+  base.events_per_epoch = 0;
+  base.detect.maar.num_threads = 1;
+  bad.push_back(base);
+  bad.back().detect.maar.k_scale = 1.0;
+  bad.push_back(base);
+  bad.back().detect.maar.k_min = std::numeric_limits<double>::quiet_NaN();
+  bad.push_back(base);
+  bad.back().detect.maar.num_random_inits = 1 << 20;  // cold cells
+  bad.push_back(base);
+  // Default 9-k sweep: 9 × (40,000 + 2) warm cells.
+  bad.back().warm_random_inits = 40000;
+  bad.push_back(base);
+  bad.back().warm_random_inits = 7280;  // 9 × 7,282 = 65,538 cells
+  bad.push_back(base);
+  bad.back().warm_random_inits = -1;
+  bad.push_back(base);
+  bad.back().warm_k_halo = -1;
+  bad.push_back(base);
+  bad.back().warm_k_halo = 4097;
+  bad.push_back(base);
+  bad.back().warm_k_halo = std::numeric_limits<int>::max();
+  return bad;
+}
+
+// The largest warm settings the default 9-k sweep admits.
+engine::EpochConfig LargestAcceptedWarmConfig() {
+  engine::EpochConfig cfg;
+  cfg.events_per_epoch = 0;
+  cfg.detect.maar.num_threads = 1;
+  cfg.warm_k_halo = 4096;
+  cfg.warm_random_inits = 7279;  // 9 × 7,281 = 65,529 cells
+  return cfg;
+}
+
+TEST(AdmissionService, RefusesADetectionConfigItsSolverWouldRefuse) {
+  for (const engine::EpochConfig& ecfg : ConfigsTheSolverRefuses()) {
+    AdmissionConfig cfg;
+    cfg.epoch = ecfg;
+    EXPECT_THROW(AdmissionService(graph::GraphBuilder(4).BuildAugmented(),
+                                  detect::Seeds{}, cfg),
+                 std::invalid_argument)
+        << "k_scale " << ecfg.detect.maar.k_scale << ", halo "
+        << ecfg.warm_k_halo << ", warm inits " << ecfg.warm_random_inits;
+  }
+  AdmissionConfig cfg;
+  cfg.epoch = LargestAcceptedWarmConfig();
+  AdmissionService svc(graph::GraphBuilder(4).BuildAugmented(),
+                       detect::Seeds{}, cfg);
+  EXPECT_EQ(svc.CreateReader().Decide(1, 0).verdict, Verdict::kAdmit);
+}
+
+TEST(EpochDetector, RefusesADetectionConfigItsSolverWouldRefuse) {
+  for (const engine::EpochConfig& ecfg : ConfigsTheSolverRefuses()) {
+    EXPECT_THROW(engine::EpochDetector(4, detect::Seeds{}, ecfg),
+                 std::invalid_argument)
+        << "k_scale " << ecfg.detect.maar.k_scale << ", halo "
+        << ecfg.warm_k_halo << ", warm inits " << ecfg.warm_random_inits;
+    // The restore paths check the config before they open the file.
+    EXPECT_THROW(engine::EpochDetector::FromSnapshot("no-such-file.snap",
+                                                     detect::Seeds{}, ecfg),
+                 std::invalid_argument);
+    EXPECT_THROW(engine::EpochDetector::RestoreCheckpoint(
+                     "no-such-file.snap", detect::Seeds{}, ecfg),
+                 std::invalid_argument);
+  }
+  engine::EpochDetector det(4, detect::Seeds{}, LargestAcceptedWarmConfig());
+  EXPECT_EQ(det.RunEpoch().epoch, 0);
+}
+
+// ingest_seconds spans an epoch's first ingested event to its cut, and is
+// 0 for an epoch that ingested nothing.
+TEST(EpochDetector, IngestSecondsSpansFirstEventToCut) {
+  engine::EpochConfig cfg;
+  cfg.events_per_epoch = 0;
+  cfg.detect.maar.num_threads = 1;
+  engine::EpochDetector det(4, detect::Seeds{}, cfg);
+  EXPECT_EQ(det.RunEpoch().ingest_seconds, 0.0);
+  det.Ingest({stream::EventType::kAddFriend, 0, 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  det.Ingest({stream::EventType::kAddFriend, 1, 2});
+  const engine::EpochStats& stats = det.RunEpoch();
+  EXPECT_EQ(stats.events_absorbed, 2u);
+  EXPECT_GE(stats.ingest_seconds, 0.02);
+  EXPECT_EQ(det.RunEpoch().ingest_seconds, 0.0);
 }
 
 double ProcessCpuSeconds() {
