@@ -136,4 +136,18 @@ graph::NodeId BucketList::PopMax() {
   return v;
 }
 
+void BucketList::Drain() noexcept {
+  for (std::int32_t b = cur_max_; size_ != 0; --b) {
+    std::int32_t& head = heads_[static_cast<std::size_t>(b + max_bucket_)];
+    for (std::int32_t v = head; v != kNil;) {
+      NodeLink& lv = links_[static_cast<std::size_t>(v)];
+      v = lv.next;
+      lv.bucket = kAbsent;
+      --size_;
+    }
+    head = kNil;
+  }
+  cur_max_ = -max_bucket_;
+}
+
 }  // namespace rejecto::detect

@@ -96,6 +96,11 @@ class BucketList {
   // Removes and returns a max-gain node (kInvalidNode when empty).
   graph::NodeId PopMax();
 
+  // Empties the list without popping in order: a pass that stops early
+  // leaves nodes behind, and Reset is O(growth) only on an empty list.
+  // O(size + the buckets PopMax would have walked).
+  void Drain() noexcept;
+
   // Appends up to `k` currently-present nodes in descending bucket order
   // (LIFO within a bucket) — the prefetch candidates of the distributed
   // engine (§V): the nodes most likely to be switched soonest.

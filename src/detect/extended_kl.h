@@ -7,19 +7,22 @@
 // tentatively switches it (even at negative gain, to climb out of local
 // minima), then applies the switch-sequence prefix with the largest positive
 // cumulative gain. Passes repeat until no improving prefix exists. Locked
-// nodes (seeds, §IV-F) never enter the bucket list. The prefix is applied
-// by rewinding the partition to a checkpoint taken at the pass start and
-// replaying it (Partition::Mark/Rewind), not by undoing the rest of the
-// pass switch by switch.
+// nodes (seeds, §IV-F) never enter the bucket list. A pass stops popping
+// once an exact upper bound on what the unpopped nodes can still gain
+// (detect/pass_bound.h) shows no later prefix can beat the best one; the
+// prefix kept, and so every result, is the one popping every node would
+// keep. The prefix is applied by rewinding the partition to a checkpoint
+// taken at the pass start and replaying it (Partition::Mark/Rewind), not
+// by undoing the rest of the pass switch by switch.
 //
 // The inner loop is the classic FM delta-gain kernel: a switch makes ONE
 // traversal of the node's friends/rejectors/rejectees
 // (Partition::SwitchFused), fusing the aggregate updates with bucket
-// maintenance, and a node only relinks when its quantized bucket actually
-// changes (BucketList::Adjust). All working state lives in a KlScratch that
-// callers may reuse across invocations; the steady-state pass loop then
-// performs no heap allocation at all (the only allocation per call is the
-// result mask copy).
+// maintenance and the pass bound's upkeep, and a node only relinks when its
+// quantized bucket actually changes (BucketList::Adjust). All working state
+// lives in a KlScratch that callers may reuse across invocations; the
+// steady-state pass loop then performs no heap allocation at all (the only
+// allocation per call is the result mask copy).
 //
 // Like Partition, BasicExtendedKl and BasicKlScratch are templates on the
 // row source (definitions in detect/extended_kl_impl.h); ExtendedKl and
@@ -31,6 +34,7 @@
 
 #include "detect/bucket_list.h"
 #include "detect/partition.h"
+#include "detect/pass_bound.h"
 #include "graph/augmented_graph.h"
 #include "graph/graph_source.h"
 #include "util/buffer.h"
@@ -46,6 +50,7 @@ struct KlConfig {
 struct KlStats {
   int passes = 0;
   std::uint64_t switches_applied = 0;  // sum of applied prefix lengths
+  std::uint64_t switches_tried = 0;    // nodes popped and switched, all passes
   double final_objective = 0.0;        // W(U) at termination
 };
 
@@ -69,6 +74,7 @@ struct alignas(64) BasicKlScratch {
   BucketList bucket;
   util::AlignedVector<graph::NodeId> seq;   // this pass's switch sequence
   util::AlignedVector<graph::NodeId> touched;  // neighbors hit per switch
+  PassBound bound;  // what the rest of the pass can still gain
 };
 using KlScratch = BasicKlScratch<graph::GraphSource>;
 

@@ -60,32 +60,54 @@ KlResult BasicExtendedKl(const Source& src, const std::vector<char>& init_in_u,
   // here keeps SwitchFused's push_backs allocation-free for the whole call.
   ws.touched.reserve(static_cast<std::size_t>(src.MaxFriendshipDegree() +
                                               src.MaxRejectionDegree()));
+  // |F| and |R| size the pass bound's rounding margin.
+  std::uint64_t degree_sum = 0;
+  std::uint64_t rejections = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    degree_sum += p.FriendDegree(v);
+    rejections += src.RejInDegree(v);
+  }
 
   for (int pass = 0; pass < config.max_passes; ++pass) {
     ++stats.passes;
     p.Mark(ws.checkpoint);
     ws.bucket.Reset(n, gain_bound, config.gain_resolution);
     BucketList& bl = ws.bucket;
+    PassBound& bound = ws.bound;
+    // After the bucket Reset, which refuses a non-finite gain bound.
+    bound.Configure(n, k, src.MaxFriendshipDegree(), src.MaxRejectionDegree(),
+                    degree_sum / 2, rejections);
+    bound.BeginPass();
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (!is_locked(v)) bl.Insert(v, -p.DeltaObjective(v, k));
+      if (is_locked(v)) continue;
+      bl.Insert(v, -p.DeltaObjective(v, k));
+      bound.Add(v, p.SameSideFriends(v), p.CrossArcs(v), p.DeltaFriends(v),
+                p.DeltaRejections(v));
     }
 
     ws.seq.clear();
     double cum = 0.0;
-    double best_cum = 0.0;
+    // A prefix is the new best when its cum beats the best one's (0 for the
+    // empty prefix) by more than kGainEps.
+    double target = kl_detail::kGainEps;
     std::size_t best_prefix = 0;  // number of leading switches to keep
 
-    while (!bl.Empty()) {
+    // Pop until the list is empty or no later prefix can beat the best one
+    // (detect/pass_bound.h); either way the kept prefix is the same.
+    while (!bl.Empty() && !bound.Exhausted(cum, target)) {
       const graph::NodeId v = bl.PopMax();
       const double gain = -p.DeltaObjective(v, k);
-      p.SwitchFused(v, k, bl, ws.touched);
+      bound.Remove(v);
+      p.SwitchFused(v, k, bl, ws.touched, &bound);
       ws.seq.push_back(v);
       cum += gain;
-      if (cum > best_cum + kl_detail::kGainEps) {
-        best_cum = cum;
+      if (cum > target) {
+        target = cum + kl_detail::kGainEps;
         best_prefix = ws.seq.size();
       }
     }
+    bl.Drain();
+    stats.switches_tried += ws.seq.size();
 
     // Keep only the best prefix (nothing, if no positive prefix exists):
     // rewind to the pass start and replay the prefix. Kept prefixes are

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "graph/compressed_view.h"
 #include "graph/subgraph.h"
@@ -179,9 +181,18 @@ DetectionResult RunRounds(const graph::AugmentedGraph& g, const Seeds& seeds,
 
 }  // namespace
 
+void ValidateIterativeConfig(const IterativeConfig& config) {
+  if (config.max_rounds < 1) {
+    throw std::invalid_argument("IterativeConfig: max_rounds " +
+                                std::to_string(config.max_rounds) +
+                                " is below 1");
+  }
+}
+
 DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const Seeds& seeds,
                                      const IterativeConfig& config) {
+  ValidateIterativeConfig(config);
   const auto pool = MakePool(config);
   return DetectFriendSpammers(g, seeds, config, SolveOn(pool.get()),
                               pool.get());
@@ -192,6 +203,7 @@ DetectionResult DetectFriendSpammers(const graph::AugmentedGraph& g,
                                      const IterativeConfig& config,
                                      const MaarRunner& solve,
                                      util::ThreadPool* pool) {
+  ValidateIterativeConfig(config);
   seeds.Validate(g.NumNodes());
   return RunRounds(g, seeds, config, solve, pool);
 }
@@ -200,6 +212,7 @@ DetectionResult DetectFriendSpammersCompressed(
     const graph::CompressedGraphView& view, const Seeds& seeds,
     const IterativeConfig& config) {
   util::WallTimer timer;
+  ValidateIterativeConfig(config);
   seeds.Validate(view.NumNodes());
   const auto pool = MakePool(config);
   const graph::AugmentedGraph g = view.Materialize(pool.get()).graph;

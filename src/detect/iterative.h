@@ -42,8 +42,15 @@ struct IterativeConfig {
   // this (§IV-E "other termination conditions"). Negative disables.
   double acceptance_rate_threshold = -1.0;
 
+  // At least 1; DetectFriendSpammers refuses fewer (see
+  // ValidateIterativeConfig).
   int max_rounds = 64;
 };
+
+// Throws std::invalid_argument naming the field unless max_rounds >= 1.
+// Every DetectFriendSpammers entry calls it first, before any pool starts
+// or any snapshot is read.
+void ValidateIterativeConfig(const IterativeConfig& config);
 
 struct RoundInfo {
   std::vector<graph::NodeId> detected;  // original-graph ids (pre-trim)

@@ -198,6 +198,7 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
   auto consider = [&](ScoredRun&& s, double k) {
     ++best.kl_runs;
     best.switches += s.r.stats.switches_applied;
+    best.switches_tried += s.r.stats.switches_tried;
     if (!Beats(s, best.ratio, best.cut.rejections_into_u)) return false;
     best.valid = true;
     best.in_u = std::move(s.r.in_u);

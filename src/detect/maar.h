@@ -133,6 +133,7 @@ struct MaarCut {
   int speculative_runs = 0;
   int speculative_hits = 0;
   std::uint64_t switches = 0;   // KL switches applied, summed over runs
+  std::uint64_t switches_tried = 0;  // KL switches tried, summed over runs
   int threads_used = 1;         // pool width the sweep ran on
   double sweep_seconds = 0.0;   // grid and warm chain, reduced as they run
   double refine_seconds = 0.0;  // Dinkelbach rounds

@@ -22,10 +22,11 @@
 // The class is a template on its row source (definitions in
 // detect/partition_impl.h): `Partition` is the graph::GraphSource one, and
 // engine/dist_kl.cpp instantiates it over the sharded store. A Source has
-// NumNodes(), MaxFriendshipDegree(), MaxRejectionDegree(), RejInDegree(v),
-// the rows Friends/Rejectors/Rejectees(v), which a switch reads back to
-// back for one v, and ForEachRow(fn), which calls fn(v, friends,
-// rejectors, rejectees) once per node, possibly from several threads.
+// NumNodes(), MaxFriendshipDegree(), MaxRejectionDegree(), the degree
+// reads RejInDegree(v) and RejOutDegree(v), which fetch no row, the rows
+// Friends/Rejectors/Rejectees(v), which a switch reads back to back for one
+// v, and ForEachRow(fn), which calls fn(v, friends, rejectors, rejectees)
+// once per node, possibly from several threads.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,7 @@
 namespace rejecto::detect {
 
 class BucketList;
+class PassBound;
 
 template <class Source>
 class BasicPartition {
@@ -77,9 +79,13 @@ class BasicPartition {
   // first occurrence — the same intra-bucket LIFO order the unfused
   // Switch-then-refresh loop produces. Gains are recomputed from the
   // integer aggregates with the same expression as DeltaObjective, never
-  // accumulated in floating point, keeping cuts bit-identical.
+  // accumulated in floating point, keeping cuts bit-identical. With a
+  // `bound`, the same sweep keeps the pass gain bound current: v must have
+  // left it (PassBound::Remove), and each neighbour still in the bucket list
+  // loses v from its f or r and has its term recomputed.
   void SwitchFused(graph::NodeId v, double k, BucketList& bl,
-                   util::AlignedVector<graph::NodeId>& touched);
+                   util::AlignedVector<graph::NodeId>& touched,
+                   PassBound* bound = nullptr);
 
   // Change of W(U) if v switched now: ΔW(v) = ΔF(v) − k·ΔR(v) with
   //   ΔF(v) = deg(v) − 2·cross_friends(v)
@@ -99,6 +105,26 @@ class BasicPartition {
     const std::int64_t d = static_cast<std::int64_t>(agg_[v].out_to_u) -
                            static_cast<std::int64_t>(agg_[v].in_from_w);
     return (agg_[v].deg & kSideBit) ? d : -d;
+  }
+
+  // deg(v), without the side bit.
+  std::uint32_t FriendDegree(graph::NodeId v) const {
+    return agg_[v].deg & kDegMask;
+  }
+
+  // v's friends on its own side (f of detect/pass_bound.h's gain bound).
+  std::uint32_t SameSideFriends(graph::NodeId v) const {
+    return FriendDegree(v) - agg_[v].cross_friends;
+  }
+
+  // Rejection arcs, cast or received, between v and the other side (r of
+  // the pass gain bound), from the aggregates and the source's rejection
+  // degrees: no row read.
+  std::uint32_t CrossArcs(graph::NodeId v) const {
+    const NodeAggregates& a = agg_[v];
+    return (a.deg & kSideBit)
+               ? a.in_from_w + (src_.RejOutDegree(v) - a.out_to_u)
+               : (src_.RejInDegree(v) - a.in_from_w) + a.out_to_u;
   }
 
   // The partition state at a pass start, minus what the graph and the mask
@@ -161,8 +187,10 @@ class BasicPartition {
 
   // The switch itself, shared by Switch and SwitchFused: moves v to the
   // other side and applies every aggregate delta, reading v's three rows
-  // once. Appends the rows to `touched` when it is non-null.
-  void Flip(graph::NodeId v, util::AlignedVector<graph::NodeId>* touched);
+  // once. Appends the rows to `touched` when it is non-null. Returns v's
+  // friend count, the length of the friends run in `touched`.
+  std::size_t Flip(graph::NodeId v,
+                   util::AlignedVector<graph::NodeId>* touched);
 
   Source src_;
   // Normalized to strict 0/1 bytes by InitAggregates, so side comparisons

@@ -9,9 +9,11 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "detect/bucket_list.h"
 #include "detect/partition.h"
+#include "detect/pass_bound.h"
 #include "util/dcheck.h"
 #include "util/simd.h"
 
@@ -174,8 +176,8 @@ void BasicPartition<Source>::Switch(graph::NodeId v) {
 }
 
 template <class Source>
-void BasicPartition<Source>::Flip(graph::NodeId v,
-                                  util::AlignedVector<graph::NodeId>* touched) {
+std::size_t BasicPartition<Source>::Flip(
+    graph::NodeId v, util::AlignedVector<graph::NodeId>* touched) {
   // Update the global totals with the pre-switch deltas.
   cross_friendships_ = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(cross_friendships_) + DeltaFriends(v));
@@ -224,15 +226,16 @@ void BasicPartition<Source>::Flip(graph::NodeId v,
     agg_[y].in_from_w = static_cast<std::uint32_t>(
         static_cast<std::int32_t>(agg_[y].in_from_w) - into_u);
   }
+  return friends.size();
 }
 
 template <class Source>
 void BasicPartition<Source>::SwitchFused(
     graph::NodeId v, double k, BucketList& bl,
-    util::AlignedVector<graph::NodeId>& touched) {
+    util::AlignedVector<graph::NodeId>& touched, PassBound* bound) {
   REJECTO_DCHECK(v < NumNodes(), "Partition::SwitchFused: node id");
   touched.clear();
-  Flip(v, &touched);
+  const std::size_t num_friends = Flip(v, &touched);
 
   // Deferred bucket maintenance with the final aggregates: the first
   // occurrence of each neighbor relinks it (head of its new bucket), later
@@ -244,12 +247,44 @@ void BasicPartition<Source>::SwitchFused(
   // locked — Adjust would ignore them anyway. The link records are
   // prefetched a fixed lookahead ahead of the sweep, not during the delta
   // traversal, which on long rows evicts them before the sweep comes.
+  //
+  // The bound's upkeep: a neighbour w still in the bucket list has not
+  // switched this pass, and v just did, so they shared a side at the pass
+  // start exactly when they differ now. A friend w then loses v from its f,
+  // a rejection partner from the other side loses one arc from its r (once
+  // per arc: the rejectors and rejectees runs list each arc once).
   const std::size_t count = touched.size();
+  const std::uint32_t v_side = agg_[v].deg & kSideBit;
   constexpr std::size_t kLookahead = 8;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i + kLookahead < count) bl.PrefetchNode(touched[i + kLookahead]);
-    const graph::NodeId w = touched[i];
-    if (bl.Contains(w)) bl.Adjust(w, -DeltaObjective(w, k));
+  // One loop per run, with and without the bound, so neither the bound
+  // test nor the run test sits in the loop body.
+  auto sweep = [&](std::size_t begin, std::size_t end, auto with_bound,
+                   auto friend_run) {
+    std::int64_t ub_change = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + kLookahead < count) {
+        bl.PrefetchNode(touched[i + kLookahead]);
+        if constexpr (with_bound) bound->Prefetch(touched[i + kLookahead]);
+      }
+      const graph::NodeId w = touched[i];
+      if (!bl.Contains(w)) continue;
+      const std::int64_t df = DeltaFriends(w);
+      const std::int64_t dr = DeltaRejections(w);
+      // DeltaObjective's expression, on the same integers.
+      bl.Adjust(w, -(static_cast<double>(df) - k * static_cast<double>(dr)));
+      if constexpr (with_bound) {
+        const std::uint32_t differs = (agg_[w].deg ^ v_side) >> 31;
+        ub_change += friend_run ? bound->Update(w, differs, 0, df, dr)
+                                : bound->Update(w, 0, 1 - differs, df, dr);
+      }
+    }
+    if constexpr (with_bound) bound->Shift(ub_change);
+  };
+  if (bound == nullptr) {
+    sweep(0, count, std::false_type{}, std::true_type{});
+  } else {
+    sweep(0, num_friends, std::true_type{}, std::true_type{});
+    sweep(num_friends, count, std::true_type{}, std::false_type{});
   }
 }
 

@@ -40,6 +40,9 @@ class StoreSource {
   std::uint32_t RejInDegree(graph::NodeId v) const {
     return store_->RejInDegree(v);
   }
+  std::uint32_t RejOutDegree(graph::NodeId v) const {
+    return store_->RejOutDegree(v);
+  }
 
   std::span<const graph::NodeId> Friends(graph::NodeId v) const {
     return Row(v).friends;

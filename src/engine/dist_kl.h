@@ -5,9 +5,11 @@
 // (aggregates, gains, bucket list) lives on the master, adjacency on the
 // workers. Aggregate init reads each shard's rows on its own worker, like
 // the prototype's RDD transformations. Each switch pulls its row through a
-// PrefetchBuffer whose candidates are the bucket list's top-gain nodes, and
-// each pass rewinds to its checkpoint and replays the kept prefix,
-// refetching those rows. The result is bit-identical to detect::ExtendedKl
+// PrefetchBuffer whose candidates are the bucket list's top-gain nodes.
+// The pass gain bound reads only master-side degree arrays, so a pass that
+// stops early fetches nothing for the nodes it never pops. Each pass
+// rewinds to its checkpoint and replays the kept prefix, refetching those
+// rows. The result is bit-identical to detect::ExtendedKl
 // (the tests assert it); what differs is the metered I/O.
 #pragma once
 

@@ -23,6 +23,7 @@ constexpr int kMaxWarmKHalo = 4096;
 }  // namespace
 
 void ValidateEpochConfig(const EpochConfig& config) {
+  detect::ValidateIterativeConfig(config.detect);
   detect::ValidateMaarSweep(config.detect.maar, /*with_extra_init=*/false);
   if (config.warm_k_halo < 0 || config.warm_k_halo > kMaxWarmKHalo) {
     throw std::invalid_argument(

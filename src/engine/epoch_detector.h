@@ -63,7 +63,8 @@ struct EpochConfig {
 
 // Throws std::invalid_argument for a config whose epochs' MAAR solves would
 // throw, so that a service or detector refuses it at construction instead
-// of failing on a later epoch: detect.maar's k sweep (detect::
+// of failing on a later epoch: detect.max_rounds below 1 (detect::
+// ValidateIterativeConfig), detect.maar's k sweep (detect::
 // ValidateMaarSweep), a warm_k_halo outside [0, 4096], a negative
 // warm_random_inits, or a warm round-0 sweep past the solver's caps. A
 // warm sweep is at most as long as the cold one (it falls back to the whole

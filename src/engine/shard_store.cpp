@@ -72,6 +72,7 @@ ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
                                      Cluster& cluster)
     : num_nodes_(g.NumNodes()),
       rej_in_(g.NumNodes()),
+      rej_out_(g.NumNodes()),
       max_friendship_degree_(g.MaxFriendshipDegree()),
       max_rejection_degree_(g.MaxRejectionDegree()),
       source_(&g),
@@ -80,6 +81,7 @@ ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
       policy_(cluster.Config().fetch) {
   for (graph::NodeId v = 0; v < num_nodes_; ++v) {
     rej_in_[v] = g.Rejections().InDegree(v);
+    rej_out_[v] = g.Rejections().OutDegree(v);
   }
   const auto num_shards = static_cast<std::uint32_t>(cluster.Pool().size());
   shards_.resize(num_shards);

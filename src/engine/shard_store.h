@@ -138,6 +138,7 @@ class ShardedGraphStore {
   // Master-side degree state, computed once at construction (the maxima
   // are AugmentedGraph's); reading it never fetches.
   std::uint32_t RejInDegree(graph::NodeId v) const { return rej_in_[v]; }
+  std::uint32_t RejOutDegree(graph::NodeId v) const { return rej_out_[v]; }
   std::uint64_t MaxFriendshipDegree() const noexcept {
     return max_friendship_degree_;
   }
@@ -217,6 +218,7 @@ class ShardedGraphStore {
 
   graph::NodeId num_nodes_ = 0;
   std::vector<std::uint32_t> rej_in_;
+  std::vector<std::uint32_t> rej_out_;
   std::uint64_t max_friendship_degree_ = 0;
   std::uint64_t max_rejection_degree_ = 0;
   const graph::AugmentedGraph* source_;  // lineage for failover rebuilds

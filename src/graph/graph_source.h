@@ -36,6 +36,9 @@ class GraphSource {
   std::uint32_t RejInDegree(NodeId u) const {
     return g_->Rejections().InDegree(u);
   }
+  std::uint32_t RejOutDegree(NodeId u) const {
+    return g_->Rejections().OutDegree(u);
+  }
 
   std::span<const NodeId> Friends(NodeId u) const {
     return g_->Friendships().Neighbors(u);

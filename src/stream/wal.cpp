@@ -105,6 +105,11 @@ void ByteReader::GetBytes(void* out, std::size_t len) {
 
 WalWriter::WalWriter(std::string base_path, WalOptions options)
     : base_path_(std::move(base_path)), options_(options) {
+  // A zero limit would rotate after every record; refuse it before any
+  // file is probed or created.
+  if (options_.max_segment_bytes == 0) {
+    throw std::invalid_argument("WalWriter: max_segment_bytes must be positive");
+  }
   // Continue after the highest existing segment; a possibly-torn tail in an
   // old segment is recovery's business, never the writer's.
   std::uint32_t last = 0;

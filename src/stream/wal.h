@@ -50,7 +50,9 @@
 namespace rejecto::stream {
 
 struct WalOptions {
-  std::uint64_t max_segment_bytes = 64ull << 20;  // rotate past this size
+  // Rotate past this size; must be positive (WalWriter throws
+  // std::invalid_argument on 0 before it touches a file).
+  std::uint64_t max_segment_bytes = 64ull << 20;
   // fsync the live segment after every Nth acked record; 0 = only on
   // explicit Sync() / Close().
   std::uint64_t sync_every_n = 0;

@@ -780,5 +780,44 @@ TEST(AdmissionService, RejectsSelfEdgeAtSubmission) {
                std::invalid_argument);
 }
 
+// max_rounds below 1 is refused with the other detection settings, before
+// a detector's pool or a service's threads start and before a restore path
+// opens its file.
+TEST(EpochDetector, RefusesFewerThanOneRound) {
+  for (const int rounds : {0, -1}) {
+    engine::EpochConfig ecfg;
+    ecfg.events_per_epoch = 0;
+    ecfg.detect.max_rounds = rounds;
+    ecfg.detect.maar.num_threads = 257;  // a later check would name threads
+    const auto names_rounds = [](const std::invalid_argument& e) {
+      return std::string(e.what()).find("max_rounds") != std::string::npos;
+    };
+    try {
+      engine::ValidateEpochConfig(ecfg);
+      ADD_FAILURE() << "max_rounds " << rounds << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(names_rounds(e)) << e.what();
+    }
+    try {
+      engine::EpochDetector(4, detect::Seeds{}, ecfg);
+      ADD_FAILURE() << "EpochDetector took max_rounds " << rounds;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(names_rounds(e)) << e.what();
+    }
+    EXPECT_THROW(engine::EpochDetector::RestoreCheckpoint(
+                     "no-such-file.snap", detect::Seeds{}, ecfg),
+                 std::invalid_argument);
+    AdmissionConfig cfg;
+    cfg.epoch = ecfg;
+    try {
+      AdmissionService(graph::GraphBuilder(4).BuildAugmented(),
+                       detect::Seeds{}, cfg);
+      ADD_FAILURE() << "AdmissionService took max_rounds " << rounds;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(names_rounds(e)) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rejecto

@@ -340,5 +340,22 @@ TEST_F(CompressedDetectTest, EpochDetectorFromV2SnapshotMatchesV1) {
   EXPECT_EQ(a.round_ratios, b.round_ratios);
 }
 
+// A pipeline of no rounds is refused before the view is materialized on a
+// pool: with 257 threads a later check would name the thread count.
+TEST_F(CompressedDetectTest, RefusesFewerThanOneRoundBeforeMaterializing) {
+  const auto scenario = MakeAttackScenario(3, 200, 20);
+  const auto view = SaveAndOpen(Path("rounds.snap"), scenario.graph);
+  detect::IterativeConfig cfg;
+  cfg.max_rounds = 0;
+  cfg.maar.num_threads = 257;
+  try {
+    detect::DetectFriendSpammersCompressed(view, {}, cfg);
+    ADD_FAILURE() << "max_rounds 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_rounds"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace rejecto

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -417,6 +418,43 @@ TEST(ParallelMaarTest, GainBoundMaximaMatchBruteForce) {
   EXPECT_EQ(g.MaxFriendshipDegree(), max_f);
   EXPECT_EQ(g.MaxRejectionDegree(), max_r);
   EXPECT_GT(max_r, 0u);  // the scenario actually planted rejections
+}
+
+// A pipeline of no rounds is refused at each DetectFriendSpammers entry
+// before its pool starts: with 257 threads a later check would throw the
+// thread-limit error instead of naming max_rounds.
+TEST(ParallelMaarTest, RefusesFewerThanOneRoundBeforeAPoolStarts) {
+  const auto scenario = PlantedScenario();
+  const auto expect_refused = [](const auto& call, int rounds) {
+    try {
+      call();
+      ADD_FAILURE() << "max_rounds " << rounds << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_rounds"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const int rounds : {0, -1, std::numeric_limits<int>::min()}) {
+    IterativeConfig cfg;
+    cfg.max_rounds = rounds;
+    cfg.maar.num_threads = 257;
+    expect_refused([&] { DetectFriendSpammers(scenario.graph, {}, cfg); },
+                   rounds);
+    const MaarRunner never = [](const graph::AugmentedGraph&, const Seeds&,
+                                const MaarConfig&) {
+      ADD_FAILURE() << "a round ran";
+      return MaarCut{};
+    };
+    expect_refused(
+        [&] { DetectFriendSpammers(scenario.graph, {}, cfg, never); },
+        rounds);
+    EXPECT_THROW(ValidateIterativeConfig(cfg), std::invalid_argument);
+  }
+  IterativeConfig one;
+  one.max_rounds = 1;
+  one.maar.num_threads = 1;
+  EXPECT_NO_THROW(ValidateIterativeConfig(one));
+  EXPECT_LE(DetectFriendSpammers(scenario.graph, {}, one).rounds.size(), 1u);
 }
 
 }  // namespace

@@ -287,6 +287,31 @@ TEST(DistKlTest, RowReadsBoundedByPassesAndKeptPrefixes) {
   }
 }
 
+// The pass gain bound reads only the store's master-side degree arrays
+// (RejInDegree, RejOutDegree), never a row: a run reads one row per pop and
+// the replayed prefixes, and stops where the serial kernel stops.
+TEST(DistKlTest, PassStopReadsNoRowBeyondThePops) {
+  util::Rng rng(42);
+  const auto g = SmallAugmented(rng, 120);
+  std::vector<char> init(g.NumNodes(), 0);
+  for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
+    init[v] = g.Rejections().InDegree(v) > 0 ? 1 : 0;
+  }
+  for (const double k : {0.25, 1.0, 4.0}) {
+    Cluster cluster(
+        {.num_workers = 2, .prefetch_batch = 1, .buffer_capacity = 1});
+    const ShardedGraphStore store(g, cluster);
+    const detect::KlConfig cfg{.k = k};
+    const auto r = DistributedKl(store, init, {}, cfg, cluster);
+    const auto serial = detect::ExtendedKl(g, init, {}, cfg);
+    EXPECT_EQ(r.kl.stats.switches_tried, serial.stats.switches_tried)
+        << "k=" << k;
+    EXPECT_LE(r.io.cache_hits + r.io.cache_misses,
+              r.kl.stats.switches_tried + r.kl.stats.switches_applied)
+        << "k=" << k;
+  }
+}
+
 TEST(DistMaarTest, MatchesSerialMaarSolver) {
   util::Rng rng(91);
   const auto g = SmallAugmented(rng, 100);

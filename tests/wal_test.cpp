@@ -459,5 +459,21 @@ TEST(CheckpointTest, EpochDetectorRecoversBitIdenticalFromWalTail) {
   RemoveWal(wal_base);
 }
 
+// A zero segment size is refused before the writer probes or creates a
+// segment; the smallest accepted size still rotates after every record
+// (RotatesSegmentsAndRestartsPastThem).
+TEST(WalTest, RefusesAZeroSegmentSizeBeforeCreatingAFile) {
+  const std::string base = TempBase("wal_zero_segment");
+  RemoveWal(base);
+  EXPECT_THROW(WalWriter(base, {.max_segment_bytes = 0}),
+               std::invalid_argument);
+  EXPECT_EQ(std::fopen((base + ".000001.wal").c_str(), "rb"), nullptr);
+  WalWriter one_byte(base, {.max_segment_bytes = 1});
+  one_byte.Append(SmallEventSequence().front());
+  one_byte.Close();
+  EXPECT_EQ(RecoverWal(base).events.size(), 1u);
+  RemoveWal(base);
+}
+
 }  // namespace
 }  // namespace rejecto::stream
