@@ -285,7 +285,7 @@ std::uint64_t PeakRssBytes() {
 // decodes every block of every CSR through a bounded cursor while releasing
 // cold pages, and ABORTS if VmHWM grew by more than kRssBudgetMb over the
 // pre-open baseline, or if the compressed adjacency exceeds 0.5x the
-// equivalent RJSNAP01 adjacency bytes (the acceptance bar, measured on the
+// equivalent raw u32 CSR adjacency bytes (the acceptance bar, measured on the
 // BFS-locality graph the format targets). Prints the measured peak.
 constexpr std::uint64_t kRssBudgetMb = 600;
 

@@ -51,7 +51,7 @@ int RunDemo() {
   const graph::Snapshot snap = graph::LoadSnapshot(path);
   std::filesystem::remove(path);
 
-  const bool ok = snap.graph == scenario.graph && snap.layout.IsIdentity();
+  const bool ok = snap.graph == scenario.graph;
   std::fprintf(stderr, "demo: %u users round-tripped through %s: %s\n",
                scenario.graph.NumNodes(), path.c_str(),
                ok ? "exact" : "MISMATCH");

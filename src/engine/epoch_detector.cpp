@@ -349,12 +349,6 @@ std::unique_ptr<EpochDetector> EpochDetector::FromSnapshot(
     const std::string& path, detect::Seeds seeds, EpochConfig config) {
   std::shared_ptr<util::ThreadPool> pool = PoolFor(config);
   graph::Snapshot snap = graph::LoadSnapshot(path, pool.get());
-  // Stream ids never remap: seeds and events index the stored CSRs.
-  if (!snap.layout.IsIdentity()) {
-    throw std::invalid_argument(
-        "EpochDetector::FromSnapshot: " + path +
-        " carries a vertex permutation; stream ids must be original ids");
-  }
   return std::unique_ptr<EpochDetector>(
       new EpochDetector(std::move(snap.graph), std::move(seeds),
                         std::move(config), std::move(pool)));

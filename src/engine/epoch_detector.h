@@ -169,15 +169,15 @@ class EpochDetector {
   static std::unique_ptr<EpochDetector> RestoreCheckpoint(
       const std::string& path, detect::Seeds seeds, EpochConfig config);
 
-  // Cold-boots a detector from a graph/snapshot.h binary snapshot (either
-  // RJSNAP01 or compressed RJSNAP02 — LoadSnapshot dispatches on the magic
-  // and expands v2 block-by-block) — the fast-start counterpart of parsing
-  // text edge lists into the base-graph constructor. Stream ids are the
-  // snapshot's source-graph ids, so seeds and every future Ingest() event
-  // must index the CSRs directly: a snapshot that carries a permutation
-  // section throws std::invalid_argument naming the file. (Unlike
-  // RestoreCheckpoint, this carries no warm-start state or event cursor —
-  // it is a fresh detector on a prebuilt graph.)
+  // Cold-boots a detector from a graph/snapshot.h binary snapshot
+  // (RJSNAP02, expanded block by block on the detector's pool) — the
+  // fast-start counterpart of parsing text edge lists into the base-graph
+  // constructor. Stream ids are the snapshot's graph ids: seeds and every
+  // future Ingest() event index the CSRs directly. A file the reader does
+  // not fully read (an unknown section kind, such as the retired
+  // permutation section, or a meta flag) throws std::runtime_error naming
+  // the file. (Unlike RestoreCheckpoint, this carries no warm-start state
+  // or event cursor — it is a fresh detector on a prebuilt graph.)
   static std::unique_ptr<EpochDetector> FromSnapshot(const std::string& path,
                                                      detect::Seeds seeds,
                                                      EpochConfig config);

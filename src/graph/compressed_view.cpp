@@ -32,11 +32,6 @@ CompressedGraphView CompressedGraphView::Open(const std::string& path) {
   const std::size_t size = view.file_->size();
 
   const snapfmt::ParsedImage img = snapfmt::ParseImage(path, data, size);
-  if (img.version != 2) {
-    snapfmt::Fail(path, 0,
-                  "RJSNAP01 snapshot opened as a compressed view (use "
-                  "LoadSnapshot, which dispatches on the magic)");
-  }
 
   const snapfmt::SectionEntry* meta = img.by_kind[snapfmt::kMeta];
   if (meta == nullptr || meta->length != snapfmt::kMetaBytesV2) {
@@ -55,6 +50,12 @@ CompressedGraphView CompressedGraphView::Open(const std::string& path) {
     snapfmt::Fail(path, meta->offset,
                   "node count " + std::to_string(n64) +
                       " exceeds the 32-bit id space");
+  }
+  // No flag is defined. A set bit means a writer this reader does not
+  // know (the retired permutation flag was bit 0), so the file is refused.
+  if (flags != 0) {
+    snapfmt::Fail(path, meta->offset + 24,
+                  "unknown meta flags " + std::to_string(flags));
   }
   if (block_rows < 64 || block_rows > 256) {
     snapfmt::Fail(path, meta->offset,
@@ -143,27 +144,6 @@ CompressedGraphView CompressedGraphView::Open(const std::string& path) {
     }
   }
 
-  if ((flags & snapfmt::kFlagHasLayout) != 0) {
-    const snapfmt::SectionEntry* le = img.by_kind[snapfmt::kLayout];
-    if (le == nullptr || le->length != n64 * sizeof(NodeId)) {
-      snapfmt::Fail(path, snapfmt::kHeaderBytes,
-                    "missing or malformed layout section");
-    }
-    std::vector<NodeId> old_of_new(static_cast<std::size_t>(n64));
-    for (std::size_t i = 0; i < old_of_new.size(); ++i) {
-      old_of_new[i] = snapfmt::GetU32Le(data + le->offset + i * 4);
-    }
-    view.layout_.new_of_old.assign(view.n_, kInvalidNode);
-    for (NodeId v = 0; v < view.n_; ++v) {
-      const NodeId o = old_of_new[v];
-      if (o >= view.n_ || view.layout_.new_of_old[o] != kInvalidNode) {
-        snapfmt::Fail(path, le->offset,
-                      "layout permutation is not a bijection");
-      }
-      view.layout_.new_of_old[o] = v;
-    }
-    view.layout_.old_of_new = std::move(old_of_new);
-  }
   if (const snapfmt::SectionEntry* se = img.by_kind[snapfmt::kState]) {
     view.state_ = {data + se->offset, static_cast<std::size_t>(se->length)};
   }
@@ -291,7 +271,6 @@ Snapshot CompressedGraphView::Materialize(util::ThreadPool* pool) const {
       SocialGraph::FromCsr(n_, std::move(offs[0]), std::move(adjs[0])),
       RejectionGraph::FromCsr(n_, std::move(offs[1]), std::move(adjs[1]),
                               std::move(offs[2]), std::move(adjs[2])));
-  snap.layout = layout_;
   snap.state.assign(state_.begin(), state_.end());
   return snap;
 }

@@ -9,7 +9,7 @@
 // damaged block is reported by section, block and file offset.
 //
 // Materialize() decodes every block (in parallel on a pool) into a plain
-// in-RAM Snapshot. It is the v2 path of LoadSnapshot and the way detection
+// in-RAM Snapshot. It is all LoadSnapshot does, and the way detection
 // reads a compressed snapshot: DetectFriendSpammersCompressed materializes
 // once on the detection pool and runs the in-RAM pipeline, so every block's
 // CRC is checked before any KL run starts.
@@ -38,8 +38,10 @@ class CompressedGraphView {
 
   // Maps and validates `path`. Throws std::runtime_error (with the usual
   // "snapshot: <path> at offset <n>: ..." diagnostics) on any container
-  // violation; rejects RJSNAP01 files (those load via LoadSnapshot, which
-  // dispatches on the magic).
+  // violation, and on anything this reader does not read: another magic
+  // (the retired raw-CSR RJSNAP format included), a non-zero meta flags
+  // word, or a section kind other than meta, the six compressed-adjacency
+  // kinds and state.
   static CompressedGraphView Open(const std::string& path);
 
   NodeId NumNodes() const noexcept { return n_; }
@@ -58,11 +60,6 @@ class CompressedGraphView {
   std::uint64_t MaxRejectionDegree() const noexcept {
     return max_rejection_degree_;
   }
-
-  // The snapshot's permutation section (empty when it has none); ids
-  // handed to/returned from this view live in the stored id space, exactly
-  // like Snapshot::graph.
-  const Layout& StoredLayout() const noexcept { return layout_; }
 
   const std::string& Path() const noexcept { return path_; }
 
@@ -96,9 +93,9 @@ class CompressedGraphView {
 
   const snapfmt::FileBytes& Bytes() const noexcept { return *file_; }
 
-  // Full in-RAM expansion (LoadSnapshot's v2 path), state section
-  // included. Decodes blocks in parallel when a pool is supplied (each
-  // writes a disjoint slice of the target CSR), serially otherwise.
+  // Full in-RAM expansion (all of LoadSnapshot), state section included.
+  // Decodes blocks in parallel when a pool is supplied (each writes a
+  // disjoint slice of the target CSR), serially otherwise.
   Snapshot Materialize(util::ThreadPool* pool = nullptr) const;
 
  private:
@@ -127,7 +124,6 @@ class CompressedGraphView {
   NodeId num_blocks_ = 0;
   std::uint64_t max_friendship_degree_ = 0;
   std::uint64_t max_rejection_degree_ = 0;
-  Layout layout_;
   std::span<const unsigned char> state_;  // state section, in the mapping
   CsrView csr_[3];
 };

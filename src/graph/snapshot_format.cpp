@@ -18,13 +18,6 @@ namespace rejecto::graph::snapfmt {
 const char* SectionName(std::uint32_t kind) {
   switch (kind) {
     case kMeta: return "meta";
-    case kFrOffsets: return "friendship-offsets";
-    case kFrAdj: return "friendship-adjacency";
-    case kOutOffsets: return "rejection-out-offsets";
-    case kOutAdj: return "rejection-out-adjacency";
-    case kInOffsets: return "rejection-in-offsets";
-    case kInAdj: return "rejection-in-adjacency";
-    case kLayout: return "layout";
     case kFrBlocks: return "friendship-blocks";
     case kFrIndex: return "friendship-block-index";
     case kOutBlocks: return "rejection-out-blocks";
@@ -122,12 +115,8 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
                        std::size_t size) {
   ParsedImage img;
   if (size < kHeaderBytes) Fail(path, size, "truncated header");
-  if (std::memcmp(data, kMagicV1, 8) == 0) {
-    img.version = 1;
-  } else if (std::memcmp(data, kMagicV2, 8) == 0) {
-    img.version = 2;
-  } else {
-    Fail(path, 0, "bad magic (not an RJSNAP01/RJSNAP02 snapshot)");
+  if (std::memcmp(data, kMagicV2, 8) != 0) {
+    Fail(path, 0, "bad magic (not an RJSNAP02 snapshot)");
   }
   img.count = GetU32Le(data + 8);
   if (img.count == 0 || img.count > kMaxSections) {
@@ -141,11 +130,14 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
     Fail(path, 12, "section table CRC mismatch");
   }
 
-  // Validate every entry's bounds and content CRC before any payload is
-  // consumed. A section running past the end of the file is reported as
-  // TRUNCATION (the tail is missing); a section whose bytes are present but
-  // fail their CRC is reported as corruption — distinct errors so an
-  // operator can tell a torn copy from bit rot.
+  // Validate every entry's kind, bounds and content CRC before any payload
+  // is consumed. An unknown kind is refused outright: a section the reader
+  // would skip may change what the rest of the file means (the retired
+  // permutation section did), so no file loads with one. A section running
+  // past the end of the file is reported as TRUNCATION (the tail is
+  // missing); a section whose bytes are present but fail their CRC is
+  // reported as corruption — distinct errors so an operator can tell a torn
+  // copy from bit rot.
   for (std::uint32_t i = 0; i < img.count; ++i) {
     const unsigned char* p = data + kHeaderBytes + i * kEntryBytes;
     SectionEntry& e = img.entries[i];
@@ -153,6 +145,11 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
     e.crc = GetU32Le(p + 4);
     e.offset = GetU64Le(p + 8);
     e.length = GetU64Le(p + 16);
+    if (!IsKnownKind(e.kind)) {
+      Fail(path, kHeaderBytes + i * kEntryBytes,
+           "unknown section kind " + std::to_string(e.kind) +
+               " in the section table");
+    }
     const std::string name =
         std::string(SectionName(e.kind)) + " section (kind " +
         std::to_string(e.kind) + ")";
@@ -161,7 +158,7 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
            name + " truncated: length " + std::to_string(e.length) +
                " exceeds file size " + std::to_string(size));
     }
-    if (!(img.version == 2 && IsBlobKind(e.kind))) {
+    if (!IsBlobKind(e.kind)) {
       if (util::Crc32c(data + e.offset, static_cast<std::size_t>(e.length)) !=
           e.crc) {
         Fail(path, e.offset, name + " CRC mismatch (corrupt bytes)");
@@ -173,12 +170,10 @@ ParsedImage ParseImage(const std::string& path, const unsigned char* data,
                " is not 64-byte aligned (pre-alignment snapshot? re-save "
                "with this build)");
     }
-    if (e.kind < kMaxKinds) {
-      if (img.by_kind[e.kind] != nullptr) {
-        Fail(path, e.offset, "duplicate " + name);
-      }
-      img.by_kind[e.kind] = &e;
+    if (img.by_kind[e.kind] != nullptr) {
+      Fail(path, e.offset, "duplicate " + name);
     }
+    img.by_kind[e.kind] = &e;
   }
 
   // Every byte the CRCs do not cover must still be accounted for: the gaps

@@ -1,14 +1,14 @@
-// Container internals of the RJSNAP snapshot format.
+// Container internals of the RJSNAP02 snapshot format.
 //
-// Internal header (not part of the public graph API): graph/snapshot.cpp
-// (the version-dispatching loader and its read-only RJSNAP01 path),
-// graph/snapshot_writer.cpp (the RJSNAP02 writer, the only one in the tree)
-// and graph/compressed_view.cpp (the mmap RJSNAP02 reader) all speak the
-// same header + section-table container, so its constants, little-endian
-// codecs, file mapping and validation live here once.
+// Internal header (not part of the public graph API): the writer
+// (graph/snapshot_writer.cpp) and the mmap reader LoadSnapshot goes through
+// (graph/compressed_view.cpp) speak the same header + section-table
+// container, so its constants, little-endian codecs, file mapping and
+// validation live here once.
 //
-// Both versions share the layout:
-//   [0,  8)  magic "RJSNAP01" (read only) or "RJSNAP02"
+// Layout:
+//   [0,  8)  magic "RJSNAP02" (any other magic is refused, the retired
+//            raw-CSR format included)
 //   [8, 12)  u32 section count
 //   [12,16)  u32 CRC32C of the section-table bytes
 //   [16, ..) section table, 24 bytes per entry:
@@ -17,13 +17,15 @@
 //   (and between the table and the first section) is zero, and the file
 //   ends where the last section ends
 //
-// v2 adds the compressed-adjacency kinds 8–13, widens the meta section and
-// may carry a state section (kind 14: opaque caller bytes, the epoch
-// detector's checkpoint state). Its BLOB kinds (8/10/12) carry entry.crc ==
-// 0 and are excluded from the load-time whole-section CRC sweep — each
-// compressed block carries its own CRC32C in the block index, verified at
-// decode time, so opening a 100M+ edge snapshot never pages the adjacency
-// bytes in.
+// The sections are the meta section (kind 0), the compressed adjacency
+// kinds 8–13 and an optional state section (kind 14: opaque caller bytes,
+// the epoch detector's checkpoint state). Kinds 1–7 belonged to the retired
+// raw-CSR format and its permutation section; the reader refuses them, and
+// every other kind, rather than load a file it does not fully understand.
+// The BLOB kinds (8/10/12) carry entry.crc == 0 and are excluded from the
+// load-time whole-section CRC sweep — each compressed block carries its own
+// CRC32C in the block index, verified at decode time, so opening a 100M+
+// edge snapshot never pages the adjacency bytes in.
 #pragma once
 
 #include <cstddef>
@@ -35,45 +37,35 @@
 
 namespace rejecto::graph::snapfmt {
 
-// RJSNAP01 is read only: no writer in the tree produces it any more.
-inline constexpr char kMagicV1[8] = {'R', 'J', 'S', 'N', 'A', 'P', '0', '1'};
 inline constexpr char kMagicV2[8] = {'R', 'J', 'S', 'N', 'A', 'P', '0', '2'};
 
 enum SectionKind : std::uint32_t {
   kMeta = 0,
-  kFrOffsets = 1,   // v1 only
-  kFrAdj = 2,       // v1 only
-  kOutOffsets = 3,  // v1 only
-  kOutAdj = 4,      // v1 only
-  kInOffsets = 5,   // v1 only
-  kInAdj = 6,       // v1 only
-  kLayout = 7,
-  kFrBlocks = 8,    // v2: compressed friendship adjacency blocks
-  kFrIndex = 9,     // v2: friendship block index
-  kOutBlocks = 10,  // v2: compressed rejection out-adjacency blocks
+  kFrBlocks = 8,    // compressed friendship adjacency blocks
+  kFrIndex = 9,     // friendship block index
+  kOutBlocks = 10,  // compressed rejection out-adjacency blocks
   kOutIndex = 11,
-  kInBlocks = 12,   // v2: compressed rejection in-adjacency blocks
+  kInBlocks = 12,   // compressed rejection in-adjacency blocks
   kInIndex = 13,
-  kState = 14,      // v2: opaque caller state (checkpoints only)
+  kState = 14,      // opaque caller state (checkpoints only)
 };
 
-inline constexpr std::uint64_t kFlagHasLayout = 1;
 inline constexpr std::size_t kEntryBytes = 24;   // kind + crc + offset + length
 inline constexpr std::size_t kHeaderBytes = 16;  // magic + count + table crc
 inline constexpr std::uint32_t kMaxSections = 64;
-inline constexpr std::uint32_t kMaxKinds = 16;
+inline constexpr std::uint32_t kMaxKinds = kState + 1;  // by_kind slots
 // Every section starts on a 64-byte boundary (util::memory::kAlignment) so
 // an mmap'd view can hand section payloads straight to the SIMD kernels.
 inline constexpr std::size_t kSectionAlign = util::memory::kAlignment;
 
-// v1 meta: 4 × u64 (n, E, R, flags). v2 meta: 7 × u64 (n, E, R, flags,
-// block_rows, max_friendship_degree, max_rejection_degree — the degree
-// maxima ExtendedKl's gain bound needs, precomputed so a compressed view
-// never scans the file to recover them).
-inline constexpr std::size_t kMetaBytesV1 = 4 * 8;
+// Meta: 7 × u64 (n, E, R, flags, block_rows, max_friendship_degree,
+// max_rejection_degree — the degree maxima ExtendedKl's gain bound needs,
+// precomputed so a compressed view never scans the file to recover them).
+// No flag is defined: the writer stores 0 and the reader refuses any other
+// value.
 inline constexpr std::size_t kMetaBytesV2 = 7 * 8;
 
-// One v2 block-index record (kFrIndex/kOutIndex/kInIndex payloads):
+// One block-index record (kFrIndex/kOutIndex/kInIndex payloads):
 //   u64 byte_off    first byte of the block inside the blob section
 //   u64 first_adj   global adjacency index of the block's first entry
 //   u32 crc         CRC32C of the block's encoded bytes
@@ -90,9 +82,15 @@ struct SectionEntry {
   std::uint64_t length = 0;
 };
 
-// v2 blob sections skip the load-time whole-section CRC (see header note).
+// Blob sections skip the load-time whole-section CRC (see header note).
 inline constexpr bool IsBlobKind(std::uint32_t kind) {
   return kind == kFrBlocks || kind == kOutBlocks || kind == kInBlocks;
+}
+
+// The kinds the reader reads: meta, the six compressed-adjacency kinds and
+// state.
+inline constexpr bool IsKnownKind(std::uint32_t kind) {
+  return kind == kMeta || (kind >= kFrBlocks && kind <= kState);
 }
 
 // Human-readable section name for loader diagnostics.
@@ -135,20 +133,20 @@ class FileBytes {
   std::size_t size_ = 0;
 };
 
-// The validated header + section table of either snapshot version.
+// The validated header + section table.
 struct ParsedImage {
-  int version = 1;  // 1 or 2, from the magic
   std::uint32_t count = 0;
   SectionEntry entries[kMaxSections];
   const SectionEntry* by_kind[kMaxKinds] = {nullptr};
 };
 
 // Validates the container: magic, section count, table CRC, and for every
-// entry bounds (distinguishing a TRUNCATED file from corrupt bytes), content
-// CRC (skipped for v2 blob kinds), 64-byte alignment and kind uniqueness;
-// then that every byte outside the header, the table and the sections is a
-// zero pad byte and that nothing follows the last section. Every failure
-// throws via Fail() naming the section (or the stray byte) and its offset.
+// entry a known kind (IsKnownKind), bounds (distinguishing a TRUNCATED file
+// from corrupt bytes), content CRC (skipped for blob kinds), 64-byte
+// alignment and kind uniqueness; then that every byte outside the header,
+// the table and the sections is a zero pad byte and that nothing follows
+// the last section. Every failure throws via Fail() naming the section (or
+// the stray byte, or the table entry of an unknown kind) and its offset.
 ParsedImage ParseImage(const std::string& path, const unsigned char* data,
                        std::size_t size);
 

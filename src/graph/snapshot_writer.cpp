@@ -22,17 +22,12 @@ constexpr std::uint32_t kCsrIndexKind[3] = {
 }  // namespace
 
 CompressedSnapshotWriter::CompressedSnapshotWriter(
-    std::string path, NodeId num_nodes, Options options, Layout layout,
+    std::string path, NodeId num_nodes, Options options,
     std::span<const unsigned char> state)
     : path_(std::move(path)),
       tmp_(path_ + ".tmp"),
       n_(num_nodes),
-      block_rows_(std::clamp<std::uint32_t>(options.block_rows, 64, 256)),
-      layout_(std::move(layout)) {
-  if (!layout_.IsIdentity() && layout_.old_of_new.size() != n_) {
-    throw std::invalid_argument(
-        "CompressedSnapshotWriter: layout size mismatch");
-  }
+      block_rows_(std::clamp<std::uint32_t>(options.block_rows, 64, 256)) {
   if (util::Failpoints::Instance().ShouldFail("snapshot/write")) {
     throw std::runtime_error("snapshot: injected write failure on " + tmp_);
   }
@@ -40,8 +35,7 @@ CompressedSnapshotWriter::CompressedSnapshotWriter(
   if (file_ == nullptr) {
     throw std::runtime_error("snapshot: cannot open " + tmp_);
   }
-  const std::uint32_t sections =
-      7 + (layout_.IsIdentity() ? 0 : 1) + (state.empty() ? 0 : 1);
+  const std::uint32_t sections = 7 + (state.empty() ? 0 : 1);
   section_base_ = snapfmt::kHeaderBytes +
                   static_cast<std::uint64_t>(sections) * snapfmt::kEntryBytes;
   while (section_base_ % snapfmt::kSectionAlign != 0) ++section_base_;
@@ -245,21 +239,11 @@ void CompressedSnapshotWriter::Finish() {
   snapfmt::PutU64Le(meta, n_);
   snapfmt::PutU64Le(meta + 8, csr_[0].total_adj / 2);
   snapfmt::PutU64Le(meta + 16, csr_[1].total_adj);
-  snapfmt::PutU64Le(meta + 24,
-                    layout_.IsIdentity() ? 0 : snapfmt::kFlagHasLayout);
+  snapfmt::PutU64Le(meta + 24, 0);  // flags: none defined
   snapfmt::PutU64Le(meta + 32, block_rows_);
   snapfmt::PutU64Le(meta + 40, max_friend_degree_);
   snapfmt::PutU64Le(meta + 48, max_rejection_degree_);
   WriteSection(snapfmt::kMeta, meta, sizeof(meta));
-
-  if (!layout_.IsIdentity()) {
-    std::vector<unsigned char> le(static_cast<std::size_t>(n_) * 4);
-    for (NodeId i = 0; i < n_; ++i) {
-      snapfmt::PutU32Le(le.data() + static_cast<std::size_t>(i) * 4,
-                        layout_.old_of_new[i]);
-    }
-    WriteSection(snapfmt::kLayout, le.data(), le.size());
-  }
 
   // Patch the header + section table in place, then publish.
   std::vector<unsigned char> table(table_.size() * snapfmt::kEntryBytes);

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/snapshot.h"
 #include "graph/types.h"
 
 namespace rejecto::graph {
@@ -41,11 +40,8 @@ class CompressedSnapshotWriter {
     std::uint32_t block_rows = 128;
   };
 
-  // `layout` follows SaveSnapshot's contract: empty (identity) or sized to
-  // n, with rows arriving already in the stored id space. A non-empty
-  // `state` is written at once as the file's state section.
+  // A non-empty `state` is written at once as the file's state section.
   CompressedSnapshotWriter(std::string path, NodeId num_nodes, Options options,
-                           Layout layout = Layout{},
                            std::span<const unsigned char> state = {});
   ~CompressedSnapshotWriter();
 
@@ -56,7 +52,7 @@ class CompressedSnapshotWriter {
   void AppendRejectionOutRow(std::span<const NodeId> row);
   void AppendRejectionInRow(std::span<const NodeId> row);
 
-  // Writes the index/meta/layout sections and the header + section table,
+  // Writes the index/meta sections and the header + section table,
   // fsyncs, and atomically renames the tmp into place. Throws when row
   // counts are incomplete, the in-arc total disagrees with the out-arc
   // total, or the friendship total is odd.
@@ -91,7 +87,6 @@ class CompressedSnapshotWriter {
   std::FILE* file_ = nullptr;
   NodeId n_ = 0;
   std::uint32_t block_rows_ = 128;
-  Layout layout_;
   std::uint64_t file_offset_ = 0;
   std::uint64_t section_base_ = 0;  // first section offset (after the table)
   CsrStream csr_[3];

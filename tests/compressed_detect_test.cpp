@@ -2,8 +2,9 @@
 // pipeline: same MAAR cuts, same rounds, same detected sets, at any thread
 // count (the acceptance bar for RJSNAP02 — compression must never change an
 // answer). Covers MaarSolver's view constructor, the compressed iterative
-// pipeline, a damaged snapshot on that pipeline, and
-// EpochDetector::FromSnapshot dispatch.
+// pipeline and a damaged snapshot on that pipeline.
+// (EpochDetector::FromSnapshot is pinned against direct construction in
+// snapshot_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 
 #include "detect/iterative.h"
 #include "detect/maar.h"
-#include "engine/epoch_detector.h"
 #include "gen/holme_kim.h"
 #include "graph/compressed_view.h"
 #include "graph/snapshot.h"
@@ -314,30 +314,6 @@ TEST_F(CompressedDetectTest, DamagedBlockThrowsCrcMismatchBeforeDetection) {
           << what;
     }
   }
-}
-
-// ---------- engine dispatch ----------
-
-TEST_F(CompressedDetectTest, EpochDetectorFromV2SnapshotMatchesV1) {
-  // FromSnapshot must build the same detector from either format: the
-  // committed RJSNAP01 golden and an RJSNAP02 save of the same graph.
-  const std::string v1 = std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
-  const std::string v2 = Path("g.snap2");
-  graph::SaveSnapshot(v2, graph::LoadSnapshot(v1).graph);
-
-  detect::Seeds seeds;
-  seeds.legit = {0, 1};
-  engine::EpochConfig cfg;
-  cfg.detect.target_detections = 10;
-  cfg.detect.maar.seed = 5;
-
-  auto from_v1 = engine::EpochDetector::FromSnapshot(v1, seeds, cfg);
-  auto from_v2 = engine::EpochDetector::FromSnapshot(v2, seeds, cfg);
-  const auto& a = from_v1->RunEpoch();
-  const auto& b = from_v2->RunEpoch();
-  EXPECT_EQ(from_v1->LastResult().detected, from_v2->LastResult().detected);
-  EXPECT_EQ(a.num_detected, b.num_detected);
-  EXPECT_EQ(a.round_ratios, b.round_ratios);
 }
 
 // A pipeline of no rounds is refused before the view is materialized on a

@@ -119,8 +119,7 @@ bool FindSection(const std::vector<unsigned char>& b, std::uint32_t kind,
 
 // ---------- exactness ----------
 
-// The deterministic graph behind tests/golden/graph.snap2 (and the
-// read-only RJSNAP01 goldens graph.snap and graph_perm.snap). Touch only
+// The deterministic graph behind tests/golden/graph.snap2. Touch only
 // together with a regenerated graph.snap2 (REJECTO_REGEN_GOLDEN=1).
 AugmentedGraph GoldenGraph() {
   graph::GraphBuilder b(9);
@@ -137,27 +136,9 @@ AugmentedGraph GoldenGraph() {
   return b.BuildAugmented();
 }
 
-TEST_F(CompressedViewTest, V2LoadMatchesV1LoadExactly) {
-  // The committed RJSNAP01 file stores GoldenGraph() under a hand-built
-  // non-identity permutation (id reversal), so both readers' permutation
-  // decode is compared too.
-  const std::string v1 = std::string(REJECTO_GOLDEN_DIR) + "/graph_perm.snap";
-  const std::string v2 = Path("g.snap2");
-  std::vector<NodeId> new_of_old(9);
-  for (NodeId v = 0; v < 9; ++v) new_of_old[v] = 8 - v;
-  const graph::Layout layout = graph::LayoutFromPermutation(new_of_old);
-  graph::SaveSnapshot(v2, GoldenGraph(), layout, V2Options());
-  const Snapshot s1 = LoadSnapshot(v1);
-  const Snapshot s2 = LoadSnapshot(v2);
-  EXPECT_EQ(s1.graph, GoldenGraph());
-  EXPECT_EQ(s1.graph, s2.graph);
-  EXPECT_EQ(s1.layout, layout);
-  EXPECT_EQ(s1.layout, s2.layout);
-}
-
 // Even on the attack scenario, whose rejection arcs are scattered across
 // the id space (the format's worst case), the RJSNAP02 adjacency must be
-// smaller than the raw u32 adjacency RJSNAP01 stores: both friendship
+// smaller than the raw u32 adjacency of the in-RAM CSRs: both friendship
 // directions plus the out- and in-arc copies of every rejection.
 TEST_F(CompressedViewTest, AdjacencyIsSmallerThanRawOnAttackScenario) {
   const AugmentedGraph g = RandomScenarioGraph(37, 2000);
@@ -184,7 +165,6 @@ TEST_F(CompressedViewTest, ViewMetadataAndMaterializeMatchTheGraph) {
   // bit-identity with the in-RAM path).
   EXPECT_EQ(view.MaxFriendshipDegree(), g.MaxFriendshipDegree());
   EXPECT_EQ(view.MaxRejectionDegree(), g.MaxRejectionDegree());
-  EXPECT_TRUE(view.StoredLayout().IsIdentity());
 
   const Snapshot serial = view.Materialize();
   EXPECT_EQ(serial.graph, g);
@@ -309,7 +289,6 @@ TEST_F(CompressedViewTest, GoldenV2PinReloadsEqualAndByteIdentical) {
   const Snapshot snap = LoadSnapshot(golden);
   EXPECT_EQ(snap.graph, GoldenGraph())
       << "golden v2 snapshot no longer decodes to the pinned graph";
-  EXPECT_TRUE(snap.layout.IsIdentity());
 
   // Byte-identity both ways pins the FORMAT (container + block codec), not
   // just the decode. If the wire format legitimately evolves, bump the

@@ -1,9 +1,11 @@
-// graph/snapshot.h: round-trip exactness, byte determinism, the read-only
-// RJSNAP01 goldens, and the corruption model — every torn or bit-flipped
-// file (every byte of it, checkpoints included) must be rejected with a
-// clean path+offset error, never undefined behavior.
+// graph/snapshot.h: round-trip exactness, byte determinism, the refusal of
+// files the reader does not fully read (unknown section kinds, meta flags,
+// other magics), and the corruption model — every torn or bit-flipped file
+// (every byte of it, the committed graph.snap2 and checkpoints included)
+// must be rejected with a clean path+offset error, never undefined behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -11,14 +13,17 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/iterative.h"
 #include "engine/epoch_detector.h"
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
+#include "graph/compressed_view.h"
 #include "graph/snapshot.h"
 #include "sim/scenario.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -56,8 +61,8 @@ class SnapshotTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// The deterministic graph used by the golden pin AND the regeneration
-// helper below. Touch it only together with a new golden file.
+// The deterministic graph tests/golden/graph.snap2 holds (pinned byte for
+// byte by compressed_view_test). Touch it only together with that file.
 AugmentedGraph GoldenGraph() {
   graph::GraphBuilder b(9);
   b.AddFriendship(0, 1);
@@ -80,15 +85,6 @@ AugmentedGraph RandomScenarioGraph(std::uint64_t seed, NodeId n = 400) {
   cfg.seed = seed;
   cfg.num_fakes = n / 10;
   return sim::BuildScenario(legit, cfg).graph;
-}
-
-// A hand-built non-identity permutation (id reversal): saving with it puts
-// the optional permutation section in the file. The CSRs are stored as
-// given; the loader only validates and returns the permutation.
-Layout ReversedLayout(NodeId n) {
-  std::vector<NodeId> new_of_old(n);
-  for (NodeId v = 0; v < n; ++v) new_of_old[v] = n - 1 - v;
-  return graph::LayoutFromPermutation(std::move(new_of_old));
 }
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {
@@ -117,6 +113,17 @@ std::uint64_t GetU64(const std::vector<unsigned char>& b, std::size_t at) {
          (static_cast<std::uint64_t>(GetU32(b, at + 4)) << 32);
 }
 
+void PutU32(std::vector<unsigned char>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    b[at + i] = static_cast<unsigned char>(v >> (8 * i));
+  }
+}
+
+void PutU64(std::vector<unsigned char>& b, std::size_t at, std::uint64_t v) {
+  PutU32(b, at, static_cast<std::uint32_t>(v));
+  PutU32(b, at + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 struct SectionEntry {
   std::uint32_t kind = 0;
   std::uint64_t offset = 0;
@@ -137,15 +144,112 @@ std::vector<SectionEntry> ParseTable(const std::vector<unsigned char>& b) {
   return entries;
 }
 
-// The committed RJSNAP01 files. Nothing in the tree writes RJSNAP01 any
-// more, so these are the v1 reader's only inputs: graph.snap holds
-// GoldenGraph(), graph_perm.snap holds GoldenGraph() stored with
-// ReversedLayout(9) (tests/golden/README.md records both).
-std::string GoldenV1() {
-  return std::string(REJECTO_GOLDEN_DIR) + "/graph.snap";
+// The committed RJSNAP02 pin of GoldenGraph().
+std::string GoldenV2() {
+  return std::string(REJECTO_GOLDEN_DIR) + "/graph.snap2";
 }
-std::string GoldenV1Perm() {
-  return std::string(REJECTO_GOLDEN_DIR) + "/graph_perm.snap";
+
+// Re-seals a hand-edited image the way a writer would: every non-blob
+// section's CRC over its bytes, then the table CRC. The edited file is
+// therefore refused for what it says, not for a checksum.
+void Reseal(std::vector<unsigned char>& b) {
+  const std::uint32_t count = GetU32(b, 8);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t at = 16 + 24 * static_cast<std::size_t>(i);
+    const std::uint32_t kind = GetU32(b, at);
+    if (kind == 8 || kind == 10 || kind == 12) continue;  // blobs: crc 0
+    PutU32(b, at + 4,
+           util::Crc32c(b.data() + GetU64(b, at + 8),
+                        static_cast<std::size_t>(GetU64(b, at + 16))));
+  }
+  PutU32(b, 12, util::Crc32c(b.data() + 16, 24 * std::size_t{count}));
+}
+
+// Sets the meta section's flags word (bytes 24..32 of the meta payload).
+std::vector<unsigned char> WithMetaFlags(std::vector<unsigned char> b,
+                                         std::uint64_t flags) {
+  for (const SectionEntry& e : ParseTable(b)) {
+    if (e.kind == 0) PutU64(b, e.offset + 24, flags);
+  }
+  Reseal(b);
+  return b;
+}
+
+// Adds one section of `kind` to a saved image, as a writer that knew the
+// kind would have: the table grows by one entry, every section moves down
+// by however much the 64-byte-aligned table end moved (0 or 64 bytes), and
+// the payload is appended, aligned, at the end of the file.
+std::vector<unsigned char> WithExtraSection(
+    const std::vector<unsigned char>& b, std::uint32_t kind,
+    const std::vector<unsigned char>& payload) {
+  const auto align = [](std::size_t x) { return (x + 63) / 64 * 64; };
+  const std::uint32_t count = GetU32(b, 8);
+  const std::size_t old_base = align(16 + 24 * std::size_t{count});
+  const std::size_t new_base = align(16 + 24 * std::size_t{count + 1});
+  const std::size_t shift = new_base - old_base;
+
+  std::vector<unsigned char> out(new_base, 0);
+  std::copy(b.begin(), b.begin() + 16 + 24 * std::size_t{count}, out.begin());
+  out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(old_base),
+             b.end());
+  PutU32(out, 8, count + 1);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t at = 16 + 24 * static_cast<std::size_t>(i);
+    PutU64(out, at + 8, GetU64(out, at + 8) + shift);
+  }
+  out.resize(align(out.size()), 0);
+  const std::size_t at = 16 + 24 * static_cast<std::size_t>(count);
+  PutU32(out, at, kind);
+  PutU64(out, at + 8, out.size());
+  PutU64(out, at + 16, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  Reseal(out);
+  return out;
+}
+
+// A permutation-shaped payload for an n-node file: n u32 ids, reversed.
+std::vector<unsigned char> ReversedIds(NodeId n) {
+  std::vector<unsigned char> p(4 * static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) PutU32(p, 4 * std::size_t{v}, n - 1 - v);
+  return p;
+}
+
+// Expects `call` to throw std::runtime_error naming `path` and an offset.
+template <typename Call>
+void ExpectRefusedByPathAndOffset(const std::string& path, Call call,
+                                  const std::string& label) {
+  try {
+    call();
+    ADD_FAILURE() << label << ": " << path << " was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << label << ": " << what;
+    EXPECT_NE(what.find("at offset"), std::string::npos)
+        << label << ": " << what;
+  }
+}
+
+// An epoch detector checkpoint (a snapshot with a state section), taken
+// after one epoch so the state carries a warm-start mask.
+detect::Seeds CheckpointSeeds() {
+  detect::Seeds seeds;
+  seeds.legit = {0, 1};
+  return seeds;
+}
+
+engine::EpochConfig CheckpointConfig() {
+  engine::EpochConfig cfg;
+  cfg.detect.target_detections = 6;
+  cfg.detect.maar.seed = 5;
+  cfg.warm_start = true;
+  return cfg;
+}
+
+void SaveTestCheckpoint(const std::string& path) {
+  engine::EpochDetector detector(RandomScenarioGraph(41, 60),
+                                 CheckpointSeeds(), CheckpointConfig());
+  detector.RunEpoch();
+  detector.SaveCheckpoint(path);
 }
 
 // ---------- round trips ----------
@@ -155,20 +259,8 @@ TEST_F(SnapshotTest, IdentityRoundTripIsExact) {
   const std::string path = Path("g.snap");
   SaveSnapshot(path, g);
   const Snapshot snap = LoadSnapshot(path);
-  EXPECT_TRUE(snap.layout.IsIdentity());
   EXPECT_EQ(snap.graph, g);
-  EXPECT_EQ(snap, (Snapshot{g, Layout{}}));
-}
-
-TEST_F(SnapshotTest, PermutationSectionRoundTripsExactly) {
-  const AugmentedGraph g = RandomScenarioGraph(11);
-  const Layout layout = ReversedLayout(g.NumNodes());
-  const std::string path = Path("g.snap");
-  SaveSnapshot(path, g, layout);
-  EXPECT_EQ(LoadSnapshot(path), (Snapshot{g, layout}));
-  // The v1 reader's permutation decode, on committed bytes.
-  EXPECT_EQ(LoadSnapshot(GoldenV1Perm()),
-            (Snapshot{GoldenGraph(), ReversedLayout(9)}));
+  EXPECT_EQ(snap, (Snapshot{g}));
 }
 
 TEST_F(SnapshotTest, StateSectionRoundTripsAndPlainSnapshotsCarryNone) {
@@ -176,7 +268,7 @@ TEST_F(SnapshotTest, StateSectionRoundTripsAndPlainSnapshotsCarryNone) {
   const std::vector<unsigned char> state = {7, 0, 255, 42, 1};
   SaveSnapshot(Path("state.snap"), g, Layout{}, graph::SnapshotOptions{},
                state);
-  EXPECT_EQ(LoadSnapshot(Path("state.snap")), (Snapshot{g, Layout{}, state}));
+  EXPECT_EQ(LoadSnapshot(Path("state.snap")), (Snapshot{g, state}));
 
   // An empty state writes no section: the file is byte-identical to a
   // plain save, so snapshots without state are unchanged by the feature.
@@ -186,7 +278,7 @@ TEST_F(SnapshotTest, StateSectionRoundTripsAndPlainSnapshotsCarryNone) {
   EXPECT_EQ(ReadFileBytes(Path("plain.snap")),
             ReadFileBytes(Path("empty_state.snap")));
   EXPECT_TRUE(LoadSnapshot(Path("plain.snap")).state.empty());
-  EXPECT_TRUE(LoadSnapshot(GoldenV1()).state.empty());
+  EXPECT_TRUE(LoadSnapshot(GoldenV2()).state.empty());
 }
 
 TEST_F(SnapshotTest, PreservesIsolatedNodesAndEmptyGraphs) {
@@ -205,22 +297,6 @@ TEST_F(SnapshotTest, PreservesIsolatedNodesAndEmptyGraphs) {
   EXPECT_EQ(esnap.graph, empty);
 }
 
-TEST_F(SnapshotTest, SaveRejectsMismatchedLayout) {
-  const AugmentedGraph g = GoldenGraph();
-  EXPECT_THROW(SaveSnapshot(Path("bad.snap"), g,
-                            graph::LayoutFromPermutation({1, 0})),
-               std::invalid_argument);
-}
-
-TEST(LayoutTest, LayoutFromPermutationRejectsNonBijections) {
-  EXPECT_THROW(graph::LayoutFromPermutation({0, 0}), std::invalid_argument);
-  EXPECT_THROW(graph::LayoutFromPermutation({0, 5}), std::invalid_argument);
-  EXPECT_THROW(graph::LayoutFromPermutation({1, 2, 0, 1}),
-               std::invalid_argument);
-  const Layout ok = graph::LayoutFromPermutation({2, 0, 1});
-  EXPECT_EQ(ok.old_of_new, (std::vector<NodeId>{1, 2, 0}));
-}
-
 TEST_F(SnapshotTest, WritesAreByteDeterministic) {
   const AugmentedGraph g = RandomScenarioGraph(13);
   SaveSnapshot(Path("a.snap"), g);
@@ -228,25 +304,16 @@ TEST_F(SnapshotTest, WritesAreByteDeterministic) {
   EXPECT_EQ(ReadFileBytes(Path("a.snap")), ReadFileBytes(Path("b.snap")));
 }
 
-// ---------- golden pin ----------
-
-// graph.snap is a read-only fixture: old RJSNAP01 files must keep decoding
-// to the graph they were written from. The written format's byte pin is
-// graph.snap2 (compressed_view_test).
-TEST_F(SnapshotTest, GoldenV1PinReloadsEqual) {
-  EXPECT_EQ(LoadSnapshot(GoldenV1()), (Snapshot{GoldenGraph(), Layout{}}))
-      << "golden RJSNAP01 snapshot no longer decodes to the pinned graph";
-}
-
 // ---------- corruption model ----------
 
 // Cuts `path` at every header/table/section boundary and each section's
 // midpoint; every cut must be rejected with a path+offset error.
 void ExpectEveryTruncationRejected(const std::string& path,
-                                   const std::string& torn) {
+                                   const std::string& torn,
+                                   std::size_t sections) {
   const auto bytes = ReadFileBytes(path);
   const auto table = ParseTable(bytes);
-  ASSERT_EQ(table.size(), 8u) << path;  // meta, 6 CSR sections, layout
+  ASSERT_EQ(table.size(), sections) << path;
 
   std::vector<std::size_t> cuts = {0, 4, 8, 12, 16};
   for (std::size_t i = 0; i < table.size(); ++i) {
@@ -273,12 +340,17 @@ void ExpectEveryTruncationRejected(const std::string& path,
   }
 }
 
+// A plain file has seven sections (meta and three blob + index pairs); a
+// checkpoint adds its state section.
 TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
   const AugmentedGraph g = RandomScenarioGraph(17, 120);
   const std::string path = Path("g.snap");
-  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
-  ExpectEveryTruncationRejected(path, Path("torn.snap"));
-  ExpectEveryTruncationRejected(GoldenV1Perm(), Path("torn_v1.snap"));
+  SaveSnapshot(path, g);
+  ExpectEveryTruncationRejected(path, Path("torn.snap"), 7);
+  ExpectEveryTruncationRejected(GoldenV2(), Path("torn_golden.snap"), 7);
+  const std::string ckpt = Path("epoch.ckpt");
+  SaveTestCheckpoint(ckpt);
+  ExpectEveryTruncationRejected(ckpt, Path("torn.ckpt"), 8);
 }
 
 // One flip in the magic, the count, the table CRC, each table entry, and
@@ -305,9 +377,12 @@ void ExpectSectionBitFlipsRejected(const std::string& path,
 TEST_F(SnapshotTest, BitFlipsAnywhereAreRejected) {
   const AugmentedGraph g = RandomScenarioGraph(19, 60);
   const std::string path = Path("g.snap");
-  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
+  SaveSnapshot(path, g);
   ExpectSectionBitFlipsRejected(path, Path("flipped.snap"));
-  ExpectSectionBitFlipsRejected(GoldenV1Perm(), Path("flipped_v1.snap"));
+  ExpectSectionBitFlipsRejected(GoldenV2(), Path("flipped_golden.snap"));
+  const std::string ckpt = Path("epoch.ckpt");
+  SaveTestCheckpoint(ckpt);
+  ExpectSectionBitFlipsRejected(ckpt, Path("flipped.ckpt"));
 }
 
 // An operator reading the error must be able to tell a torn copy (the
@@ -354,14 +429,17 @@ TEST_F(SnapshotTest, TruncationAndCorruptionAreDistinctErrors) {
   const std::string path = Path("g.snap");
   SaveSnapshot(path, g);
   ExpectTruncationAndCorruptionDistinct(path, Path("bad.snap"));
-  ExpectTruncationAndCorruptionDistinct(GoldenV1(), Path("bad_v1.snap"));
+  ExpectTruncationAndCorruptionDistinct(GoldenV2(), Path("bad_golden.snap"));
+  const std::string ckpt = Path("epoch.ckpt");
+  SaveTestCheckpoint(ckpt);
+  ExpectTruncationAndCorruptionDistinct(ckpt, Path("bad.ckpt"));
 }
 
 // Every byte of a snapshot is covered by a check: a CRC (table, section or
 // compressed block), the magic, or the rule that alignment padding is zero
 // and nothing follows the last section. Flipping any single byte of the
-// RJSNAP01 golden, of a fresh RJSNAP02 save with a permutation section, or
-// of an epoch detector checkpoint must therefore be rejected.
+// committed graph.snap2, of a fresh multi-block save, or of an epoch
+// detector checkpoint must therefore be rejected.
 TEST_F(SnapshotTest, EveryByteOfASnapshotIsChecked) {
   auto expect_every_flip_rejected = [&](const std::string& path,
                                         const auto& load) {
@@ -385,33 +463,26 @@ TEST_F(SnapshotTest, EveryByteOfASnapshotIsChecked) {
   };
   auto load = [](const std::string& p) { LoadSnapshot(p); };
 
-  expect_every_flip_rejected(GoldenV1(), load);
+  expect_every_flip_rejected(GoldenV2(), load);
 
   const std::string fresh = Path("fresh.snap");
-  SaveSnapshot(fresh, GoldenGraph(), ReversedLayout(9));
+  graph::SnapshotOptions options;
+  options.block_rows = 64;  // 150 nodes: three blocks per CSR
+  SaveSnapshot(fresh, RandomScenarioGraph(43, 150), Layout{}, options);
   expect_every_flip_rejected(fresh, load);
 
-  const AugmentedGraph g = RandomScenarioGraph(41, 60);
-  detect::Seeds seeds;
-  seeds.legit = {0, 1};
-  engine::EpochConfig cfg;
-  cfg.detect.target_detections = 6;
-  cfg.detect.maar.seed = 5;
-  cfg.warm_start = true;
   const std::string ckpt = Path("epoch.ckpt");
-  {
-    engine::EpochDetector detector(g, seeds, cfg);
-    detector.RunEpoch();  // so the state carries a warm-start mask
-    detector.SaveCheckpoint(ckpt);
-  }
+  SaveTestCheckpoint(ckpt);
   expect_every_flip_rejected(ckpt, [&](const std::string& p) {
-    engine::EpochDetector::RestoreCheckpoint(p, seeds, cfg);
+    engine::EpochDetector::RestoreCheckpoint(p, CheckpointSeeds(),
+                                             CheckpointConfig());
   });
 }
 
 // A checkpoint is a snapshot with a state section. RestoreCheckpoint
-// refuses both a file in the retired RJCKP001 checkpoint format and a
-// plain snapshot, naming the path either way.
+// refuses a file in the retired RJCKP001 checkpoint format, a file with the
+// retired RJSNAP01 snapshot magic, and a plain snapshot, naming the path
+// each time.
 TEST_F(SnapshotTest, RestoreCheckpointRefusesOldFormatAndPlainSnapshots) {
   auto expect_refused = [](const std::string& path) {
     try {
@@ -430,9 +501,47 @@ TEST_F(SnapshotTest, RestoreCheckpointRefusesOldFormatAndPlainSnapshots) {
   WriteFileBytes(Path("old.ckpt"), old_format);
   expect_refused(Path("old.ckpt"));
 
+  auto v1 = ReadFileBytes(GoldenV2());
+  v1[7] = '1';  // "RJSNAP02" -> "RJSNAP01"
+  WriteFileBytes(Path("v1.snap"), v1);
+  expect_refused(Path("v1.snap"));
+
   SaveSnapshot(Path("plain.snap"), GoldenGraph());
   expect_refused(Path("plain.snap"));
-  expect_refused(GoldenV1());
+  expect_refused(GoldenV2());
+}
+
+// The reader refuses what it does not read. Each file below is a copy of
+// graph.snap2 with every CRC re-sealed, so only its content is wrong: a
+// meta flag bit it does not know, or a well-formed extra section of a kind
+// it does not read (1 was the retired format's friendship offsets, 7 its
+// permutation; 15 and 20 are unassigned, 20 past the kind table). Loading
+// any of them would ignore part of the file, so LoadSnapshot and
+// CompressedGraphView::Open both refuse each, naming the path and offset.
+TEST_F(SnapshotTest, UnreadFlagsAndSectionKindsAreRefused) {
+  const auto golden = ReadFileBytes(GoldenV2());
+  std::vector<std::pair<std::string, std::vector<unsigned char>>> probes;
+  probes.emplace_back("flag_bit2.snap", WithMetaFlags(golden, 4));
+  for (const std::uint32_t kind : {1u, 7u, 15u, 20u}) {
+    probes.emplace_back("kind" + std::to_string(kind) + ".snap",
+                        WithExtraSection(golden, kind, ReversedIds(9)));
+  }
+  for (const auto& [name, bytes] : probes) {
+    const std::string path = Path(name);
+    WriteFileBytes(path, bytes);
+    ExpectRefusedByPathAndOffset(
+        path, [&] { LoadSnapshot(path); }, "LoadSnapshot " + name);
+    ExpectRefusedByPathAndOffset(
+        path, [&] { graph::CompressedGraphView::Open(path); },
+        "Open " + name);
+  }
+  // The same edits with what the reader does read load: an extra state
+  // section, and flags re-sealed as 0 (which gives back the golden bytes).
+  const std::string state = Path("state.snap");
+  WriteFileBytes(state, WithExtraSection(golden, 14, ReversedIds(9)));
+  EXPECT_EQ(LoadSnapshot(state), (Snapshot{GoldenGraph(), ReversedIds(9)}));
+  WriteFileBytes(state, WithMetaFlags(golden, 0));
+  EXPECT_EQ(ReadFileBytes(state), golden);
 }
 
 TEST_F(SnapshotTest, MissingFileAndGarbageAreRejected) {
@@ -469,8 +578,7 @@ TEST_F(SnapshotTest, WriteAndRenameFailpointsLeaveNoPartialFile) {
 TEST_F(SnapshotTest, OpenFailpointThrowsAndMapFailpointFallsBackToStreams) {
   const AugmentedGraph g = RandomScenarioGraph(23, 80);
   const std::string path = Path("g.snap");
-  const Layout layout = ReversedLayout(g.NumNodes());
-  SaveSnapshot(path, g, layout);
+  SaveSnapshot(path, g);
   {
     util::ScopedFailpoint fp("snapshot/open",
                              util::FailpointPolicy::OnNth(1));
@@ -481,7 +589,7 @@ TEST_F(SnapshotTest, OpenFailpointThrowsAndMapFailpointFallsBackToStreams) {
     // snapshot.
     util::ScopedFailpoint fp("snapshot/map", util::FailpointPolicy::OnNth(1));
     const Snapshot snap = LoadSnapshot(path);
-    EXPECT_EQ(snap, (Snapshot{g, layout}));
+    EXPECT_EQ(snap, (Snapshot{g}));
   }
 }
 
@@ -560,21 +668,23 @@ TEST_F(SnapshotTest, CheckpointRestoresIdenticallyAtAnyThreadCount) {
   }
 }
 
+// A file carrying the retired permutation (meta flag bit 0 and a kind-7
+// section) would load in stored-id space if the reader skipped the section;
+// FromSnapshot refuses it instead, naming the path.
 TEST_F(SnapshotTest, EpochDetectorFromPermutedSnapshotThrowsNamingThePath) {
-  // Stream ids are original ids: a snapshot whose CSRs were stored under a
-  // permutation cannot seed a detector, so FromSnapshot refuses it.
   const AugmentedGraph g = RandomScenarioGraph(29, 200);
+  const std::string plain = Path("plain.snap");
+  SaveSnapshot(plain, g);
   const std::string path = Path("permuted.snap");
-  SaveSnapshot(path, g, ReversedLayout(g.NumNodes()));
-  detect::Seeds seeds;
-  seeds.legit = {0, 1};
-  try {
-    engine::EpochDetector::FromSnapshot(path, seeds, engine::EpochConfig{});
-    FAIL() << "a permuted snapshot was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-        << e.what();
-  }
+  WriteFileBytes(path, WithExtraSection(WithMetaFlags(ReadFileBytes(plain), 1),
+                                        7, ReversedIds(g.NumNodes())));
+  ExpectRefusedByPathAndOffset(
+      path,
+      [&] {
+        engine::EpochDetector::FromSnapshot(path, CheckpointSeeds(),
+                                            engine::EpochConfig{});
+      },
+      "FromSnapshot");
 }
 
 }  // namespace
